@@ -1,7 +1,6 @@
 """Batch command-line front end.
 
     pwafit fit|cv|synth|check|bench --config cfg.json [--out DIR] [--seed S]
-                                    [--threads T]
 
 Configs are strict JSON (unknown keys rejected); reports are JSON with the
 fully-resolved config embedded, tables and traces are CSV.  Exit codes:
@@ -11,7 +10,6 @@ fully-resolved config embedded, tables and traces are CSV.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import os
@@ -70,6 +68,17 @@ def _validate(raw: dict, schema: dict, where: str) -> dict:
     return out
 
 
+def _validate_nested(cfg: dict) -> dict:
+    """Fill and check the nested `init` and `synth` objects in place."""
+    if cfg.get("init") is not None:
+        cfg["init"] = _validate(cfg["init"], _INIT_KEYS, "init")
+    else:
+        cfg["init"] = dict(_INIT_KEYS)
+    if cfg.get("synth") is not None:
+        cfg["synth"] = _validate(cfg["synth"], _SYNTH_KEYS, "synth")
+    return cfg
+
+
 def load_config(path: str, command: str, seed_override=None) -> dict:
     try:
         with open(path) as fh:
@@ -78,13 +87,7 @@ def load_config(path: str, command: str, seed_override=None) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    cfg = _validate(raw, _SCHEMAS[command], command)
-    if cfg.get("init") is not None:
-        cfg["init"] = _validate(cfg["init"], _INIT_KEYS, "init")
-    else:
-        cfg["init"] = dict(_INIT_KEYS)
-    if "synth" in cfg and cfg.get("synth") is not None:
-        cfg["synth"] = _validate(cfg["synth"], _SYNTH_KEYS, "synth")
+    cfg = _validate_nested(_validate(raw, _SCHEMAS[command], command))
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
     return cfg
@@ -131,23 +134,14 @@ def _one_start(problem, comp, cfg, start: int):
     return mm.run(comp, mc, theta0)
 
 
-def multi_start(problem, comp, cfg, starts: int, threads: int = 1):
+def multi_start(problem, comp, cfg, starts: int):
     """Returns list of (start, report-or-None, error-string-or-None)."""
-    results = [None] * starts
-
-    def job(i):
+    results = []
+    for i in range(starts):
         try:
-            return i, _one_start(problem, comp, cfg, i), None
+            results.append((i, _one_start(problem, comp, cfg, i), None))
         except Exception as exc:  # per-start isolation
-            return i, None, f"{type(exc).__name__}: {exc}"
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            for i, rep, err in ex.map(job, range(starts)):
-                results[i] = (i, rep, err)
-    else:
-        for i in range(starts):
-            results[i] = job(i)
+            results.append((i, None, f"{type(exc).__name__}: {exc}"))
     return results
 
 
@@ -202,14 +196,14 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def cmd_fit(cfg: dict, out: str, threads: int) -> int:
+def cmd_fit(cfg: dict, out: str) -> int:
     dataset = _load_dataset(cfg)
     gamma = cfg["gamma"]
     if gamma == "cv":
         gamma = select_gamma(cfg, dataset)
     problem = _problem(cfg, dataset, gamma=gamma)
     comp = pwa.assemble(problem)
-    results = multi_start(problem, comp, cfg, int(cfg["starts"]), threads)
+    results = multi_start(problem, comp, cfg, int(cfg["starts"]))
     best_i, best = _best(results)
 
     os.makedirs(out, exist_ok=True)
@@ -262,7 +256,7 @@ def cmd_fit(cfg: dict, out: str, threads: int) -> int:
     return 0
 
 
-def cmd_cv(cfg: dict, out: str, threads: int) -> int:
+def cmd_cv(cfg: dict, out: str) -> int:
     dataset = _load_dataset(cfg)
     folds = int(cfg["folds"])
     if folds < 2:
@@ -284,8 +278,7 @@ def cmd_cv(cfg: dict, out: str, threads: int) -> int:
                     cell_cfg = {**cfg, "k1": k1, "k2": k2}
                     prob = _problem(cell_cfg, ds_tr)
                     comp = pwa.assemble(prob)
-                    res = multi_start(prob, comp, cell_cfg, int(cfg["starts"]),
-                                      threads)
+                    res = multi_start(prob, comp, cell_cfg, int(cfg["starts"]))
                     _, rep = _best(res)
                     model = prob.model(rep.theta)
                     e_pa += float(np.sum((dataset.y[te] - model.eval(dataset.X[te])) ** 2))
@@ -322,7 +315,7 @@ def cmd_cv(cfg: dict, out: str, threads: int) -> int:
     return 0
 
 
-def cmd_synth(cfg: dict, out: str, threads: int) -> int:
+def cmd_synth(cfg: dict, out: str) -> int:
     gen = pwa.synth_example1 if int(cfg["example"]) == 1 else pwa.synth_example2
     dataset, model = gen(int(cfg["N"]), int(cfg["seed"]))
     os.makedirs(out, exist_ok=True)
@@ -332,7 +325,7 @@ def cmd_synth(cfg: dict, out: str, threads: int) -> int:
     return 0
 
 
-def cmd_check(cfg: dict, out: str, threads: int) -> int:
+def cmd_check(cfg: dict, out: str) -> int:
     os.makedirs(out, exist_ok=True)
     report = {"command": "check", "config": _json_safe(cfg)}
     if cfg.get("pwa1d") is not None:
@@ -362,12 +355,9 @@ def cmd_check(cfg: dict, out: str, threads: int) -> int:
         cfg2 = {**cfg, "k1": model.k1, "k2": model.k2}
         problem = _problem(cfg2, dataset)
         comp = pwa.assemble(problem)
-        c = cfg["c"]
-        if c is None:
-            c = 1e-2 * (1.0 + float(np.mean(dataset.y ** 2)))
+        c = MMConfig(c=cfg["c"]).resolve_c(comp)
         res, _, cov = stationarity.dstat_residual(comp, model.flatten(), c,
-                                                  int(cfg["combo_cap"]),
-                                                  seed=int(cfg["seed"]))
+                                                  int(cfg["combo_cap"]))
         report.update({"dstat_residual": res, "coverage": cov,
                        "objective": comp.f_N(model.flatten())})
     else:
@@ -377,23 +367,17 @@ def cmd_check(cfg: dict, out: str, threads: int) -> int:
     return 0
 
 
-def cmd_bench(cfg: dict, out: str, threads: int) -> int:
+def cmd_bench(cfg: dict, out: str) -> int:
     os.makedirs(out, exist_ok=True)
     rows = []
     for i, entry in enumerate(cfg["runs"]):
-        run_cfg = _validate(entry, {"name": f"run{i}", **_SCHEMAS["fit"]}, "bench run")
-        if run_cfg.get("init") is not None:
-            run_cfg["init"] = _validate(run_cfg["init"], _INIT_KEYS, "init")
-        else:
-            run_cfg["init"] = dict(_INIT_KEYS)
-        if run_cfg.get("synth") is not None:
-            run_cfg["synth"] = _validate(run_cfg["synth"], _SYNTH_KEYS, "synth")
+        run_cfg = _validate_nested(_validate(
+            entry, {"name": f"run{i}", **_SCHEMAS["fit"]}, "bench run"))
         dataset = _load_dataset(run_cfg)
         problem = _problem(run_cfg, dataset)
         comp = pwa.assemble(problem)
         t0 = time.perf_counter()
-        results = multi_start(problem, comp, run_cfg, int(run_cfg["starts"]),
-                              threads)
+        results = multi_start(problem, comp, run_cfg, int(run_cfg["starts"]))
         _, best = _best(results)
         rows.append([run_cfg["name"], dataset.N, dataset.d, best.iterations,
                      best.sn_total, repr(best.f_N),
@@ -426,11 +410,10 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True)
     ap.add_argument("--out", default=".")
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config, args.command, args.seed)
-        return _COMMANDS[args.command](cfg, args.out, args.threads)
+        return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -453,16 +453,6 @@ class DcRegularizer:
         return float(t @ np.abs(theta) - lin @ theta + const)
 
 
-def regularizer_majorant(P: DcRegularizer | None, theta, theta_bar):
-    """(value, l1 weights, linear part) of the convex regularizer majorant."""
-    if P is None or P.gamma == 0.0:
-        theta = np.asarray(theta, dtype=float)
-        z = np.zeros_like(theta)
-        return 0.0, z, z
-    t, lin, _ = P.majorant_data(theta_bar)
-    return P.majorant_value(theta, theta_bar), t, lin
-
-
 # ---------------------------------------------------------------------------
 # stacked composite problem
 

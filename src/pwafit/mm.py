@@ -15,12 +15,13 @@ method, and accepts the candidate according to the chosen variant:
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .funcs import TIE_TOL, CompositeProblem, regularizer_majorant
+from .funcs import TIE_TOL, CompositeProblem
 from .snewton import DualSubproblem, SNConfig, SNResult, sn_solve
 
 
@@ -99,43 +100,45 @@ def select_pairs(problem: CompositeProblem, theta, eps: float, variant: str,
                  combo_cap: int = 64):
     """Per-sample pair selections (0-based index arrays (sel1, sel2)).
 
+    A sample's eps-argmax pairs are ranked lexicographically, (g atom, h atom)
+    in index order; every variant picks a rank per sample and decodes it.
     Returns (selections, coverage) where coverage is the enumerated fraction
     of the full eps-argmax product (always 1.0 for one/random).
     """
-    N = problem.n_samples
     if variant == "one":
-        gv, hv = problem.atom_values(theta)
-        m1, m2 = gv >= gv.max(1, keepdims=True) - TIE_TOL, hv >= hv.max(1, keepdims=True) - TIE_TOL
-        sel1 = m1.argmax(axis=1)
-        sel2 = m2.argmax(axis=1)
-        return [(sel1, sel2)], 1.0
+        m1, m2 = problem.argmax_masks(theta, TIE_TOL)
+        return [(m1.argmax(axis=1), m2.argmax(axis=1))], 1.0
     m1, m2 = problem.argmax_masks(theta, eps)
-    per_sample = []
-    total = 1.0
-    for sidx in range(N):
-        i1 = np.flatnonzero(m1[sidx])
-        i2 = np.flatnonzero(m2[sidx])
-        pairs = [(a, b) for a in i1 for b in i2]
-        per_sample.append(pairs)
-        total *= len(pairs)
+    n1, n2 = m1.sum(axis=1), m2.sum(axis=1)
+    counts = n1 * n2
+
+    def decode(rank):
+        # rank k is the (k // n2)-th tied g atom and the (k % n2)-th tied h atom
+        return _nth_set(m1, rank // n2), _nth_set(m2, rank % n2)
+
     if variant == "random":
         if rng is None:
             rng = np.random.default_rng(0)
-        sel1 = np.empty(N, dtype=int)
-        sel2 = np.empty(N, dtype=int)
-        for sidx, pairs in enumerate(per_sample):
-            a, b = pairs[rng.integers(len(pairs))]
-            sel1[sidx], sel2[sidx] = a, b
-        return [(sel1, sel2)], 1.0
+        return [decode(rng.integers(counts))], 1.0
     if variant != "full":
         raise ValueError(f"unknown variant {variant!r}")
-    sels = []
-    for combo in itertools.islice(itertools.product(*per_sample), combo_cap):
-        sel1 = np.array([p[0] for p in combo], dtype=int)
-        sel2 = np.array([p[1] for p in combo], dtype=int)
-        sels.append((sel1, sel2))
-    coverage = len(sels) / total if total > 0 else 1.0
-    return sels, min(coverage, 1.0)
+    # samples with a single pair keep rank 0, so the product runs over the
+    # others only; its lexicographic order is the one over all samples
+    tied = np.flatnonzero(counts != 1)
+    combos = list(itertools.islice(
+        itertools.product(*map(range, counts[tied].tolist())), combo_cap))
+    ranks = np.zeros((len(combos), problem.n_samples), dtype=int)
+    ranks[:, tied] = np.reshape(combos, (len(combos), tied.size))
+    sel1, sel2 = decode(ranks)
+    # exact integer product: a float one overflows to inf on many ties
+    total = math.prod(counts[tied].tolist())
+    coverage = min(len(combos) / total, 1.0) if total > 0 else 1.0
+    return list(zip(sel1, sel2)), coverage
+
+
+def _nth_set(mask, rank):
+    """Column of the rank-th True entry of each mask row (rank: (..., N))."""
+    return (np.cumsum(mask, axis=1) > rank[..., None]).argmax(axis=-1)
 
 
 def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
@@ -164,11 +167,11 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
     rhat = np.maximum(rhat, 0.0)
     shat = np.maximum(shat, 0.0)
 
-    _, l1, lin = regularizer_majorant(problem.reg, theta, theta)
-    reg_const = 0.0
     if problem.reg is not None and problem.reg.gamma > 0:
-        _, lin_, const = problem.reg.majorant_data(theta)
-        reg_const = const
+        l1, lin, reg_const = problem.reg.majorant_data(theta)
+    else:
+        l1 = lin = np.zeros_like(theta)
+        reg_const = 0.0
 
     return DualSubproblem(B1=B1, beta1=beta1, B2=B2, beta2=beta2,
                           split=problem.split, n_samples=N, weight=problem.weight,
@@ -276,7 +279,7 @@ def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
             report.residual_coverage = 1.0
         else:
             res, _, cov = stationarity.dstat_residual(
-                problem, state.theta, c, config.combo_cap, seed=config.seed)
+                problem, state.theta, c, config.combo_cap)
             report.residual = res
             report.residual_kind = "dstat"
             report.residual_coverage = cov

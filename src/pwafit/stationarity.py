@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mm
 from .funcs import TIE_TOL, CompositeProblem
 from .snewton import SNConfig, sn_solve
 
@@ -176,54 +177,28 @@ def dc_critical_check(f1: PiecewiseAffine1D, f2: PiecewiseAffine1D, x: float) ->
 _TIGHT_SN = SNConfig(tol_grad=1e-12, max_iter=200)
 
 
-def _exact_pair_products(problem: CompositeProblem, theta):
-    m1, m2 = problem.argmax_masks(theta, TIE_TOL)
-    per_sample = []
-    total = 1.0
-    for sidx in range(problem.n_samples):
-        i1 = np.flatnonzero(m1[sidx])
-        i2 = np.flatnonzero(m2[sidx])
-        pairs = [(a, b) for a in i1 for b in i2]
-        per_sample.append(pairs)
-        total *= len(pairs)
-    return per_sample, total
-
-
 def _selection_residual(problem, state, sel1, sel2, c, warm=None):
-    from .mm import build_subproblem
-    sub = build_subproblem(problem, state, sel1, sel2, c)
+    sub = mm.build_subproblem(problem, state, sel1, sel2, c)
     res = sn_solve(sub, warm=warm, cfg=_TIGHT_SN)
     return float(np.abs(res.theta - state.theta).max(initial=0.0)), res
 
 
 def dstat_residual(problem: CompositeProblem, theta_bar, c: float,
-                   combo_cap: int = 64, seed: int = 0):
-    """Max subproblem displacement over argmax pair selections.
+                   combo_cap: int = 64):
+    """Max subproblem displacement over exact-argmax pair selections.
 
+    The selections are `mm.select_pairs`'s "full" ones at tolerance TIE_TOL.
     Returns (residual, worst_selection, coverage); residual near zero
     certifies d-stationarity exactly when coverage == 1.
     """
-    from .mm import init_state
     theta_bar = np.asarray(theta_bar, dtype=float)
-    state = init_state(problem, theta_bar)
-    per_sample, total = _exact_pair_products(problem, theta_bar)
-
-    sels = []
-    for combo in itertools.islice(itertools.product(*per_sample), combo_cap):
-        sels.append(([p[0] for p in combo], [p[1] for p in combo]))
-    coverage = min(len(sels) / total, 1.0)
-    if coverage < 1.0 and len(sels) < combo_cap + 1:
-        rng = np.random.default_rng(seed)
-        while len(sels) < combo_cap:
-            sel = [pairs[rng.integers(len(pairs))] for pairs in per_sample]
-            sels.append(([p[0] for p in sel], [p[1] for p in sel]))
-
+    state = mm.init_state(problem, theta_bar)
+    sels, coverage = mm.select_pairs(problem, theta_bar, TIE_TOL, "full",
+                                     combo_cap=combo_cap)
     worst = 0.0
     worst_sel = None
     warm = None
     for sel1, sel2 in sels:
-        sel1 = np.asarray(sel1, dtype=int)
-        sel2 = np.asarray(sel2, dtype=int)
         r, res = _selection_residual(problem, state, sel1, sel2, c, warm)
         warm = (res.lam, res.mu)
         if r >= worst:
@@ -234,9 +209,8 @@ def dstat_residual(problem: CompositeProblem, theta_bar, c: float,
 def weak_mstat_residual(problem: CompositeProblem, theta_bar, selection,
                         c: float) -> float:
     """Displacement under the subproblem of one given pair selection."""
-    from .mm import init_state
     theta_bar = np.asarray(theta_bar, dtype=float)
-    state = init_state(problem, theta_bar)
+    state = mm.init_state(problem, theta_bar)
     sel1 = np.asarray(selection[0], dtype=int)
     sel2 = np.asarray(selection[1], dtype=int)
     r, _ = _selection_residual(problem, state, sel1, sel2, c)

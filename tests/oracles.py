@@ -217,6 +217,54 @@ def enum_subproblem_solve(sub, feas_tol: float = 1e-9, chunk: int = 4096):
 
 
 # ---------------------------------------------------------------------------
+# argmax pair selection, one sample at a time
+
+def loop_select_pairs(problem, theta, eps: float, variant: str,
+                      rng: np.random.Generator | None = None,
+                      combo_cap: int = 64):
+    """Reference for `mm.select_pairs`: per-sample pair lists and a product.
+
+    Same contract: (selections, coverage).  The pair-count product is taken
+    in floating point, so it overflows to inf (coverage 0) on many ties.
+    """
+    from pwafit.funcs import TIE_TOL
+    N = problem.n_samples
+    if variant == "one":
+        gv, hv = problem.atom_values(theta)
+        m1, m2 = gv >= gv.max(1, keepdims=True) - TIE_TOL, hv >= hv.max(1, keepdims=True) - TIE_TOL
+        sel1 = m1.argmax(axis=1)
+        sel2 = m2.argmax(axis=1)
+        return [(sel1, sel2)], 1.0
+    m1, m2 = problem.argmax_masks(theta, eps)
+    per_sample = []
+    total = 1.0
+    for sidx in range(N):
+        i1 = np.flatnonzero(m1[sidx])
+        i2 = np.flatnonzero(m2[sidx])
+        pairs = [(a, b) for a in i1 for b in i2]
+        per_sample.append(pairs)
+        total *= len(pairs)
+    if variant == "random":
+        if rng is None:
+            rng = np.random.default_rng(0)
+        sel1 = np.empty(N, dtype=int)
+        sel2 = np.empty(N, dtype=int)
+        for sidx, pairs in enumerate(per_sample):
+            a, b = pairs[rng.integers(len(pairs))]
+            sel1[sidx], sel2[sidx] = a, b
+        return [(sel1, sel2)], 1.0
+    if variant != "full":
+        raise ValueError(f"unknown variant {variant!r}")
+    sels = []
+    for combo in itertools.islice(itertools.product(*per_sample), combo_cap):
+        sel1 = np.array([p[0] for p in combo], dtype=int)
+        sel2 = np.array([p[1] for p in combo], dtype=int)
+        sels.append((sel1, sel2))
+    coverage = len(sels) / total if total > 0 else 1.0
+    return sels, min(coverage, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # random problem/instance helpers shared by tests
 
 def random_instance(seed, N=4, d=2, k1=2, k2=2, noise=1.0):

@@ -15,7 +15,6 @@ from pwafit.funcs import (
     majorant_value,
     max_eval,
     monotone_split,
-    regularizer_majorant,
     zero_atom,
 )
 from oracles import fd_dir, fd_grad, prox_bisect, prox_oracle
@@ -269,18 +268,17 @@ class TestGradients:
 
 class TestRegularizerMajorant:
     def test_disabled(self):
-        val, t, lin = regularizer_majorant(None, np.ones(3), np.zeros(3))
-        assert val == 0.0 and not t.any() and not lin.any()
-        reg0 = DcRegularizer(weights=np.ones(3), gamma=0.0)
-        val, t, lin = regularizer_majorant(reg0, np.ones(3), np.zeros(3))
-        assert val == 0.0 and not t.any() and not lin.any()
+        reg0 = DcRegularizer(weights=np.ones(3), gamma=0.0, smooth="scad")
+        t, lin, const = reg0.majorant_data(np.array([1.0, -4.0, 0.5]))
+        assert not t.any() and not lin.any() and const == 0.0
+        assert reg0.majorant_value(np.ones(3), np.zeros(3)) == 0.0
 
     def test_pure_l1(self):
         reg = DcRegularizer(weights=np.ones(3), gamma=1.0)
         th = np.array([1.0, -2.0, 0.5])
-        val, t, lin = regularizer_majorant(reg, th, np.zeros(3))
-        assert val == pytest.approx(3.5)
-        assert np.allclose(t, 1.0) and not lin.any()
+        t, lin, const = reg.majorant_data(np.zeros(3))
+        assert np.allclose(t, 1.0) and not lin.any() and const == 0.0
+        assert reg.majorant_value(th, np.zeros(3)) == pytest.approx(3.5)
 
     def test_scad_majorizes_and_touches(self):
         reg = DcRegularizer(weights=np.full(2, 0.8), gamma=0.6, smooth="scad")

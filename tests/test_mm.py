@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pwafit import mm, pwa
-from pwafit.funcs import CompositeProblem
+from pwafit import mm, pwa, stationarity
+from pwafit.funcs import TIE_TOL, CompositeProblem, DcRegularizer
 from pwafit.snewton import SNConfig
-from oracles import random_instance
+from oracles import loop_select_pairs, random_instance
 
 
 def _state_close(a: mm.AugmentedIterate, b: mm.AugmentedIterate, tol=1e-8):
@@ -81,6 +82,116 @@ class TestSelectPairs:
         b = mm.select_pairs(comp, th, 1e-9, "random", np.random.default_rng(7))
         assert np.array_equal(a[0][0][0], b[0][0][0])
         assert np.array_equal(a[0][0][1], b[0][0][1])
+
+
+def _grid_instance(seed, N, k1, k2, tied_first=True):
+    """Features and model in {-1, 0, 1}: exact atom ties on many samples.
+
+    With tied_first the samples with more than one argmax pair come first,
+    where a lexicographic enumeration reaches them last.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-1, 2, size=(N, 2)).astype(float)
+    prob = pwa.PWAProblem(dataset=pwa.Dataset(X, np.zeros(N)), k1=k1, k2=k2)
+    theta = rng.integers(-1, 2, size=prob.m).astype(float)
+    if tied_first:
+        m1, m2 = pwa.assemble(prob).argmax_masks(theta, TIE_TOL)
+        order = np.argsort(m1.sum(1) * m2.sum(1) == 1, kind="stable")
+        prob = pwa.PWAProblem(dataset=pwa.Dataset(X[order], np.zeros(N)),
+                              k1=k1, k2=k2)
+    return pwa.assemble(prob), theta
+
+
+def _assert_same_selections(got, ref):
+    assert len(got) == len(ref)
+    for (a, b), (ra, rb) in zip(got, ref):
+        assert a.dtype == ra.dtype and b.dtype == rb.dtype
+        assert np.array_equal(a, ra) and np.array_equal(b, rb)
+
+
+class TestSelectPairsMatchesLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), N=st.integers(1, 12),
+           k1=st.integers(1, 4), k2=st.sampled_from([0, 1, 2]),
+           cap=st.sampled_from([1, 5, 64]), eps=st.sampled_from([1e-9, 0.5]),
+           tied_first=st.booleans())
+    def test_tie_heavy_grid(self, seed, N, k1, k2, cap, eps, tied_first):
+        comp, theta = _grid_instance(seed, N, k1, k2, tied_first)
+        for variant in ("one", "full"):
+            got, cov = mm.select_pairs(comp, theta, eps, variant, combo_cap=cap)
+            ref, ref_cov = loop_select_pairs(comp, theta, eps, variant,
+                                             combo_cap=cap)
+            _assert_same_selections(got, ref)
+            assert cov == pytest.approx(ref_cov, rel=1e-12)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, cov = mm.select_pairs(comp, theta, eps, "random", rng=rng)
+        ref, ref_cov = loop_select_pairs(comp, theta, eps, "random", rng=ref_rng)
+        _assert_same_selections(got, ref)
+        assert cov == ref_cov == 1.0
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_coverage_does_not_overflow(self):
+        # 1030 samples with two tied pairs each: 2**1030 combinations, whose
+        # floating-point product is inf
+        N = 1030
+        prob = pwa.PWAProblem(dataset=pwa.Dataset(np.zeros((N, 1)), np.zeros(N)),
+                              k1=2, k2=0)
+        comp = pwa.assemble(prob)
+        sels, cov = mm.select_pairs(comp, np.zeros(prob.m), 1e-9, "full",
+                                    combo_cap=64)
+        assert len(sels) == 64
+        assert cov > 0.0
+        assert cov == pytest.approx(2.0 ** -1024, rel=1e-12)
+
+    def test_certificate_uses_full_selections(self, monkeypatch):
+        comp, theta = _grid_instance(0, 10, 3, 1)
+        sels, cov = mm.select_pairs(comp, theta, TIE_TOL, "full", combo_cap=5)
+        assert cov < 1.0
+        seen = []
+        build = mm.build_subproblem
+
+        def record(problem, state, sel1, sel2, c):
+            seen.append((sel1, sel2))
+            return build(problem, state, sel1, sel2, c)
+
+        monkeypatch.setattr(mm, "build_subproblem", record)
+        _, _, dcov = stationarity.dstat_residual(comp, theta, 1.0, combo_cap=5)
+        assert dcov == cov
+        _assert_same_selections(seen, sels)
+
+
+def _one_pair_subproblem(problem, theta):
+    (sel1, sel2), = mm.select_pairs(problem, theta, 1e-9, "one")[0]
+    return mm.build_subproblem(problem, mm.init_state(problem, theta),
+                               sel1, sel2, c=1.0)
+
+
+class TestBuildSubproblem:
+    def test_no_regularizer_terms_are_zero(self):
+        prob, comp = random_instance(11, N=5, k1=2, k2=1)
+        th = np.random.default_rng(11).normal(size=prob.m)
+        comp0 = CompositeProblem(U=comp.U, e=comp.e, W=comp.W, f=comp.f,
+                                 split=comp.split, n_samples=comp.n_samples,
+                                 weight=comp.weight,
+                                 reg=DcRegularizer(weights=np.ones(prob.m),
+                                                   gamma=0.0))
+        for problem in (comp, comp0):
+            sub = _one_pair_subproblem(problem, th)
+            assert sub.l1.shape == sub.lin.shape == th.shape
+            assert not sub.l1.any() and not sub.lin.any()
+            assert sub.reg_const == 0.0
+
+    def test_regularizer_terms_from_majorant(self):
+        prob, comp = random_instance(12, N=5, k1=2, k2=1)
+        rng = np.random.default_rng(12)
+        reg = DcRegularizer(weights=rng.uniform(0.1, 1.0, size=prob.m),
+                            gamma=0.3, smooth="scad")
+        comp.reg = reg
+        th = rng.normal(size=prob.m) * 3.0
+        sub = _one_pair_subproblem(comp, th)
+        t, lin, const = reg.majorant_data(th)
+        assert np.array_equal(sub.l1, t) and np.array_equal(sub.lin, lin)
+        assert sub.reg_const == const
 
 
 class TestMmIterate:
