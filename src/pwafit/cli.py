@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import mm, pwa, stationarity
-from .mm import MMConfig, SolveReport
+from .mm import MMConfig
 
 
 class ConfigError(Exception):
@@ -275,7 +275,8 @@ def cmd_cv(cfg: dict, out: str) -> int:
                 for f in range(folds):
                     tr, te = idx != f, idx == f
                     ds_tr = pwa.Dataset(dataset.X[tr], dataset.y[tr])
-                    cell_cfg = {**cfg, "k1": k1, "k2": k2}
+                    # cv reports no certificate, so fold fits skip it
+                    cell_cfg = {**cfg, "k1": k1, "k2": k2, "compute_residual": False}
                     prob = _problem(cell_cfg, ds_tr)
                     comp = pwa.assemble(prob)
                     res = multi_start(prob, comp, cell_cfg, int(cfg["starts"]))

@@ -8,7 +8,7 @@ and the stacked per-sample problem data the solvers operate on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,12 +146,11 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
     """Dual subproblem data for one per-sample atom-pair selection."""
     theta = state.theta
     N, k1, k2 = problem.n_samples, problem.k1, problem.k2
-    g, h, _ = problem.psi(theta)
+    gv, hv = problem.atom_values(theta)
+    g, h = gv.max(axis=1), hv.max(axis=1)
 
     v_sel = problem.W[np.arange(N) * k2 + sel2]          # (N, m) chosen h-atom grads
-    f_sel = problem.f[np.arange(N) * k2 + sel2]
     u_sel = problem.U[np.arange(N) * k1 + sel1]
-    e_sel = problem.e[np.arange(N) * k1 + sel1]
 
     B1 = problem.U - np.repeat(v_sel, k1, axis=0)
     beta1 = np.repeat(h - (v_sel * theta).sum(axis=1), k1) - problem.e
@@ -160,12 +159,8 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
 
     # slack anchors: the point (theta, r, s, rhat, shat) is feasible for this
     # selection's constraints and carries the current surrogate value exactly
-    psi1 = problem.U @ theta + problem.e
-    psi2 = problem.W @ theta + problem.f
-    rhat = np.repeat(state.r + h, k1) - psi1
-    shat = np.repeat(g - state.s, k2) - psi2
-    rhat = np.maximum(rhat, 0.0)
-    shat = np.maximum(shat, 0.0)
+    rhat = np.maximum((state.r + h)[:, None] - gv, 0.0).ravel()
+    shat = np.maximum((g - state.s)[:, None] - hv, 0.0).ravel()
 
     if problem.reg is not None and problem.reg.gamma > 0:
         l1, lin, reg_const = problem.reg.majorant_data(theta)

@@ -18,11 +18,25 @@ direction is obtained from one element of the generalized Jacobian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .funcs import MonotoneSplit
+
+
+def _block_sum(X, k):
+    """Sum of each sample's k consecutive entries (rows, for 2-D X).
+
+    Adds the k strided slices X[j::k] in index order.  The sums are the ones
+    numpy's ``X.reshape(N, k, -1).sum(axis=1)`` gives, bit for bit (for 1-D X
+    while k < 8, where numpy's pairwise summation starts), at a fraction of
+    its per-call cost.  The ``+ 0.0`` turns -0.0 into 0.0, as numpy's sum does.
+    """
+    out = X[0::k] + 0.0
+    for j in range(1, k):
+        out += X[j::k]
+    return out
 
 
 @dataclass
@@ -49,70 +63,83 @@ class DualSubproblem:
     upper: np.ndarray | None = None
 
     def __post_init__(self):
-        self.B1 = np.atleast_2d(np.asarray(self.B1, dtype=float))
-        self.B2 = np.atleast_2d(np.asarray(self.B2, dtype=float))
-        self.beta1 = np.asarray(self.beta1, dtype=float).ravel()
-        self.beta2 = np.asarray(self.beta2, dtype=float).ravel()
-        m = self.B1.shape[1]
+        B1 = np.atleast_2d(np.asarray(self.B1, dtype=float))
+        B2 = np.atleast_2d(np.asarray(self.B2, dtype=float))
+        N = self.n_samples
+        for name, M in (("B1", B1), ("B2", B2)):
+            if M.shape[0] == 0 or M.shape[0] % N:
+                raise ValueError(f"{name} rows not a positive multiple of the sample count")
+        self.k1 = B1.shape[0] // N
+        self.k2 = B2.shape[0] // N
+        self.n1 = n1 = B1.shape[0]
+
+        def stack(top, bottom):
+            return np.concatenate([np.asarray(top, dtype=float).ravel(),
+                                   np.asarray(bottom, dtype=float).ravel()])
+
+        # one stacked copy of the constraint data (lambda rows, then mu rows);
+        # the per-block names are row views of it.  B is column-major: the
+        # Woodbury product B^T (Delta^{-1} B) in _newton_direction then loses
+        # fewer digits than with row-major B, with which the tight certificate
+        # solves stalled above their tolerance about a quarter more often
+        self.B = np.empty((n1 + B2.shape[0], B1.shape[1]), order="F")
+        self.B[:n1], self.B[n1:] = B1, B2
+        self.beta = stack(self.beta1, self.beta2)
+        self.slack_nu = stack(self.rhat_nu, self.shat_nu)
+        self.B1, self.B2 = self.B[:n1], self.B[n1:]
+        self.beta1, self.beta2 = self.beta[:n1], self.beta[n1:]
+        self.rhat_nu, self.shat_nu = self.slack_nu[:n1], self.slack_nu[n1:]
         self.theta_nu = np.asarray(self.theta_nu, dtype=float).ravel()
         if self.l1 is None:
-            self.l1 = np.zeros(m)
+            self.l1 = np.zeros(self.m)
         if self.lin is None:
-            self.lin = np.zeros(m)
-        self.k1 = self.B1.shape[0] // self.n_samples
-        self.k2 = self.B2.shape[0] // self.n_samples
-        if self.B1.shape[0] != self.n_samples * self.k1:
-            raise ValueError("B1 rows not divisible by sample count")
+            self.lin = np.zeros(self.m)
 
     @property
     def m(self) -> int:
-        return self.B1.shape[1]
+        return self.B.shape[1]
 
     @property
     def dual_dim(self) -> int:
-        return self.B1.shape[0] + self.B2.shape[0]
+        return self.B.shape[0]
 
     # -- per-sample multiplier sums
 
     def block_sums(self, lam, mu):
-        a = lam.reshape(self.n_samples, self.k1).sum(axis=1)
-        b = mu.reshape(self.n_samples, self.k2).sum(axis=1)
-        return a, b
+        return _block_sum(lam, self.k1), _block_sum(mu, self.k2)
 
     # -- inner minimizers
 
-    def inner_theta(self, lam, mu):
-        agg = self.B1.T @ lam + self.B2.T @ mu - self.lin
+    def _theta(self, x):
+        """Inner theta minimizer and aggregate B^T x - lin at stacked x."""
+        agg = self.B.T @ x - self.lin
         u = self.theta_nu - agg / self.c
         th = np.sign(u) * np.maximum(np.abs(u) - self.l1 / self.c, 0.0)
         if self.lower is not None or self.upper is not None:
             th = np.clip(th, self.lower, self.upper)
         return th, agg
 
-    def inner_all(self, lam, mu):
-        """All five inner minimizers at (lam, mu)."""
-        th, agg = self.inner_theta(lam, mu)
-        a, b = self.block_sums(lam, mu)
-        r = self.split.prox_up(a, self.r_nu, self.c, self.weight)
-        s = self.split.prox_down(b, self.s_nu, self.c, self.weight)
-        rh = np.maximum(self.rhat_nu - lam / self.c, 0.0)
-        sh = np.maximum(self.shat_nu - mu / self.c, 0.0)
-        return th, r, s, rh, sh, agg, a, b
-
     # -- dual value and gradient
 
     def value_grad(self, lam, mu):
-        th, r, s, rh, sh, agg, a, b = self.inner_all(lam, mu)
-        c, w = self.c, self.weight
-        v = -lam @ self.beta1 - mu @ self.beta2 + self.reg_const
-        v += agg @ th + self.l1 @ np.abs(th) + 0.5 * c * np.sum((th - self.theta_nu) ** 2)
-        v += float(np.sum(w * self.split.up(r) - a * r + 0.5 * c * (r - self.r_nu) ** 2))
-        v += float(np.sum(w * self.split.down(s) + b * s + 0.5 * c * (s - self.s_nu) ** 2))
-        v += lam @ rh + 0.5 * c * np.sum((rh - self.rhat_nu) ** 2)
-        v += mu @ sh + 0.5 * c * np.sum((sh - self.shat_nu) ** 2)
-        g1 = self.B1 @ th - np.repeat(r, self.k1) + rh - self.beta1
-        g2 = self.B2 @ th + np.repeat(s, self.k2) + sh - self.beta2
-        return v, np.concatenate([g1, g2]), (th, r, s, rh, sh)
+        x = np.concatenate([lam, mu])
+        th, agg = self._theta(x)
+        a, b = self.block_sums(lam, mu)
+        c, w, N = self.c, self.weight, self.n_samples
+        r = self.split.prox_up(a, self.r_nu, c, w)
+        s = self.split.prox_down(b, self.s_nu, c, w)
+        sl = np.maximum(self.slack_nu - x / c, 0.0)
+        dth, dr, ds = th - self.theta_nu, r - self.r_nu, s - self.s_nu
+        dsl = sl - self.slack_nu
+        v = (self.reg_const + x @ (sl - self.beta) + agg @ th + self.l1 @ np.abs(th)
+             + w * float(np.sum(self.split.up(r)) + np.sum(self.split.down(s)))
+             - a @ r + b @ s + 0.5 * c * (dth @ dth + dr @ dr + ds @ ds + dsl @ dsl))
+        g = self.B @ th
+        g[:self.n1].reshape(N, self.k1)[...] -= r[:, None]
+        g[self.n1:].reshape(N, self.k2)[...] += s[:, None]
+        g += sl
+        g -= self.beta
+        return float(v), g, (th, r, s, sl[:self.n1], sl[self.n1:])
 
     # -- primal objective of the subproblem (for gap checks / MM acceptance)
 
@@ -135,7 +162,9 @@ class DualSubproblem:
     # -- sensitivity masks for the generalized Jacobian
 
     def _masks(self, lam, mu):
-        th, agg = self.inner_theta(lam, mu)
+        """(theta mask, loss sensitivities rho / sigma, stacked slack mask)."""
+        x = np.concatenate([lam, mu])
+        th, agg = self._theta(x)
         u = self.theta_nu - agg / self.c
         d_th = np.where(self.l1 > 0.0,
                         np.abs(u) > self.l1 / self.c, 1.0).astype(float)
@@ -146,9 +175,8 @@ class DualSubproblem:
         a, b = self.block_sums(lam, mu)
         rho = np.asarray(self.split.prox_up_sens(a, self.r_nu, self.c, self.weight))
         sig = np.asarray(self.split.prox_down_sens(b, self.s_nu, self.c, self.weight))
-        m_rh = (self.rhat_nu - lam / self.c > 0).astype(float)
-        m_sh = (self.shat_nu - mu / self.c > 0).astype(float)
-        return d_th, rho, sig, m_rh, m_sh
+        m_sl = (self.slack_nu - x / self.c > 0).astype(float)
+        return d_th, rho, sig, m_sl
 
 
 def dual_value_grad(sub: DualSubproblem, lam, mu):
@@ -158,7 +186,8 @@ def dual_value_grad(sub: DualSubproblem, lam, mu):
 
 
 def inner_theta(sub: DualSubproblem, lam, mu):
-    th, _ = sub.inner_theta(np.asarray(lam, dtype=float), np.asarray(mu, dtype=float))
+    th, _ = sub._theta(np.concatenate([np.asarray(lam, dtype=float),
+                                       np.asarray(mu, dtype=float)]))
     return th
 
 
@@ -176,17 +205,15 @@ def gen_jacobian(sub: DualSubproblem, lam, mu) -> np.ndarray:
     """
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    d_th, rho, sig, m_rh, m_sh = sub._masks(lam, mu)
-    B = np.vstack([sub.B1, sub.B2])
-    c = sub.c
+    d_th, rho, sig, m_sl = sub._masks(lam, mu)
+    B, c, n1 = sub.B, sub.c, sub.n1
     V = (B * d_th) @ B.T / c
-    n1 = sub.B1.shape[0]
     for s in range(sub.n_samples):
         i0 = s * sub.k1
         V[i0:i0 + sub.k1, i0:i0 + sub.k1] += rho[s]
         j0 = n1 + s * sub.k2
         V[j0:j0 + sub.k2, j0:j0 + sub.k2] += sig[s]
-    V[np.diag_indices_from(V)] += np.concatenate([m_rh, m_sh]) / c
+    V[np.diag_indices_from(V)] += m_sl / c
     return V
 
 
@@ -223,41 +250,35 @@ def _newton_direction(sub: DualSubproblem, lam, mu, grad, eps):
     masks); the diagonal-plus-rank-one sample blocks invert in closed form,
     after which the theta coupling is an m-dimensional correction.
     """
-    d_th, rho, sig, m_rh, m_sh = sub._masks(lam, mu)
-    c = sub.c
-    n1 = sub.B1.shape[0]
-    diag = np.concatenate([m_rh, m_sh]) / c + eps
-
-    N, k1, k2 = sub.n_samples, sub.k1, sub.k2
+    d_th, rho, sig, m_sl = sub._masks(lam, mu)
+    c, N, n1 = sub.c, sub.n_samples, sub.n1
+    diag = m_sl / c + eps
+    inv = 1.0 / diag
+    # Delta = diag + each sample's rho (sig) 11^T over its k1 (k2) rows; by
+    # Sherman-Morrison, Delta^{-1} x = x / diag - f (per-sample block sum of
+    # x / diag) with f = inv * rho / (1 + rho * block sum of inv)
+    blocks = []
+    for rows, k, t in ((slice(0, n1), sub.k1, rho), (slice(n1, None), sub.k2, sig)):
+        inv_k = inv[rows]
+        coef = t / (1.0 + t * _block_sum(inv_k, k))
+        blocks.append((rows, k, coef[:, None, None] * inv_k.reshape(N, k)[:, :, None]))
 
     def delta_solve(X):
-        """Apply Delta^{-1} where Delta = diag + per-sample rho/sig 11^T."""
-        X = X if X.ndim == 2 else X[:, None]
+        """Apply Delta^{-1} to the columns of X."""
         Y = X / diag[:, None]
-        if k1:
-            inv1 = (1.0 / diag[:n1]).reshape(N, k1)
-            denom = 1.0 + rho * inv1.sum(axis=1)
-            num = (Y[:n1].reshape(N, k1, -1)).sum(axis=1)
-            Y1 = Y[:n1].reshape(N, k1, -1).copy()
-            Y1 -= (rho / denom)[:, None, None] * inv1[:, :, None] * num[:, None, :]
-            Y[:n1] = Y1.reshape(n1, -1)
-        if k2:
-            inv2 = (1.0 / diag[n1:]).reshape(N, k2)
-            denom2 = 1.0 + sig * inv2.sum(axis=1)
-            num2 = (Y[n1:].reshape(N, k2, -1)).sum(axis=1)
-            Y2 = Y[n1:].reshape(N, k2, -1).copy()
-            Y2 -= (sig / denom2)[:, None, None] * inv2[:, :, None] * num2[:, None, :]
-            Y[n1:] = Y2.reshape(N * k2, -1)
+        for rows, k, f in blocks:
+            # splitting the row axis is a view in any memory layout, so this
+            # updates Y in place
+            Y[rows].reshape(N, k, -1)[...] -= f * _block_sum(Y[rows], k)[:, None, :]
         return Y
 
     act = np.flatnonzero(d_th)
-    g = grad[:, None]
-    y = delta_solve(g)
+    y = delta_solve(grad[:, None])
     if act.size:
-        B = np.vstack([sub.B1[:, act], sub.B2[:, act]])
+        B = sub.B if act.size == sub.m else sub.B[:, act]
         Z = delta_solve(B)
         S = c * np.eye(act.size) + B.T @ Z
-        y = y - Z @ np.linalg.solve(S, B.T @ y)
+        y -= Z @ np.linalg.solve(S, B.T @ y)
     return y.ravel()
 
 
@@ -273,7 +294,7 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
                             np.asarray(mu0, dtype=float).ravel()])
         if x.size != n:
             x = np.zeros(n)
-    n1 = sub.B1.shape[0]
+    n1 = sub.n1
     val, grad, inner = sub.value_grad(x[:n1], x[n1:])
     it = 0
     converged = False

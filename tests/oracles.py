@@ -267,6 +267,38 @@ def loop_select_pairs(problem, theta, eps: float, variant: str,
 # ---------------------------------------------------------------------------
 # random problem/instance helpers shared by tests
 
+def four_matvec_value_grad(sub, lam, mu):
+    """Dual value and gradient as the solver computed them before its
+    constraint blocks were stacked: one matvec per block each way, and a
+    per-block sum of every term.  Kept verbatim as the reference for
+    `DualSubproblem.value_grad`."""
+    # inner_theta
+    agg = sub.B1.T @ lam + sub.B2.T @ mu - sub.lin
+    u = sub.theta_nu - agg / sub.c
+    th = np.sign(u) * np.maximum(np.abs(u) - sub.l1 / sub.c, 0.0)
+    if sub.lower is not None or sub.upper is not None:
+        th = np.clip(th, sub.lower, sub.upper)
+    # block_sums
+    a = lam.reshape(sub.n_samples, sub.k1).sum(axis=1)
+    b = mu.reshape(sub.n_samples, sub.k2).sum(axis=1)
+    # inner_all
+    r = sub.split.prox_up(a, sub.r_nu, sub.c, sub.weight)
+    s = sub.split.prox_down(b, sub.s_nu, sub.c, sub.weight)
+    rh = np.maximum(sub.rhat_nu - lam / sub.c, 0.0)
+    sh = np.maximum(sub.shat_nu - mu / sub.c, 0.0)
+    # value_grad
+    c, w = sub.c, sub.weight
+    v = -lam @ sub.beta1 - mu @ sub.beta2 + sub.reg_const
+    v += agg @ th + sub.l1 @ np.abs(th) + 0.5 * c * np.sum((th - sub.theta_nu) ** 2)
+    v += float(np.sum(w * sub.split.up(r) - a * r + 0.5 * c * (r - sub.r_nu) ** 2))
+    v += float(np.sum(w * sub.split.down(s) + b * s + 0.5 * c * (s - sub.s_nu) ** 2))
+    v += lam @ rh + 0.5 * c * np.sum((rh - sub.rhat_nu) ** 2)
+    v += mu @ sh + 0.5 * c * np.sum((sh - sub.shat_nu) ** 2)
+    g1 = sub.B1 @ th - np.repeat(r, sub.k1) + rh - sub.beta1
+    g2 = sub.B2 @ th + np.repeat(s, sub.k2) + sh - sub.beta2
+    return v, np.concatenate([g1, g2]), (th, r, s, rh, sh)
+
+
 def random_instance(seed, N=4, d=2, k1=2, k2=2, noise=1.0):
     """Random dataset + assembled composite problem."""
     from pwafit import pwa

@@ -175,6 +175,30 @@ class TestCv:
         for cell in rep["cells"].values():
             assert cell["ratio"] is None or cell["ratio"] > 0
 
+    def test_fold_fits_skip_certificate(self, tmp_path, monkeypatch):
+        # cv never reports a residual, so its fold fits must not compute one,
+        # even when the config leaves compute_residual at its default
+        from pwafit import stationarity
+        calls = []
+
+        def counting(name, result):
+            def fake(*args, **kwargs):
+                calls.append(name)
+                return result
+            return fake
+
+        monkeypatch.setattr(stationarity, "dstat_residual",
+                            counting("dstat", (0.0, [], 1.0)))
+        monkeypatch.setattr(stationarity, "weak_mstat_residual",
+                            counting("weak_mstat", 0.0))
+        cfg = {"synth": {"example": 2, "N": 30, "seed": 3},
+               "grid": [[1, 1]], "folds": 3, "starts": 1, "seed": 0,
+               "max_outer": 5}
+        for variant in ("random", "one"):
+            p = write_json(tmp_path / "c.json", {**cfg, "variant": variant})
+            assert main(["cv", "--config", str(p), "--out", str(tmp_path)]) == 0
+        assert calls == []
+
     def test_affine_cell_ratio_one(self, tmp_path):
         # (k1, k2) = (1, 0) initialized at the OLS fit reproduces OLS: the
         # cross-validated error ratio is 1 up to solver tolerance

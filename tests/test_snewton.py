@@ -7,13 +7,16 @@ from pwafit import mm
 from pwafit.snewton import (
     DualSubproblem,
     SNConfig,
+    _block_sum,
+    _newton_direction,
     dual_value_grad,
     gen_jacobian,
     inner_theta,
     prox_slack,
     sn_solve,
 )
-from oracles import enum_subproblem_solve, fd_grad, golden_min, random_instance
+from oracles import (enum_subproblem_solve, fd_grad, four_matvec_value_grad,
+                     golden_min, random_instance)
 
 TIGHT = SNConfig(tol_grad=1e-12, max_iter=300)
 
@@ -37,7 +40,94 @@ def rand_duals(sub, rng, scale=0.5):
     return lam, mu
 
 
+def varied_subproblems():
+    """(label, sub) over k1 in {1, 2, 4}, k2 in {0 (the all-zero h atom), 1, 2},
+    plain, with an l1 dead zone and with box bounds."""
+    for k1 in (1, 2, 4):
+        for k2 in (0, 1, 2):
+            seed = 60 + 3 * k1 + k2
+            comp, sub = make_sub(seed, N=7, k1=k1, k2=k2)
+            m = sub.m
+            yield f"{k1},{k2}", sub
+            # l1 weights far above any aggregate pull: those coordinates stay
+            # at zero, so only the other columns of B enter the Newton step
+            l1 = np.where(np.arange(m) % 2 == 0, 50.0, 0.0)
+            yield f"{k1},{k2} l1", replace(sub, l1=l1, theta_nu=np.zeros(m))
+            yield f"{k1},{k2} box", replace(sub, lower=sub.theta_nu - 0.05,
+                                            upper=sub.theta_nu + 0.05)
+
+
+class TestSubproblemValidation:
+    @pytest.mark.parametrize("rows1, rows2, name", [
+        (3, 4, "B1"), (4, 3, "B2"), (4, 0, "B2")], ids=["B1", "B2", "B2-empty"])
+    def test_rows_must_be_positive_multiple_of_samples(self, rows1, rows2, name):
+        from pwafit.funcs import MonotoneSplit
+        with pytest.raises(ValueError, match=name):
+            DualSubproblem(
+                B1=np.ones((rows1, 2)), beta1=np.zeros(rows1),
+                B2=np.ones((rows2, 2)), beta2=np.zeros(rows2),
+                split=MonotoneSplit("squared", y=np.zeros(2)), n_samples=2,
+                weight=0.5, c=1.0, theta_nu=np.zeros(2),
+                r_nu=np.zeros(2), s_nu=np.zeros(2),
+                rhat_nu=np.zeros(rows1), shat_nu=np.zeros(rows2))
+
+    def test_blocks_are_views_of_the_stacked_data(self):
+        comp, sub = make_sub(8, N=3, k1=2, k2=1)
+        n1 = sub.n1
+        assert np.shares_memory(sub.B1, sub.B) and np.shares_memory(sub.B2, sub.B)
+        assert sub.B.flags.f_contiguous     # the layout the Woodbury step wants
+        assert np.array_equal(sub.B, np.vstack([sub.B1, sub.B2]))
+        assert np.array_equal(sub.beta[n1:], sub.beta2)
+        assert np.array_equal(sub.slack_nu[:n1], sub.rhat_nu)
+
+
+class TestBlockSum:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("cols", [None, 1, 12])
+    def test_bitwise_equal_to_reshape_sum(self, k, cols):
+        rng = np.random.default_rng(k * 31 + (cols or 0))
+        N = 500
+        shape = (N * k,) if cols is None else (N * k, cols)
+        X = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        X[rng.random(shape) < 0.2] = -0.0       # signed zeros sum as numpy's do
+        ref = X.reshape(N, k, -1).sum(axis=1) if cols else X.reshape(N, k).sum(axis=1)
+        got = _block_sum(X, k)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        assert not np.shares_memory(got, X)
+
+
+class TestNewtonDirection:
+    @pytest.mark.parametrize("eps", [1e-7, 1e-4, 1e-2])
+    def test_solves_regularized_jacobian_system(self, eps):
+        rng = np.random.default_rng(9)
+        gathered = 0
+        for label, sub in varied_subproblems():
+            for _ in range(3):
+                lam, mu = rand_duals(sub, rng)
+                _, grad = dual_value_grad(sub, lam, mu)
+                d = _newton_direction(sub, lam, mu, grad, eps)
+                V = gen_jacobian(sub, lam, mu) + eps * np.eye(sub.dual_dim)
+                rel = np.linalg.norm(V @ d - grad) / np.linalg.norm(grad)
+                assert rel <= 1e-8, (label, rel)
+                gathered += 0 < sub._masks(lam, mu)[0].sum() < sub.m
+        # the dead-zone and box instances take the gathered-columns path
+        assert gathered >= 18
+
+
 class TestDualValueGrad:
+    def test_matches_four_matvec_reference(self):
+        rng = np.random.default_rng(10)
+        for label, sub in varied_subproblems():
+            for scale in (0.1, 1.0, 10.0):
+                lam, mu = rand_duals(sub, rng, scale)
+                v, g, inner = sub.value_grad(lam, mu)
+                v0, g0, inner0 = four_matvec_value_grad(sub, lam, mu)
+                assert abs(v - v0) <= 1e-12 * abs(v0), label
+                assert np.abs(g - g0).max() <= 1e-12 * np.abs(g0).max(), label
+                for a, b in zip(inner, inner0):
+                    assert np.allclose(a, b, rtol=1e-12, atol=1e-14), label
+
     def test_zero_multipliers_residual(self):
         comp, sub = make_sub(0)
         lam = np.zeros(sub.B1.shape[0])
