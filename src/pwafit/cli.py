@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -57,6 +58,26 @@ _INIT_KEYS = {"strategy": "gaussian", "scale": 1.0}
 _SYNTH_KEYS = {"example": 1, "N": 100, "seed": 0}
 
 
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _integer(lo):
+    return lambda v: _finite(v) and float(v).is_integer() and v >= lo
+
+
+# key -> (accepts the value, what it must be); checked wherever the key occurs
+_DOMAINS = {
+    "variant": (lambda v: v in ("full", "one", "random"), "one of full/one/random"),
+    "loss": (lambda v: v in ("squared", "quantile"), "squared or quantile"),
+    "eps": (lambda v: _finite(v) and v >= 0, "a number >= 0"),
+    "c": (lambda v: v is None or (_finite(v) and v > 0), "null or a number > 0"),
+    "combo_cap": (_integer(1), "an integer >= 1"),
+    "k1": (_integer(1), "an integer >= 1"),
+    "k2": (_integer(0), "an integer >= 0"),
+}
+
+
 def _validate(raw: dict, schema: dict, where: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected a JSON object")
@@ -69,7 +90,13 @@ def _validate(raw: dict, schema: dict, where: str) -> dict:
 
 
 def _validate_nested(cfg: dict) -> dict:
-    """Fill and check the nested `init` and `synth` objects in place."""
+    """Check value domains, and fill and check the nested `init` and `synth`
+    objects in place."""
+    for key, (ok, what) in _DOMAINS.items():
+        if key in cfg and not ok(cfg[key]):
+            raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
+    if cfg.get("loss") == "quantile" and not (_finite(cfg["tau"]) and 0 < cfg["tau"] < 1):
+        raise ConfigError(f"quantile loss needs 0 < tau < 1, got {cfg['tau']!r}")
     if cfg.get("init") is not None:
         cfg["init"] = _validate(cfg["init"], _INIT_KEYS, "init")
     else:
@@ -111,8 +138,7 @@ def _mm_config(cfg: dict, seed: int) -> MMConfig:
                     tol_rel=cfg["tol_rel"], tol_step=cfg["tol_step"],
                     max_outer=cfg["max_outer"], combo_cap=cfg["combo_cap"],
                     seed=seed, sn_tol_floor=cfg["sn_tol_floor"],
-                    sn_max_iter=cfg["sn_max_iter"],
-                    compute_residual=cfg["compute_residual"])
+                    sn_max_iter=cfg["sn_max_iter"])
 
 
 def _problem(cfg: dict, dataset: pwa.Dataset, gamma=None) -> pwa.PWAProblem:
@@ -131,7 +157,10 @@ def _one_start(problem, comp, cfg, start: int):
                               float(cfg["init"]["scale"]))
     mc = _mm_config(cfg, seed=int(np.random.default_rng(
         [int(cfg["seed"]), start, 1]).integers(2 ** 31)))
-    return mm.run(comp, mc, theta0)
+    report = mm.run(comp, mc, theta0)
+    if cfg["compute_residual"]:
+        stationarity.certify(comp, report, mc, mc.resolve_c(comp))
+    return report
 
 
 def multi_start(problem, comp, cfg, starts: int):
@@ -161,6 +190,8 @@ def select_gamma(cfg: dict, dataset: pwa.Dataset, folds: int = 5) -> float:
     gmax = float(np.abs(X1.T @ dataset.y).max()) / dataset.N
     grid = gmax * np.logspace(0, -4, 10)
     idx = _fold_indices(dataset.N, folds, int(cfg["seed"]))
+    # only the final fit's certificate is reported, so fold fits skip it
+    fold_cfg = {**cfg, "compute_residual": False}
     best_g, best_err = grid[0], np.inf
     for g in grid:
         err = 0.0
@@ -169,7 +200,7 @@ def select_gamma(cfg: dict, dataset: pwa.Dataset, folds: int = 5) -> float:
             ds_tr = pwa.Dataset(dataset.X[tr], dataset.y[tr])
             prob = _problem(cfg, ds_tr, gamma=g)
             comp = pwa.assemble(prob)
-            res = multi_start(prob, comp, cfg, max(1, int(cfg["starts"]) // 2))
+            res = multi_start(prob, comp, fold_cfg, max(1, int(cfg["starts"]) // 2))
             _, rep = _best(res)
             model = prob.model(rep.theta)
             err += float(np.sum((dataset.y[te] - model.eval(dataset.X[te])) ** 2))
@@ -247,6 +278,7 @@ def cmd_fit(cfg: dict, out: str) -> int:
         "sn_total": best.sn_total,
         "residual": best.residual,
         "residual_kind": best.residual_kind,
+        "residual_coverage": best.residual_coverage,
         "reason": best.reason,
         "failed_starts": [i for i, r, e in results if r is None],
         "wall_time": best.wall_time,

@@ -1,9 +1,10 @@
-"""Function atoms, pointwise-max calculus, monotone loss splits, majorants.
+"""Problem data shared by the MM loop, the dual Newton solver and the
+stationarity certificate.
 
-Shared vocabulary for the outer MM loop and the dual Newton solver: smooth
-convex atoms, difference-of-max functions, univariate convex losses with
-their monotone (non-decreasing + non-increasing) splits, dc regularizers,
-and the stacked per-sample problem data the solvers operate on.
+The loss phi enters through its monotone split (non-decreasing +
+non-increasing parts, with proxes and prox sensitivities); the regularizer is
+a dc function; and `CompositeProblem` stacks every sample's affine atoms into
+the one composite dc program of pointwise-max type the solvers work on.
 """
 
 from __future__ import annotations
@@ -17,183 +18,19 @@ TIE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# atoms and pointwise maxima
-
-
-@dataclass(frozen=True)
-class SmoothConvexAtom:
-    """Affine or convex-quadratic function of theta.
-
-    value(theta) = 0.5 theta^T Q theta + w^T theta + b, with Q omitted (None)
-    for affine atoms.  Q must be symmetric PSD.
-    """
-
-    w: np.ndarray
-    b: float = 0.0
-    Q: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        if self.Q is not None:
-            Q = np.asarray(self.Q, dtype=float)
-            if not np.allclose(Q, Q.T, atol=1e-12):
-                raise ValueError("quadratic atom matrix must be symmetric")
-            if np.linalg.eigvalsh(Q).min() < -1e-10:
-                raise ValueError("quadratic atom matrix must be PSD")
-            object.__setattr__(self, "Q", Q)
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
-
-    def value(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=float)
-        v = float(self.w @ theta) + self.b
-        if self.Q is not None:
-            v += 0.5 * float(theta @ self.Q @ theta)
-        return v
-
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        g = self.w.copy()
-        if self.Q is not None:
-            g = g + self.Q @ np.asarray(theta, dtype=float)
-        return g
-
-
-ZERO_ATOM_CACHE: dict[int, SmoothConvexAtom] = {}
-
-
-def zero_atom(dim: int) -> SmoothConvexAtom:
-    """All-zero affine atom; stands in for an empty pointwise max."""
-    if dim not in ZERO_ATOM_CACHE:
-        ZERO_ATOM_CACHE[dim] = SmoothConvexAtom(np.zeros(dim), 0.0)
-    return ZERO_ATOM_CACHE[dim]
-
-
-@dataclass(frozen=True)
-class MaxFunction:
-    """Pointwise maximum of finitely many smooth convex atoms."""
-
-    atoms: tuple[SmoothConvexAtom, ...]
-
-    def __post_init__(self):
-        if len(self.atoms) == 0:
-            raise ValueError("MaxFunction needs at least one atom")
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        dims = {a.dim for a in self.atoms}
-        if len(dims) != 1:
-            raise ValueError("atoms have inconsistent dimensions")
-
-    @property
-    def dim(self) -> int:
-        return self.atoms[0].dim
-
-    def atom_values(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"theta has shape {theta.shape}, expected ({self.dim},)")
-        return np.array([a.value(theta) for a in self.atoms])
-
-    def value(self, theta) -> float:
-        return float(self.atom_values(theta).max())
-
-    def dir(self, theta, v) -> float:
-        """One-sided directional derivative max_{i in argmax} grad_i . v."""
-        vals = self.atom_values(theta)
-        idx = np.flatnonzero(vals >= vals.max() - TIE_TOL)
-        v = np.asarray(v, dtype=float)
-        return max(float(self.atoms[i].grad(theta) @ v) for i in idx)
-
-
-def max_eval(f: MaxFunction, theta) -> tuple[float, list[int]]:
-    """Value and tie-tolerant argmax index set (1-based indices)."""
-    vals = f.atom_values(theta)
-    top = vals.max()
-    argmax = [int(i) + 1 for i in np.flatnonzero(vals >= top - TIE_TOL)]
-    return float(top), argmax
-
-
-def eps_argmax(f: MaxFunction, theta, eps: float) -> list[int]:
-    """Indices whose atom value is within eps of the max (1-based)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    vals = f.atom_values(theta)
-    return [int(i) + 1 for i in np.flatnonzero(vals >= vals.max() - eps)]
-
-
-@dataclass(frozen=True)
-class DiffMaxFunction:
-    """psi = g - h with g, h pointwise maxima of smooth convex atoms."""
-
-    g: MaxFunction
-    h: MaxFunction
-
-    def value(self, theta) -> float:
-        return self.g.value(theta) - self.h.value(theta)
-
-    def dir(self, theta, v) -> float:
-        return self.g.dir(theta, v) - self.h.dir(theta, v)
-
-
-def diffmax_dir(psi: DiffMaxFunction, theta, v) -> float:
-    """Directional derivative psi'(theta; v)."""
-    return psi.dir(theta, v)
-
-
-# ---------------------------------------------------------------------------
-# univariate convex losses and monotone splits
-
-
-@dataclass(frozen=True)
-class UnivariateConvexLoss:
-    """Squared or quantile loss against a target y.
-
-    squared:  phi(t) = 0.5 (t - y)^2
-    quantile: phi(t) = max(tau (t - y), (tau - 1)(t - y)), tau in (0, 1)
-    """
-
-    kind: str
-    y: float
-    tau: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("squared", "quantile"):
-            raise ValueError(f"unsupported loss kind {self.kind!r}")
-        if self.kind == "quantile" and not (self.tau and 0.0 < self.tau < 1.0):
-            raise ValueError("quantile loss needs tau in (0, 1)")
-
-    @property
-    def pivot(self) -> float:
-        return self.y
-
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        d = t - self.y
-        if self.kind == "squared":
-            out = 0.5 * d * d
-        else:
-            out = np.maximum(self.tau * d, (self.tau - 1.0) * d)
-        return out if out.ndim else float(out)
-
-    def dir(self, t, v) -> float:
-        """One-sided directional derivative phi'(t; v)."""
-        t, v = float(t), float(v)
-        if self.kind == "squared":
-            return (t - self.y) * v
-        left = self.tau - 1.0 if t <= self.y else self.tau
-        right = self.tau if t >= self.y else self.tau - 1.0
-        return right * v if v >= 0 else left * v
+# monotone loss splits
 
 
 class MonotoneSplit:
     """Split of a univariate convex loss into phi_up + phi_down.
 
-    phi_up is convex non-decreasing and constant left of the pivot; phi_down
-    is convex non-increasing and constant right of it.  Parameters may be
+    phi_up is convex non-decreasing and constant left of y; phi_down is
+    convex non-increasing and constant right of it.  Parameters may be
     scalars or arrays (one loss per sample, broadcast against the argument),
     which is how the stacked solvers evaluate all samples at once.
 
-    Kinds: "squared" / "quantile" as in :class:`UnivariateConvexLoss`, plus
+    Kinds: "squared" phi(t) = 0.5 (t - y)^2 and "quantile"
+    phi(t) = max(tau (t - y), (tau - 1)(t - y)) with tau in (0, 1), plus
     "linear" with phi_up(t) = up_slope * t (up_slope >= 0) and
     phi_down(t) = down_slope * t (down_slope <= 0), used for identity-like
     losses in stationarity experiments.
@@ -215,12 +52,6 @@ class MonotoneSplit:
             if kind == "quantile" and not (self.tau and 0.0 < self.tau < 1.0):
                 raise ValueError("quantile split needs tau in (0, 1)")
 
-    @property
-    def pivot(self):
-        if self.kind == "linear":
-            return -np.inf if np.all(self.down_slope == 0) else np.inf
-        return self.y
-
     # -- values
 
     def up(self, t):
@@ -239,43 +70,6 @@ class MonotoneSplit:
 
     def phi(self, t):
         return self.up(t) + self.down(t)
-
-    # -- one-sided derivatives (scalar t)
-
-    def _up_slopes(self, t: float) -> tuple[float, float]:
-        if self.kind == "linear":
-            u = float(self.up_slope)
-            return u, u
-        y = float(self.y)
-        if self.kind == "squared":
-            d = max(t - y, 0.0)
-            return d, d
-        left = self.tau if t > y else 0.0
-        right = self.tau if t >= y else 0.0
-        return left, right
-
-    def _down_slopes(self, t: float) -> tuple[float, float]:
-        if self.kind == "linear":
-            u = float(self.down_slope)
-            return u, u
-        y = float(self.y)
-        if self.kind == "squared":
-            d = min(t - y, 0.0)
-            return d, d
-        left = self.tau - 1.0 if t <= y else 0.0
-        right = self.tau - 1.0 if t < y else 0.0
-        return left, right
-
-    def up_dir(self, t: float, v: float) -> float:
-        left, right = self._up_slopes(float(t))
-        return right * v if v >= 0 else left * v
-
-    def down_dir(self, t: float, v: float) -> float:
-        left, right = self._down_slopes(float(t))
-        return right * v if v >= 0 else left * v
-
-    def phi_dir(self, t: float, v: float) -> float:
-        return self.up_dir(t, v) + self.down_dir(t, v)
 
     # -- proximal maps with a linear tilt, vectorized over samples
     #
@@ -334,46 +128,6 @@ class MonotoneSplit:
         slope = anchor + (w * (1.0 - self.tau) - tilt) / c
         on_branch = (flat > self.y) | (slope < self.y)
         return np.where(on_branch, 1.0 / c, 0.0)
-
-    def take(self, s: int) -> "MonotoneSplit":
-        """Scalar split for sample s out of an array-parameter split."""
-        if self.kind == "linear":
-            u = np.atleast_1d(self.up_slope)
-            d = np.atleast_1d(self.down_slope)
-            return MonotoneSplit("linear",
-                                 up_slope=float(u[s % u.size]),
-                                 down_slope=float(d[s % d.size]))
-        y = np.atleast_1d(self.y)
-        return MonotoneSplit(self.kind, y=float(y[s % y.size]), tau=self.tau)
-
-
-def monotone_split(phi: UnivariateConvexLoss) -> MonotoneSplit:
-    """Constructive split of a supported loss around its minimizer."""
-    return MonotoneSplit(phi.kind, y=phi.y, tau=phi.tau)
-
-
-def composite_dir(split: MonotoneSplit, psi: DiffMaxFunction, theta, v) -> float:
-    """Directional derivative of phi(psi(theta)) via the chain rule."""
-    t = psi.value(theta)
-    return split.phi_dir(t, psi.dir(theta, v))
-
-
-def majorant_value(split: MonotoneSplit, psi: DiffMaxFunction,
-                   pair: tuple[int, int], theta, theta_bar) -> float:
-    """Convex majorant of phi(psi(.)) from linearizing atom pair (i1, i2).
-
-    Indices are 1-based into the atoms of psi.g and psi.h; the pair must be
-    an argmax pair at theta_bar for the majorization property to hold.
-    """
-    i1, i2 = pair
-    if not (1 <= i1 <= len(psi.g.atoms) and 1 <= i2 <= len(psi.h.atoms)):
-        raise IndexError(f"atom pair {pair} out of range")
-    theta = np.asarray(theta, dtype=float)
-    theta_bar = np.asarray(theta_bar, dtype=float)
-    d = theta - theta_bar
-    lin_h = psi.h.value(theta_bar) + float(psi.h.atoms[i2 - 1].grad(theta_bar) @ d)
-    lin_g = psi.g.value(theta_bar) + float(psi.g.atoms[i1 - 1].grad(theta_bar) @ d)
-    return float(split.up(psi.g.value(theta) - lin_h) + split.down(lin_g - psi.h.value(theta)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,31 +291,8 @@ class CompositeProblem:
             v += self.reg.value(theta)
         return v
 
-    def diffmax(self, s: int) -> DiffMaxFunction:
-        """Per-sample difference-max function (shared theta), for diagnostics."""
-        k1, k2, m = self.k1, self.k2, self.m
-        g = MaxFunction(tuple(SmoothConvexAtom(self.U[s * k1 + i], self.e[s * k1 + i])
-                              for i in range(k1)))
-        h = MaxFunction(tuple(SmoothConvexAtom(self.W[s * k2 + i], self.f[s * k2 + i])
-                              for i in range(k2)))
-        return DiffMaxFunction(g, h)
-
     def clip_theta(self, theta):
         if self.lower is None and self.upper is None:
             return theta
         return np.clip(theta, self.lower, self.upper)
 
-
-def single_summand_problem(g_atoms, h_atoms, split: MonotoneSplit,
-                           reg: DcRegularizer | None = None) -> CompositeProblem:
-    """N = 1 problem from explicit (gradient, offset) atom lists."""
-    U = np.array([np.asarray(w, dtype=float).ravel() for w, _ in g_atoms])
-    e = np.array([float(b) for _, b in g_atoms])
-    if h_atoms:
-        W = np.array([np.asarray(w, dtype=float).ravel() for w, _ in h_atoms])
-        f = np.array([float(b) for _, b in h_atoms])
-    else:
-        W = np.zeros((1, U.shape[1]))
-        f = np.zeros(1)
-    return CompositeProblem(U=U, e=e, W=W, f=f, split=split,
-                            n_samples=1, weight=1.0, reg=reg)

@@ -10,6 +10,11 @@ method, and accepts the candidate according to the chosen variant:
   one    - single lexicographically-first exact-argmax pair, always accept;
   random - one uniform draw from the eps-argmax product, accept only on a
            strict surrogate decrease.
+
+`run` returns a `SolveReport` without a stationarity residual; the
+certificate lives in `stationarity.certify`, which builds on this module's
+pair selection and subproblem assembly, so `mm` itself imports no
+`stationarity`.
 """
 
 from __future__ import annotations
@@ -38,12 +43,11 @@ class MMConfig:
     sn_tol_floor: float = 1e-6      # floor of the inner tolerance schedule
     sn_tol_fixed: bool = False      # True: always solve to sn_tol_floor
     sn_max_iter: int = 100
-    compute_residual: bool = True   # terminal stationarity residual in the report
 
     def resolve_c(self, problem: CompositeProblem) -> float:
         if self.c is not None:
             return float(self.c)
-        if problem.split.kind == "linear" or problem.split.y is None:
+        if problem.split.kind == "linear":
             return 1e-2
         return 1e-2 * (1.0 + float(np.mean(np.atleast_1d(problem.split.y) ** 2)))
 
@@ -87,12 +91,13 @@ class SolveReport:
 def init_state(problem: CompositeProblem, theta0) -> AugmentedIterate:
     """Augmented start z0 with r = s = psi(theta0) and tight slacks."""
     theta0 = problem.clip_theta(np.asarray(theta0, dtype=float))
-    g, h, psi = problem.psi(theta0)
     gv, hv = problem.atom_values(theta0)
-    rhat = (np.repeat(g, problem.k1) - (problem.U @ theta0 + problem.e))
-    shat = (np.repeat(h, problem.k2) - (problem.W @ theta0 + problem.f))
-    return AugmentedIterate(theta=theta0, r=psi.copy(), s=psi.copy(),
-                            rhat=np.maximum(rhat, 0.0), shat=np.maximum(shat, 0.0))
+    g, h = gv.max(axis=1), hv.max(axis=1)
+    psi = g - h
+    # g and h are the row maxima, so both slacks are nonnegative
+    return AugmentedIterate(theta=theta0, r=psi, s=psi.copy(),
+                            rhat=(g[:, None] - gv).ravel(),
+                            shat=(h[:, None] - hv).ravel())
 
 
 def select_pairs(problem: CompositeProblem, theta, eps: float, variant: str,
@@ -229,7 +234,11 @@ def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
 
 
 def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
-    """Full solve from one starting point."""
+    """Full solve from one starting point.
+
+    The report's residual fields stay unset; `stationarity.certify` fills
+    them.
+    """
     t_start = time.perf_counter()
     c = config.resolve_c(problem)
     rng = np.random.default_rng(config.seed)
@@ -260,22 +269,6 @@ def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
             reason = "tolerance"
             break
 
-    report = SolveReport(theta=state.theta, f_N=f_prev, iterations=len(trace),
-                         sn_total=sn_total, reason=reason, trace=trace,
-                         wall_time=time.perf_counter() - t_start)
-
-    if config.compute_residual:
-        from . import stationarity
-        if config.variant == "one":
-            sels, _ = select_pairs(problem, state.theta, config.eps, "one")
-            report.residual = stationarity.weak_mstat_residual(
-                problem, state.theta, sels[0], c)
-            report.residual_kind = "weak_mstat"
-            report.residual_coverage = 1.0
-        else:
-            res, _, cov = stationarity.dstat_residual(
-                problem, state.theta, c, config.combo_cap)
-            report.residual = res
-            report.residual_kind = "dstat"
-            report.residual_coverage = cov
-    return report
+    return SolveReport(theta=state.theta, f_N=f_prev, iterations=len(trace),
+                       sn_total=sn_total, reason=reason, trace=trace,
+                       wall_time=time.perf_counter() - t_start)

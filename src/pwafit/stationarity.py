@@ -5,7 +5,8 @@ The four classical subdifferentials (Bouligand, regular/Frechet, limiting,
 Clarke) have closed forms in one dimension from the left/right slopes, so
 they are computed exactly.  The composite checkers certify d-stationarity
 (or weak M-stationarity) by measuring how far a point moves under one
-proximal subproblem solve per admissible atom-pair selection.
+proximal subproblem solve per admissible atom-pair selection; `certify`
+attaches that residual to an `mm.run` report.
 """
 
 from __future__ import annotations
@@ -215,3 +216,24 @@ def weak_mstat_residual(problem: CompositeProblem, theta_bar, selection,
     sel2 = np.asarray(selection[1], dtype=int)
     r, _ = _selection_residual(problem, state, sel1, sel2, c)
     return r
+
+
+def certify(problem: CompositeProblem, report: mm.SolveReport,
+            config: mm.MMConfig, c: float) -> mm.SolveReport:
+    """Fill the report's residual fields at its final theta.
+
+    The `one` variant gets the weak M-stationarity residual of its own
+    selection; the others get the d-stationarity residual over the first
+    `combo_cap` exact-argmax selections, with their coverage.
+    """
+    theta = report.theta
+    if config.variant == "one":
+        sels, _ = mm.select_pairs(problem, theta, config.eps, "one")
+        report.residual = weak_mstat_residual(problem, theta, sels[0], c)
+        report.residual_kind = "weak_mstat"
+        report.residual_coverage = 1.0
+    else:
+        report.residual, _, report.residual_coverage = dstat_residual(
+            problem, theta, c, config.combo_cap)
+        report.residual_kind = "dstat"
+    return report

@@ -265,6 +265,52 @@ def loop_select_pairs(problem, theta, eps: float, variant: str,
 
 
 # ---------------------------------------------------------------------------
+# one sample's phi(psi(theta)), psi = max_i (U_i theta + e_i) - max_j (W_j theta + f_j)
+
+def loss_value(kind: str, t: float, y: float, tau: float | None = None) -> float:
+    """Squared or quantile loss phi(t), written out from its definition."""
+    d = t - y
+    return 0.5 * d * d if kind == "squared" else max(tau * d, (tau - 1.0) * d)
+
+
+def max_dir(A, b, theta, v, tol: float = 1e-9) -> float:
+    """(max_i A_i theta + b_i)'(theta; v): the largest slope along v among the
+    atoms tied for the max."""
+    vals = A @ theta + b
+    return float((A @ v)[vals >= vals.max() - tol].max())
+
+
+def diffmax_dir(comp, theta, v) -> float:
+    """psi'(theta; v) of a one-sample `CompositeProblem`."""
+    return max_dir(comp.U, comp.e, theta, v) - max_dir(comp.W, comp.f, theta, v)
+
+
+def composite_dir(comp, theta, v) -> float:
+    """(phi o psi)'(theta; v) by the chain rule, for a squared or quantile
+    `comp.split` with scalar y."""
+    t = float(comp.psi(theta)[2][0])
+    dt = diffmax_dir(comp, theta, v)
+    sp, y = comp.split, float(comp.split.y)
+    if sp.kind == "squared":
+        return (t - y) * dt
+    # one-sided slope of the quantile loss in the direction of dt
+    return (sp.tau if t > y or (t == y and dt >= 0) else sp.tau - 1.0) * dt
+
+
+def majorant(comp, pair, theta, theta_bar) -> float:
+    """Convex majorant of phi(psi(.)) of a one-sample problem from linearizing
+    g atom i1 and h atom i2 (0-based) at theta_bar:
+    phi_up(g(theta) - lin_h(theta)) + phi_down(lin_g(theta) - h(theta))."""
+    i1, i2 = pair
+    g_bar, h_bar, _ = comp.psi(theta_bar)
+    g, h, _ = comp.psi(theta)
+    d = np.asarray(theta, dtype=float) - theta_bar
+    lin_h = h_bar + comp.W[i2] @ d
+    lin_g = g_bar + comp.U[i1] @ d
+    return float(np.sum(comp.split.up(g - lin_h) + comp.split.down(lin_g - h)))
+
+
+# ---------------------------------------------------------------------------
 # random problem/instance helpers shared by tests
 
 def four_matvec_value_grad(sub, lam, mu):

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from pwafit import cli, mm, pwa, stationarity
-from pwafit.funcs import CompositeProblem, MonotoneSplit, majorant_value
+from pwafit.funcs import CompositeProblem, MonotoneSplit
 from pwafit.snewton import SNConfig, dual_value_grad, sn_solve
 from pwafit.stationarity import PiecewiseAffine1D as PA
-from oracles import enum_subproblem_solve, random_instance
+from oracles import enum_subproblem_solve, majorant, random_instance
 
 SEED = 20260823
 
@@ -47,7 +47,7 @@ def _multi_start(make, N, k1, k2, starts, c, tol_rel, seed=SEED, max_outer=500):
     reps = []
     for s in range(starts):
         cfg = mm.MMConfig(variant="full", c=c, tol_rel=tol_rel,
-                          max_outer=max_outer, seed=s, compute_residual=False)
+                          max_outer=max_outer, seed=s)
         th0 = pwa.init_sampler(prob, "gaussian",
                                np.random.default_rng([seed, s]), 1.0)
         reps.append(mm.run(comp, cfg, th0))
@@ -142,26 +142,33 @@ def test_criterion_2_majorization_sandwich(capsys):
         prob = pwa.PWAProblem(dataset=pwa.Dataset(X, y), k1=k1, k2=k2)
         comp = pwa.assemble(prob)
         sidx = int(rng.integers(N))
-        psi = comp.diffmax(sidx)
-        sp = comp.split.take(sidx)
+        # sample sidx alone: its k1 g rows, k2 h rows and target
+        g_rows = slice(sidx * comp.k1, (sidx + 1) * comp.k1)
+        h_rows = slice(sidx * comp.k2, (sidx + 1) * comp.k2)
+        sp = MonotoneSplit(comp.split.kind, y=float(comp.split.y[sidx]),
+                           tau=comp.split.tau)
+        one = CompositeProblem(U=comp.U[g_rows], e=comp.e[g_rows],
+                               W=comp.W[h_rows], f=comp.f[h_rows], split=sp,
+                               n_samples=1, weight=1.0)
         th_bar = rng.normal(size=prob.m)
-        i1 = int(np.argmax([a.value(th_bar) for a in psi.g.atoms])) + 1
-        i2 = int(np.argmax([a.value(th_bar) for a in psi.h.atoms])) + 1
+        gv, hv = one.atom_values(th_bar)
+        i1, i2 = int(np.argmax(gv[0])), int(np.argmax(hv[0]))
+        g_bar, h_bar, v = (float(a[0]) for a in one.psi(th_bar))
         for _ in range(50):
             th = th_bar + rng.normal(size=prob.m)
             dd = th - th_bar
-            lin_h = psi.h.value(th_bar) + psi.h.atoms[i2 - 1].grad(th_bar) @ dd
-            lin_g = psi.g.value(th_bar) + psi.g.atoms[i1 - 1].grad(th_bar) @ dd
-            r = psi.g.value(th) - lin_h + abs(rng.normal())
-            s = lin_g - psi.h.value(th) - abs(rng.normal())
-            m_val = majorant_value(sp, psi, (i1, i2), th, th_bar)
+            g, h, psi = (float(a[0]) for a in one.psi(th))
+            lin_h = h_bar + one.W[i2] @ dd
+            lin_g = g_bar + one.U[i1] @ dd
+            r = g - lin_h + abs(rng.normal())
+            s = lin_g - h - abs(rng.normal())
+            m_val = majorant(one, (i1, i2), th, th_bar)
             worst_slack = max(worst_slack,
                               m_val - float(sp.up(r) + sp.down(s)),
-                              float(sp.phi(psi.value(th))) - m_val)
-        v = psi.value(th_bar)
+                              float(sp.phi(psi)) - m_val)
         worst_touch = max(worst_touch,
                           abs(float(sp.up(v) + sp.down(v)) - float(sp.phi(v))),
-                          abs(majorant_value(sp, psi, (i1, i2), th_bar, th_bar)
+                          abs(majorant(one, (i1, i2), th_bar, th_bar)
                               - float(sp.phi(v))))
     ok = worst_slack <= 1e-10 and worst_touch <= 1e-12
     verdict(capsys, 2, ok,
@@ -177,8 +184,7 @@ def test_criterion_3_surrogate_monotone_vanishing_steps(capsys):
         rng = np.random.default_rng(seed + 300)
         prob, comp = _random_problem(rng, gamma=1e-2)
         cfg = mm.MMConfig(variant="full", tol_step=1e-6, max_outer=500,
-                          sn_tol_floor=1e-12, sn_tol_fixed=True, seed=seed,
-                          compute_residual=False)
+                          sn_tol_floor=1e-12, sn_tol_fixed=True, seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
         surr = [r.surrogate for r in rep.trace if r.accepted]
         for a, b in zip(surr, surr[1:]):
@@ -200,7 +206,7 @@ def test_criterion_4_stationarity_certification(capsys):
         rng = np.random.default_rng(seed + 700)
         prob, comp = _random_problem(rng, N_hi=7, k2_lo=1)
         cfg = mm.MMConfig(variant="full", tol_step=1e-7, max_outer=2000,
-                          sn_tol_floor=1e-10, seed=seed, compute_residual=False)
+                          sn_tol_floor=1e-10, seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
         res, _, cov = stationarity.dstat_residual(comp, rep.theta,
                                                   cfg.resolve_c(comp))
@@ -212,7 +218,7 @@ def test_criterion_4_stationarity_certification(capsys):
         rng = np.random.default_rng(seed)
         prob, comp = _random_problem(rng, N_hi=7, k2_lo=1)
         cfg = mm.MMConfig(variant="random", tol_step=1e-7, max_outer=2000,
-                          sn_tol_floor=1e-10, seed=seed, compute_residual=False)
+                          sn_tol_floor=1e-10, seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
         res, _, cov = stationarity.dstat_residual(comp, rep.theta,
                                                   cfg.resolve_c(comp))
@@ -224,7 +230,7 @@ def test_criterion_4_stationarity_certification(capsys):
         rng = np.random.default_rng(seed + 900)
         prob, comp = _random_problem(rng, N_hi=7, k2_lo=1)
         cfg = mm.MMConfig(variant="one", tol_step=1e-7, max_outer=2000,
-                          sn_tol_floor=1e-10, seed=seed, compute_residual=False)
+                          sn_tol_floor=1e-10, seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
         sels, _ = mm.select_pairs(comp, rep.theta, 1e-9, "one")
         res = stationarity.weak_mstat_residual(comp, rep.theta, sels[0],
@@ -296,7 +302,7 @@ def test_criterion_6_convex_reduction(capsys):
     w, b, _ = pwa.ols_fit(prob.dataset)
     f_ols = 0.5 * float(np.mean((prob.dataset.y - prob.dataset.X @ w - b) ** 2))
     cfg = mm.MMConfig(variant="full", tol_step=1e-9, max_outer=3000,
-                      sn_tol_floor=1e-12, compute_residual=False)
+                      sn_tol_floor=1e-12)
     rep = mm.run(comp, cfg, np.zeros(prob.m))
     rel = abs(rep.f_N - f_ols) / max(1.0, abs(f_ols))
 
@@ -312,8 +318,7 @@ def test_criterion_6_convex_reduction(capsys):
         w, b, _ = pwa.ols_fit(dtr)
         th0 = np.concatenate([w, [b], np.zeros(3)])
         r = mm.run(c, mm.MMConfig(variant="full", tol_step=1e-7,
-                                  max_outer=3000, sn_tol_floor=1e-12,
-                                  compute_residual=False), th0)
+                                  max_outer=3000, sn_tol_floor=1e-12), th0)
         mdl = p.model(r.theta)
         e_pa += float(np.sum((ds.y[te] - mdl.eval(ds.X[te])) ** 2))
         e_ls += float(np.sum((ds.y[te] - (ds.X[te] @ w + b)) ** 2))
@@ -383,7 +388,7 @@ def _cv_ratio(ds, k1, k2, folds, starts, c, tol_rel, seed):
         reps = []
         for s in range(starts):
             cfg = mm.MMConfig(variant="full", c=c, tol_rel=tol_rel,
-                              max_outer=500, seed=s, compute_residual=False)
+                              max_outer=500, seed=s)
             th0 = pwa.init_sampler(prob, "gaussian",
                                    np.random.default_rng([seed, f, s]), 1.0)
             reps.append(mm.run(comp, cfg, th0))

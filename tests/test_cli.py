@@ -21,6 +21,23 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def count_certificates(monkeypatch, dstat=(0.0, [], 1.0)):
+    """Replace both certificate residuals by stubs; returns their call log."""
+    from pwafit import stationarity
+    calls = []
+
+    def counting(name, result):
+        def fake(*args, **kwargs):
+            calls.append(name)
+            return result
+        return fake
+
+    monkeypatch.setattr(stationarity, "dstat_residual", counting("dstat", dstat))
+    monkeypatch.setattr(stationarity, "weak_mstat_residual",
+                        counting("weak_mstat", 0.0))
+    return calls
+
+
 SMALL_FIT = {
     "synth": {"example": 2, "N": 30, "seed": 1},
     "k1": 2, "k2": 1, "starts": 3, "seed": 5,
@@ -54,6 +71,18 @@ class TestConfig:
         p = write_json(tmp_path / "c.json", SMALL_FIT)
         cfg = load_config(p, "fit", seed_override=42)
         assert cfg["seed"] == 42
+
+    @pytest.mark.parametrize("bad", [
+        {"variant": "bogus"}, {"eps": -1}, {"variant": "full", "combo_cap": 0},
+        {"c": -1.0}, {"c": 0}, {"loss": "huber"}, {"loss": "quantile"},
+        {"loss": "quantile", "tau": 1.0}, {"k1": 0}, {"k2": -1}, {"k1": 1.5},
+    ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_out_of_domain_value_exits_2(self, tmp_path, bad):
+        p = write_json(tmp_path / "c.json", {**SMALL_FIT, **bad})
+        assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 2
+        bench = write_json(tmp_path / "b.json",
+                           {"runs": [{"name": "r", **SMALL_FIT, **bad}]})
+        assert main(["bench", "--config", bench, "--out", str(tmp_path)]) == 2
 
     def test_defaults_filled(self, tmp_path):
         p = write_json(tmp_path / "c.json", {"synth": {"example": 1}})
@@ -127,6 +156,32 @@ class TestFit:
         for key in ("best_start", "best_objective", "iterations", "sn_total"):
             assert a[key] == b[key]
 
+    def test_report_carries_certificate_coverage(self, tmp_path, monkeypatch):
+        # a dstat residual only certifies d-stationarity at coverage 1, so the
+        # report says how much of the selection product it covered
+        count_certificates(monkeypatch, dstat=(0.5, None, 0.25))
+        cfg = {**SMALL_FIT, "starts": 1, "compute_residual": True}
+        p = write_json(tmp_path / "c.json", cfg)
+        assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "report.json") as fh:
+            rep = json.load(fh)
+        assert rep["residual_kind"] == "dstat"
+        assert rep["residual"] == 0.5 and rep["residual_coverage"] == 0.25
+
+    def test_gamma_cv_certifies_only_the_final_fit(self, tmp_path, monkeypatch):
+        # select_gamma's fold fits are never reported, so they skip the
+        # certificate; each start of the final fit still gets one
+        calls = count_certificates(monkeypatch)
+        cfg = {"synth": {"example": 2, "N": 30, "seed": 3}, "k1": 1, "k2": 1,
+               "starts": 2, "seed": 0, "max_outer": 5, "gamma": "cv"}
+        p = write_json(tmp_path / "c.json", cfg)
+        loaded = load_config(p, "fit")
+        assert loaded["compute_residual"]
+        cli.select_gamma(loaded, cli._load_dataset(loaded), folds=3)
+        assert calls == []
+        assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 0
+        assert calls == ["dstat", "dstat"]
+
     def test_convex_case_matches_ols(self, tmp_path):
         cfg = {"synth": {"example": 1, "N": 50, "seed": 2},
                "k1": 1, "k2": 1, "starts": 1, "seed": 0,
@@ -178,19 +233,7 @@ class TestCv:
     def test_fold_fits_skip_certificate(self, tmp_path, monkeypatch):
         # cv never reports a residual, so its fold fits must not compute one,
         # even when the config leaves compute_residual at its default
-        from pwafit import stationarity
-        calls = []
-
-        def counting(name, result):
-            def fake(*args, **kwargs):
-                calls.append(name)
-                return result
-            return fake
-
-        monkeypatch.setattr(stationarity, "dstat_residual",
-                            counting("dstat", (0.0, [], 1.0)))
-        monkeypatch.setattr(stationarity, "weak_mstat_residual",
-                            counting("weak_mstat", 0.0))
+        calls = count_certificates(monkeypatch)
         cfg = {"synth": {"example": 2, "N": 30, "seed": 3},
                "grid": [[1, 1]], "folds": 3, "starts": 1, "seed": 0,
                "max_outer": 5}

@@ -1,127 +1,144 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pwafit.funcs import (
-    DcRegularizer,
-    DiffMaxFunction,
-    MaxFunction,
-    MonotoneSplit,
-    SmoothConvexAtom,
-    UnivariateConvexLoss,
-    composite_dir,
-    diffmax_dir,
-    eps_argmax,
-    majorant_value,
-    max_eval,
-    monotone_split,
-    zero_atom,
-)
-from oracles import fd_dir, fd_grad, prox_bisect, prox_oracle
+from pwafit import cli, mm
+from pwafit.funcs import TIE_TOL, CompositeProblem, DcRegularizer, MonotoneSplit
+from oracles import (composite_dir, diffmax_dir, fd_dir, fd_grad, loss_value,
+                     majorant, prox_bisect, prox_oracle)
 
 
-def affine(w, b=0.0):
-    return SmoothConvexAtom(np.atleast_1d(np.asarray(w, dtype=float)), b)
+def diffmax(g_atoms, h_atoms=None, split=None):
+    """One-sample problem psi = max_i (w_i . theta + b_i) - max_j (...) from
+    (w, b) atom pairs; no h atoms is the all-zero atom of an empty max."""
+    U = np.array([np.atleast_1d(w) for w, _ in g_atoms], dtype=float)
+    if h_atoms is None:
+        h_atoms = [(np.zeros(U.shape[1]), 0.0)]
+    return CompositeProblem(
+        U=U, e=np.array([b for _, b in g_atoms], dtype=float),
+        W=np.array([np.atleast_1d(w) for w, _ in h_atoms], dtype=float),
+        f=np.array([b for _, b in h_atoms], dtype=float),
+        split=split or MonotoneSplit("squared", y=0.0), n_samples=1, weight=1.0)
 
 
-def scalar_max(*slopes_offsets):
-    return MaxFunction(tuple(affine([a], b) for a, b in slopes_offsets))
+def psi_value(comp, theta) -> float:
+    return float(comp.psi(theta)[2][0])
 
 
-TWO_LINES = scalar_max((2.0, 0.0), (1.5, 0.0))
+def g_max(comp, theta, eps=TIE_TOL):
+    """Value of g and its eps-argmax atoms (1-based), from the package's masks."""
+    m1, _ = comp.argmax_masks(theta, eps)
+    return float(comp.psi(theta)[0][0]), [int(i) + 1 for i in np.flatnonzero(m1[0])]
 
-EXAMPLE1_ATOMS = MaxFunction(tuple(affine(w) for w in
-                                   [[1, 1], [1, -1], [-2, 1], [-2, -1]]))
+
+def first_argmax_pair(comp, theta):
+    m1, m2 = comp.argmax_masks(theta)
+    return int(m1[0].argmax()), int(m2[0].argmax())
+
+
+TWO_LINES = diffmax([(2.0, 0.0), (1.5, 0.0)])
+
+EXAMPLE1_ATOMS = diffmax([(w, 0.0) for w in [[1, 1], [1, -1], [-2, 1], [-2, -1]]])
 
 
 class TestMaxEval:
     def test_tied_lines_at_origin(self):
-        val, arg = max_eval(TWO_LINES, np.array([0.0]))
+        val, arg = g_max(TWO_LINES, np.array([0.0]))
         assert val == 0.0 and arg == [1, 2]
 
     def test_single_atom(self):
-        f = MaxFunction((affine([3.0], 1.0),))
-        val, arg = max_eval(f, np.array([2.0]))
+        f = diffmax([([3.0], 1.0)])
+        val, arg = g_max(f, np.array([2.0]))
         assert val == 7.0 and arg == [1]
 
     def test_example1_coefficients(self):
         # max{2, 0, -1, -3} at x = (1, 1)
-        val, arg = max_eval(EXAMPLE1_ATOMS, np.array([1.0, 1.0]))
+        val, arg = g_max(EXAMPLE1_ATOMS, np.array([1.0, 1.0]))
         assert val == 2.0 and arg == [1]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            max_eval(TWO_LINES, np.array([0.0, 1.0]))
+            TWO_LINES.atom_values(np.array([0.0, 1.0]))
 
 
 class TestEpsArgmax:
     def test_expansion_captures_near_max(self):
-        assert eps_argmax(TWO_LINES, np.array([1.0]), 0.6) == [1, 2]
+        assert g_max(TWO_LINES, np.array([1.0]), 0.6)[1] == [1, 2]
 
     def test_tight_eps_excludes(self):
-        assert eps_argmax(TWO_LINES, np.array([1.0]), 0.1) == [1]
+        assert g_max(TWO_LINES, np.array([1.0]), 0.1)[1] == [1]
 
     def test_huge_eps_gives_all(self):
         f = EXAMPLE1_ATOMS
-        assert eps_argmax(f, np.array([1.0, 1.0]), 100.0) == [1, 2, 3, 4]
+        assert g_max(f, np.array([1.0, 1.0]), 100.0)[1] == [1, 2, 3, 4]
 
     def test_nonpositive_eps_rejected(self):
-        with pytest.raises(ValueError):
-            eps_argmax(TWO_LINES, np.array([0.0]), 0.0)
+        # a negative expansion is a config error; eps = 0 is the exact argmax
+        with pytest.raises(cli.ConfigError):
+            cli._validate_nested({"eps": -1e-4})
+        assert g_max(TWO_LINES, np.array([0.0]), 0.0)[1] == [1, 2]
+
+
+def random_diffmax(rng, d=2, k1=2, k2=2):
+    return diffmax([(rng.normal(size=d), rng.normal()) for _ in range(k1)],
+                   [(rng.normal(size=d), rng.normal()) for _ in range(k2)])
+
+
+def with_loss(comp, kind="squared", y=0.0, tau=None):
+    return dataclasses.replace(comp, split=MonotoneSplit(kind, y=y, tau=tau))
 
 
 class TestDiffmaxDir:
     def test_absolute_value(self):
-        psi = DiffMaxFunction(scalar_max((1, 0), (-1, 0)), MaxFunction((zero_atom(1),)))
+        psi = diffmax([([1], 0), ([-1], 0)])
         assert diffmax_dir(psi, np.array([0.0]), np.array([1.0])) == 1.0
 
     def test_t_minus_relu(self):
-        psi = DiffMaxFunction(scalar_max((1, 0)), scalar_max((0, 0), (2, 0)))
+        psi = diffmax([([1], 0)], [([0], 0), ([2], 0)])
         assert diffmax_dir(psi, np.array([0.0]), np.array([1.0])) == -1.0
         assert diffmax_dir(psi, np.array([0.0]), np.array([-1.0])) == -1.0
 
     def test_matches_forward_difference(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
-            g = MaxFunction(tuple(affine(rng.normal(size=2), rng.normal())
-                                  for _ in range(3)))
-            h = MaxFunction(tuple(affine(rng.normal(size=2), rng.normal())
-                                  for _ in range(2)))
-            psi = DiffMaxFunction(g, h)
+            psi = random_diffmax(rng, k1=3, k2=2)
             th = rng.normal(size=2)
             v = rng.normal(size=2)
-            num = fd_dir(lambda x: psi.value(x), th, v)
+            num = fd_dir(lambda x: psi_value(psi, x), th, v)
             assert diffmax_dir(psi, th, v) == pytest.approx(num, abs=1e-4)
 
 
 class TestMonotoneSplit:
     def test_squared_construction(self):
-        sp = monotone_split(UnivariateConvexLoss("squared", y=0.0))
+        sp = MonotoneSplit("squared", y=0.0)
         assert sp.up(1.0) == 0.5 and sp.down(1.0) == 0.0
         assert sp.up(-1.0) == 0.0 and sp.down(-1.0) == 0.5
 
     def test_quantile_construction(self):
-        sp = monotone_split(UnivariateConvexLoss("quantile", y=0.0, tau=0.5))
+        sp = MonotoneSplit("quantile", y=0.0, tau=0.5)
         assert sp.up(2.0) == 1.0 and sp.down(-2.0) == 1.0
 
     @given(st.floats(-50, 50), st.floats(-5, 5),
            st.sampled_from(["squared", "quantile"]))
     @settings(max_examples=200)
     def test_split_identity(self, t, y, kind):
-        loss = UnivariateConvexLoss(kind, y=y, tau=0.3 if kind == "quantile" else None)
-        sp = monotone_split(loss)
-        assert sp.up(t) + sp.down(t) == pytest.approx(loss.value(t), abs=1e-12)
+        tau = 0.3 if kind == "quantile" else None
+        sp = MonotoneSplit(kind, y=y, tau=tau)
+        assert sp.up(t) + sp.down(t) == pytest.approx(loss_value(kind, t, y, tau),
+                                                      abs=1e-12)
 
     @given(st.floats(-10, 10), st.floats(-10, 10), st.floats(-3, 3))
     @settings(max_examples=200)
     def test_monotonicity(self, t1, t2, y):
-        sp = monotone_split(UnivariateConvexLoss("squared", y=y))
+        sp = MonotoneSplit("squared", y=y)
         lo, hi = min(t1, t2), max(t1, t2)
         assert sp.up(hi) >= sp.up(lo) - 1e-12
         assert sp.down(hi) <= sp.down(lo) + 1e-12
 
     def test_constant_regions(self):
-        sp = monotone_split(UnivariateConvexLoss("squared", y=1.5))
+        sp = MonotoneSplit("squared", y=1.5)
         assert sp.up(-3.0) == sp.up(1.5) == 0.0
         assert sp.down(2.0) == sp.down(7.0) == 0.0
 
@@ -137,122 +154,107 @@ class TestMonotoneSplit:
 
 
 class TestCompositeDir:
-    def _abs(self):
-        return DiffMaxFunction(scalar_max((1, 0), (-1, 0)), MaxFunction((zero_atom(1),)))
+    def _abs(self, **loss):
+        return with_loss(diffmax([([1], 0), ([-1], 0)]), **loss)
 
     def test_smooth_chain_rule(self):
-        sp = monotone_split(UnivariateConvexLoss("squared", y=0.0))
-        psi = DiffMaxFunction(scalar_max((1, 0)), MaxFunction((zero_atom(1),)))
-        assert composite_dir(sp, psi, np.array([3.0]), np.array([1.0])) == 3.0
+        psi = diffmax([([1], 0)])
+        assert composite_dir(psi, np.array([3.0]), np.array([1.0])) == 3.0
 
     def test_kink_with_flat_loss(self):
-        sp = monotone_split(UnivariateConvexLoss("squared", y=0.0))
-        assert composite_dir(sp, self._abs(), np.array([0.0]), np.array([1.0])) == 0.0
-        assert composite_dir(sp, self._abs(), np.array([0.0]), np.array([-1.0])) == 0.0
+        assert composite_dir(self._abs(), np.array([0.0]), np.array([1.0])) == 0.0
+        assert composite_dir(self._abs(), np.array([0.0]), np.array([-1.0])) == 0.0
 
     def test_quantile_kink(self):
-        sp = monotone_split(UnivariateConvexLoss("quantile", y=0.0, tau=0.5))
-        assert composite_dir(sp, self._abs(), np.array([0.0]),
+        assert composite_dir(self._abs(kind="quantile", tau=0.5), np.array([0.0]),
                              np.array([1.0])) == pytest.approx(0.5)
 
     def test_matches_forward_difference(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
-            g = MaxFunction(tuple(affine(rng.normal(size=2), rng.normal())
-                                  for _ in range(2)))
-            h = MaxFunction(tuple(affine(rng.normal(size=2), rng.normal())
-                                  for _ in range(2)))
-            psi = DiffMaxFunction(g, h)
-            sp = monotone_split(UnivariateConvexLoss("squared", y=rng.normal()))
+            psi = with_loss(random_diffmax(rng), y=rng.normal())
+            sp = psi.split
             th, v = rng.normal(size=2), rng.normal(size=2)
-            num = fd_dir(lambda x: float(sp.phi(psi.value(x))), th, v)
-            assert composite_dir(sp, psi, th, v) == pytest.approx(num, abs=1e-4)
-
-
-def random_diffmax(rng, d=2, k1=2, k2=2):
-    g = MaxFunction(tuple(affine(rng.normal(size=d), rng.normal()) for _ in range(k1)))
-    h = MaxFunction(tuple(affine(rng.normal(size=d), rng.normal()) for _ in range(k2)))
-    return DiffMaxFunction(g, h)
+            num = fd_dir(lambda x: float(sp.phi(psi_value(psi, x))), th, v)
+            assert composite_dir(psi, th, v) == pytest.approx(num, abs=1e-4)
 
 
 class TestMajorant:
     def test_touching_at_anchor(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            psi = random_diffmax(rng)
-            sp = monotone_split(UnivariateConvexLoss("squared", y=rng.normal()))
+            psi = with_loss(random_diffmax(rng), y=rng.normal())
             th = rng.normal(size=2)
-            _, a1 = max_eval(psi.g, th)
-            _, a2 = max_eval(psi.h, th)
-            m = majorant_value(sp, psi, (a1[0], a2[0]), th, th)
-            assert m == pytest.approx(float(sp.phi(psi.value(th))), abs=1e-12)
+            m = majorant(psi, first_argmax_pair(psi, th), th, th)
+            assert m == pytest.approx(float(psi.split.phi(psi_value(psi, th))),
+                                      abs=1e-12)
 
     def test_dominates_on_grid(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            psi = random_diffmax(rng)
-            sp = monotone_split(UnivariateConvexLoss("squared", y=rng.normal()))
+            psi = with_loss(random_diffmax(rng), y=rng.normal())
             th_bar = rng.normal(size=2)
-            _, a1 = max_eval(psi.g, th_bar)
-            _, a2 = max_eval(psi.h, th_bar)
+            pair = first_argmax_pair(psi, th_bar)
             for _ in range(40):
                 th = th_bar + rng.normal(size=2) * 2.0
-                m = majorant_value(sp, psi, (a1[0], a2[0]), th, th_bar)
-                assert m >= float(sp.phi(psi.value(th))) - 1e-10
+                m = majorant(psi, pair, th, th_bar)
+                assert m >= float(psi.split.phi(psi_value(psi, th))) - 1e-10
 
     def test_affine_case_exact(self):
         rng = np.random.default_rng(2)
-        psi = random_diffmax(rng, k1=1, k2=1)
-        sp = monotone_split(UnivariateConvexLoss("squared", y=0.3))
+        psi = with_loss(random_diffmax(rng, k1=1, k2=1), y=0.3)
         th_bar = rng.normal(size=2)
         for _ in range(10):
             th = rng.normal(size=2) * 3.0
-            m = majorant_value(sp, psi, (1, 1), th, th_bar)
-            assert m == pytest.approx(float(sp.phi(psi.value(th))), abs=1e-10)
+            m = majorant(psi, (0, 0), th, th_bar)
+            assert m == pytest.approx(float(psi.split.phi(psi_value(psi, th))),
+                                      abs=1e-10)
 
     def test_index_out_of_range(self):
+        # the subproblem that linearizes a pair rejects a g atom past k1
         psi = random_diffmax(np.random.default_rng(3))
-        sp = monotone_split(UnivariateConvexLoss("squared", y=0.0))
+        state = mm.init_state(psi, np.zeros(2))
         with pytest.raises(IndexError):
-            majorant_value(sp, psi, (5, 1), np.zeros(2), np.zeros(2))
+            mm.build_subproblem(psi, state, np.array([4]), np.array([0]), 1.0)
 
     def test_sandwich_with_feasible_r_s(self):
         # phi_up(r) + phi_down(s) >= M >= Psi for (theta, r, s) in the
         # constraint set of the selected pair, equality at r = s = psi(theta)
         rng = np.random.default_rng(4)
         for _ in range(30):
-            psi = random_diffmax(rng)
-            sp = monotone_split(UnivariateConvexLoss("squared", y=rng.normal()))
+            psi = with_loss(random_diffmax(rng), y=rng.normal())
+            sp = psi.split
             th_bar = rng.normal(size=2)
-            _, a1 = max_eval(psi.g, th_bar)
-            _, a2 = max_eval(psi.h, th_bar)
-            i1, i2 = a1[0], a2[0]
-            d = lambda th: th - th_bar
+            i1, i2 = first_argmax_pair(psi, th_bar)
+            g_bar, h_bar, _ = (float(a[0]) for a in psi.psi(th_bar))
             for _ in range(20):
                 th = th_bar + rng.normal(size=2)
-                lin_h = psi.h.value(th_bar) + psi.h.atoms[i2 - 1].grad(th_bar) @ d(th)
-                lin_g = psi.g.value(th_bar) + psi.g.atoms[i1 - 1].grad(th_bar) @ d(th)
-                r = psi.g.value(th) - lin_h + abs(rng.normal())
-                s = lin_g - psi.h.value(th) - abs(rng.normal())
-                m = majorant_value(sp, psi, (i1, i2), th, th_bar)
+                g, h, v = (float(a[0]) for a in psi.psi(th))
+                lin_h = h_bar + psi.W[i2] @ (th - th_bar)
+                lin_g = g_bar + psi.U[i1] @ (th - th_bar)
+                r = g - lin_h + abs(rng.normal())
+                s = lin_g - h - abs(rng.normal())
+                m = majorant(psi, (i1, i2), th, th_bar)
                 assert float(sp.up(r) + sp.down(s)) >= m - 1e-10
-                assert m >= float(sp.phi(psi.value(th))) - 1e-10
-                v = psi.value(th)
+                assert m >= float(sp.phi(v)) - 1e-10
                 assert float(sp.up(v) + sp.down(v)) == pytest.approx(
                     float(sp.phi(v)), abs=1e-12)
 
 
 class TestGradients:
     def test_atom_gradients_match_fd(self):
+        # the U/W rows the subproblems linearize with are the atoms' gradients;
+        # one g atom (w, b) and the rows of Qh as three h atoms
         rng = np.random.default_rng(5)
         for _ in range(20):
             Qh = rng.normal(size=(3, 3))
-            atom = SmoothConvexAtom(rng.normal(size=3), rng.normal(), Q=Qh @ Qh.T)
+            comp = diffmax([(rng.normal(size=3), rng.normal())],
+                           [(row, 0.0) for row in Qh])
             for _ in range(5):
                 x = rng.normal(size=3)
-                num = fd_grad(atom.value, x)
-                ref = atom.grad(x)
-                assert np.allclose(ref, num, rtol=1e-6, atol=1e-6)
+                for i, ref in enumerate(np.vstack([comp.U, comp.W])):
+                    num = fd_grad(lambda t: np.hstack(comp.atom_values(t))[0, i], x)
+                    assert np.allclose(ref, num, rtol=1e-6, atol=1e-6)
 
     def test_scad_smooth_gradient_matches_fd(self):
         reg = DcRegularizer(weights=np.full(4, 0.7), gamma=1.0, smooth="scad")

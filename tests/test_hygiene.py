@@ -1,4 +1,5 @@
-"""Source hygiene checks that need no linter: every imported name is used."""
+"""Source hygiene checks that need no linter: every imported name is used,
+and the package's modules import one another without a cycle."""
 
 import ast
 import pathlib
@@ -58,6 +59,63 @@ def unused_imports(source: str, reexports: bool = False):
     return [(line, name) for line, name in imported if name not in used]
 
 
+def package_imports(source: str, modules) -> set:
+    """Package modules a module imports anywhere, function bodies included.
+
+    Relative imports (``from . import mm``, ``from .funcs import X``) and
+    absolute ones through ``pwafit`` both count; ``modules`` holds the
+    package's module names, with ``__init__`` for the package itself.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            parts = [a.name.split(".") for a in node.names]
+            found |= {p[1] for p in parts if p[0] == "pwafit" and len(p) > 1}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                base = node.module
+            elif node.level == 0 and (node.module or "").startswith("pwafit"):
+                base = node.module.partition(".")[2] or None
+            else:
+                continue
+            if base is None:        # from . import a: a module, or a name of __init__
+                found |= {a.name if a.name in modules else "__init__" for a in node.names}
+            else:
+                found.add(base.split(".")[0])
+    return found & set(modules)
+
+
+def import_cycle(graph: dict):
+    """One cycle of the graph as a list of nodes (first repeated last), or None."""
+    state = {}                      # node -> "open" while on the path, "done" after
+
+    def visit(node, path):
+        state[node] = "open"
+        for nxt in sorted(graph.get(node, ())):
+            if state.get(nxt) == "open":
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state:
+                found = visit(nxt, path + [nxt])
+                if found:
+                    return found
+        state[node] = "done"
+        return None
+
+    for node in sorted(graph):
+        if node not in state:
+            found = visit(node, [node])
+            if found:
+                return found
+    return None
+
+
+def test_no_import_cycles():
+    names = {p.stem for p in MODULES}
+    graph = {p.stem: package_imports(p.read_text(), names) - {p.stem} for p in MODULES}
+    cycle = import_cycle(graph)
+    assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     found = unused_imports(path.read_text(), reexports=path.name == "__init__.py")
@@ -85,3 +143,27 @@ class TestChecker:
 
     def test_package_init_reexports(self):
         assert unused_imports("from . import mm\n", reexports=True) == []
+
+
+class TestImportGraph:
+    NAMES = {"__init__", "mm", "stationarity", "funcs"}
+
+    def test_relative_absolute_and_local_imports(self):
+        src = ("from . import mm, np_helpers\nfrom .funcs import TIE_TOL\n"
+               "import pwafit.stationarity\nimport numpy\n"
+               "def f():\n    from pwafit import mm\n")
+        assert package_imports(src, self.NAMES) == {"mm", "__init__", "funcs",
+                                                     "stationarity"}
+
+    def test_package_itself(self):
+        assert package_imports("from . import __version__\n", self.NAMES) == {"__init__"}
+
+    def test_cycle_found_through_function_local_import(self):
+        mm_src = "def run():\n    from . import stationarity\n"
+        graph = {"mm": package_imports(mm_src, self.NAMES),
+                 "stationarity": package_imports("from . import mm\n", self.NAMES),
+                 "funcs": set()}
+        assert import_cycle(graph) == ["mm", "stationarity", "mm"]
+
+    def test_acyclic(self):
+        assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set(), "d": {"a", "c"}}) is None

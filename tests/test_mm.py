@@ -196,7 +196,7 @@ class TestBuildSubproblem:
 
 class TestMmIterate:
     def _cfg(self, **kw):
-        base = dict(variant="full", compute_residual=False)
+        base = dict(variant="full")
         base.update(kw)
         return mm.MMConfig(**base)
 
@@ -252,13 +252,13 @@ class TestRun:
         res = prob.dataset.y - (prob.dataset.X @ w + b)
         f_ols = 0.5 * float(np.mean(res ** 2))
         cfg = mm.MMConfig(variant="full", tol_step=1e-9, max_outer=2000,
-                          sn_tol_floor=1e-12, compute_residual=False)
+                          sn_tol_floor=1e-12)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         assert rep.f_N == pytest.approx(f_ols, rel=1e-6)
 
     def test_loose_tolerance_one_iteration(self):
         prob, comp = random_instance(5, N=6, k1=2, k2=2)
-        cfg = mm.MMConfig(variant="one", tol_rel=np.inf, compute_residual=False)
+        cfg = mm.MMConfig(variant="one", tol_rel=np.inf)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         assert rep.iterations == 1 and rep.reason == "tolerance"
 
@@ -266,8 +266,7 @@ class TestRun:
         for variant in ("full", "one", "random"):
             prob, comp = random_instance(6, N=8, k1=2, k2=2)
             cfg = mm.MMConfig(variant=variant, tol_rel=1e-6, max_outer=100,
-                              seed=3, sn_tol_floor=1e-10,
-                              compute_residual=False)
+                              seed=3, sn_tol_floor=1e-10)
             rep = mm.run(comp, cfg, np.random.default_rng(6).normal(size=prob.m))
             surr = [r.surrogate for r in rep.trace]
             for a, b in zip(surr, surr[1:]):
@@ -281,8 +280,7 @@ class TestRun:
         # r >= psi >= s need not hold, but the surrogate always dominates the
         # objective along the accepted path and f_N stays finite
         prob, comp = random_instance(7, N=8, k1=3, k2=2)
-        cfg = mm.MMConfig(variant="full", tol_rel=1e-6, max_outer=60,
-                          compute_residual=False)
+        cfg = mm.MMConfig(variant="full", tol_rel=1e-6, max_outer=60)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         assert all(np.isfinite(r.f_N) for r in rep.trace)
         assert rep.f_N <= comp.f_N(np.zeros(prob.m)) + 1e-10
@@ -294,7 +292,7 @@ class TestRun:
         reps = {}
         for variant in ("full", "one", "random"):
             cfg = mm.MMConfig(variant=variant, eps=1e-12, tol_rel=1e-8,
-                              max_outer=15, seed=0, compute_residual=False)
+                              max_outer=15, seed=0)
             reps[variant] = mm.run(comp, cfg, th0)
         f_full = [r.f_N for r in reps["full"].trace]
         for v in ("one", "random"):
@@ -307,14 +305,18 @@ class TestRun:
         th0 = np.zeros(prob.m)
         th0[0] = np.nan
         with pytest.raises(ValueError):
-            mm.run(comp, mm.MMConfig(compute_residual=False), th0)
+            mm.run(comp, mm.MMConfig(), th0)
 
     def test_report_residual_kinds(self):
         prob, comp = random_instance(10, N=4, k1=2, k2=1)
+        # mm.run leaves the residual to the certificate
         cfg1 = mm.MMConfig(variant="one", tol_rel=1e-6, max_outer=200)
         rep1 = mm.run(comp, cfg1, np.zeros(prob.m))
+        assert rep1.residual is None and rep1.residual_kind is None
+        stationarity.certify(comp, rep1, cfg1, cfg1.resolve_c(comp))
         assert rep1.residual_kind == "weak_mstat" and rep1.residual is not None
         cfg2 = mm.MMConfig(variant="full", tol_rel=1e-6, max_outer=200)
-        rep2 = mm.run(comp, cfg2, np.zeros(prob.m))
+        rep2 = stationarity.certify(comp, mm.run(comp, cfg2, np.zeros(prob.m)),
+                                    cfg2, cfg2.resolve_c(comp))
         assert rep2.residual_kind == "dstat"
         assert rep2.residual_coverage == 1.0

@@ -176,7 +176,7 @@ class TestDstatResidual:
     def test_weak_residual_zero_at_dstat(self):
         prob, comp = random_instance(3, N=5, k1=2, k2=1)
         cfg = mm.MMConfig(variant="full", tol_step=1e-8, sn_tol_floor=1e-12,
-                          max_outer=1000, compute_residual=False)
+                          max_outer=1000)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         sels, _ = mm.select_pairs(comp, rep.theta, 1e-9, "one")
         assert weak_mstat_residual(comp, rep.theta, sels[0], c=0.1) <= 1e-5
@@ -184,7 +184,7 @@ class TestDstatResidual:
     def test_mm_terminal_point_certified(self):
         prob, comp = random_instance(4, N=5, k1=2, k2=1)
         cfg = mm.MMConfig(variant="full", tol_step=1e-7, sn_tol_floor=1e-11,
-                          max_outer=1000, compute_residual=False)
+                          max_outer=1000)
         rep = mm.run(comp, cfg, np.random.default_rng(4).normal(size=prob.m))
         res, _, cov = dstat_residual(comp, rep.theta, c=cfg.resolve_c(comp))
         assert cov == 1.0
