@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-    pwafit fit|cv|synth|check|bench --config cfg.json [--out DIR] [--seed S]
+    pwafit fit|cv|synth|check --config cfg.json [--out DIR] [--seed S]
 
 Configs are strict JSON (unknown keys rejected); reports are JSON with the
 fully-resolved config embedded, tables and traces are CSV.  Exit codes:
@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -51,7 +50,6 @@ _SCHEMAS = {
     "check": {"model": None, "dataset": None, "pwa1d": None, "points": None,
               "seed": 0, **_PROBLEM_KEYS,
               "c": None, "combo_cap": 64},
-    "bench": {"runs": [], "seed": 0},
 }
 
 _INIT_KEYS = {"strategy": "gaussian", "scale": 1.0}
@@ -89,9 +87,17 @@ def _validate(raw: dict, schema: dict, where: str) -> dict:
     return out
 
 
-def _validate_nested(cfg: dict) -> dict:
-    """Check value domains, and fill and check the nested `init` and `synth`
-    objects in place."""
+def load_config(path: str, command: str, seed_override=None) -> dict:
+    """The command's config with defaults filled, value domains checked and
+    the nested `init` and `synth` objects filled and checked."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    cfg = _validate(raw, _SCHEMAS[command], command)
     for key, (ok, what) in _DOMAINS.items():
         if key in cfg and not ok(cfg[key]):
             raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
@@ -103,18 +109,6 @@ def _validate_nested(cfg: dict) -> dict:
         cfg["init"] = dict(_INIT_KEYS)
     if cfg.get("synth") is not None:
         cfg["synth"] = _validate(cfg["synth"], _SYNTH_KEYS, "synth")
-    return cfg
-
-
-def load_config(path: str, command: str, seed_override=None) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    cfg = _validate_nested(_validate(raw, _SCHEMAS[command], command))
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
     return cfg
@@ -400,27 +394,6 @@ def cmd_check(cfg: dict, out: str) -> int:
     return 0
 
 
-def cmd_bench(cfg: dict, out: str) -> int:
-    os.makedirs(out, exist_ok=True)
-    rows = []
-    for i, entry in enumerate(cfg["runs"]):
-        run_cfg = _validate_nested(_validate(
-            entry, {"name": f"run{i}", **_SCHEMAS["fit"]}, "bench run"))
-        dataset = _load_dataset(run_cfg)
-        problem = _problem(run_cfg, dataset)
-        comp = pwa.assemble(problem)
-        t0 = time.perf_counter()
-        results = multi_start(problem, comp, run_cfg, int(run_cfg["starts"]))
-        _, best = _best(results)
-        rows.append([run_cfg["name"], dataset.N, dataset.d, best.iterations,
-                     best.sn_total, repr(best.f_N),
-                     repr(time.perf_counter() - t0)])
-    _write_csv(os.path.join(out, "bench.csv"),
-               ["name", "N", "d", "mm_iterations", "sn_total", "objective",
-                "wall_time"], rows)
-    return 0
-
-
 def _json_safe(obj):
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
@@ -434,7 +407,7 @@ def _json_safe(obj):
 
 
 _COMMANDS = {"fit": cmd_fit, "cv": cmd_cv, "synth": cmd_synth,
-             "check": cmd_check, "bench": cmd_bench}
+             "check": cmd_check}
 
 
 def main(argv=None) -> int:

@@ -201,11 +201,6 @@ class DcRegularizer:
         const = float(lin @ theta_bar) - self.gamma * float(self.p_value(theta_bar).sum())
         return t, lin, const
 
-    def majorant_value(self, theta, theta_bar) -> float:
-        t, lin, const = self.majorant_data(theta_bar)
-        theta = np.asarray(theta, dtype=float)
-        return float(t @ np.abs(theta) - lin @ theta + const)
-
 
 # ---------------------------------------------------------------------------
 # stacked composite problem
@@ -229,8 +224,6 @@ class CompositeProblem:
     n_samples: int
     weight: float
     reg: DcRegularizer | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
 
     def __post_init__(self):
         self.U = np.asarray(self.U, dtype=float)
@@ -290,9 +283,3 @@ class CompositeProblem:
         if self.reg is not None:
             v += self.reg.value(theta)
         return v
-
-    def clip_theta(self, theta):
-        if self.lower is None and self.upper is None:
-            return theta
-        return np.clip(theta, self.lower, self.upper)
-

@@ -36,7 +36,7 @@ class MMConfig:
     eps: float = 1e-4               # argmax expansion
     variant: str = "full"           # full | one | random
     tol_rel: float = 1e-4           # relative objective-change stopping rule
-    tol_step: float = 0.0           # optional: also require ||dz|| <= tol_step
+    tol_step: float = 0.0           # > 0: stop on ||dz|| <= tol_step instead of tol_rel
     max_outer: int = 500
     combo_cap: int = 64
     seed: int = 0
@@ -69,7 +69,6 @@ class Record:
     surrogate: float
     step_norm: float
     accepted: bool
-    selection: tuple
     sn_iterations: int
     wall_time: float
 
@@ -90,7 +89,7 @@ class SolveReport:
 
 def init_state(problem: CompositeProblem, theta0) -> AugmentedIterate:
     """Augmented start z0 with r = s = psi(theta0) and tight slacks."""
-    theta0 = problem.clip_theta(np.asarray(theta0, dtype=float))
+    theta0 = np.asarray(theta0, dtype=float)
     gv, hv = problem.atom_values(theta0)
     g, h = gv.max(axis=1), hv.max(axis=1)
     psi = g - h
@@ -150,22 +149,32 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
                      sel1, sel2, c: float) -> DualSubproblem:
     """Dual subproblem data for one per-sample atom-pair selection."""
     theta = state.theta
-    N, k1, k2 = problem.n_samples, problem.k1, problem.k2
+    N, k1, k2, m = problem.n_samples, problem.k1, problem.k2, problem.m
+    n1 = N * k1
     gv, hv = problem.atom_values(theta)
     g, h = gv.max(axis=1), hv.max(axis=1)
 
     v_sel = problem.W[np.arange(N) * k2 + sel2]          # (N, m) chosen h-atom grads
     u_sel = problem.U[np.arange(N) * k1 + sel1]
 
-    B1 = problem.U - np.repeat(v_sel, k1, axis=0)
-    beta1 = np.repeat(h - (v_sel * theta).sum(axis=1), k1) - problem.e
-    B2 = problem.W - np.repeat(u_sel, k2, axis=0)
-    beta2 = np.repeat(g - (u_sel * theta).sum(axis=1), k2) - problem.f
+    # lambda rows U - (chosen h grad) over mu rows W - (chosen g grad); the
+    # per-sample reshapes of B's rows are views (splitting an axis never copies)
+    B = np.empty((N * (k1 + k2), m), order="F")
+    np.subtract(problem.U.reshape(N, k1, m), v_sel[:, None, :],
+                out=B[:n1].reshape(N, k1, m))
+    np.subtract(problem.W.reshape(N, k2, m), u_sel[:, None, :],
+                out=B[n1:].reshape(N, k2, m))
+    beta = np.empty(N * (k1 + k2))
+    np.subtract((h - (v_sel * theta).sum(axis=1))[:, None], problem.e.reshape(N, k1),
+                out=beta[:n1].reshape(N, k1))
+    np.subtract((g - (u_sel * theta).sum(axis=1))[:, None], problem.f.reshape(N, k2),
+                out=beta[n1:].reshape(N, k2))
 
     # slack anchors: the point (theta, r, s, rhat, shat) is feasible for this
     # selection's constraints and carries the current surrogate value exactly
-    rhat = np.maximum((state.r + h)[:, None] - gv, 0.0).ravel()
-    shat = np.maximum((g - state.s)[:, None] - hv, 0.0).ravel()
+    slack = np.empty(N * (k1 + k2))
+    np.maximum((state.r + h)[:, None] - gv, 0.0, out=slack[:n1].reshape(N, k1))
+    np.maximum((g - state.s)[:, None] - hv, 0.0, out=slack[n1:].reshape(N, k2))
 
     if problem.reg is not None and problem.reg.gamma > 0:
         l1, lin, reg_const = problem.reg.majorant_data(theta)
@@ -173,20 +182,19 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
         l1 = lin = np.zeros_like(theta)
         reg_const = 0.0
 
-    return DualSubproblem(B1=B1, beta1=beta1, B2=B2, beta2=beta2,
-                          split=problem.split, n_samples=N, weight=problem.weight,
-                          c=c, theta_nu=theta, r_nu=state.r, s_nu=state.s,
-                          rhat_nu=rhat, shat_nu=shat, l1=l1, lin=lin,
-                          reg_const=reg_const,
-                          lower=problem.lower, upper=problem.upper)
+    return DualSubproblem(B=B, beta=beta, k1=k1, split=problem.split, n_samples=N,
+                          weight=problem.weight, c=c, theta_nu=theta,
+                          r_nu=state.r, s_nu=state.s, slack_nu=slack, l1=l1,
+                          lin=lin, reg_const=reg_const)
 
 
 def _step_norm(sub: DualSubproblem, res: SNResult) -> float:
+    n1 = sub.n1
     return float(np.sqrt(np.sum((res.theta - sub.theta_nu) ** 2)
                          + np.sum((res.r - sub.r_nu) ** 2)
                          + np.sum((res.s - sub.s_nu) ** 2)
-                         + np.sum((res.rhat - sub.rhat_nu) ** 2)
-                         + np.sum((res.shat - sub.shat_nu) ** 2)))
+                         + np.sum((res.rhat - sub.slack_nu[:n1]) ** 2)
+                         + np.sum((res.shat - sub.slack_nu[n1:]) ** 2)))
 
 
 def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
@@ -200,7 +208,6 @@ def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
 
     best = None
     best_sub = None
-    best_sel = None
     sn_iters = 0
     for sel1, sel2 in sels:
         sub = build_subproblem(problem, state, sel1, sel2, c)
@@ -208,7 +215,7 @@ def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
         sn_iters += res.iterations
         # strict improvement keeps the lexicographically-first minimizer
         if best is None or res.value < best.value:
-            best, best_sub, best_sel = res, sub, (sel1, sel2)
+            best, best_sub = res, sub
 
     accepted = True
     if config.variant == "random" and not (best.value < old_surrogate):
@@ -228,7 +235,6 @@ def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
 
     rec = Record(iteration=iteration, f_N=problem.f_N(nxt.theta),
                  surrogate=surrogate, step_norm=step, accepted=accepted,
-                 selection=(best_sel[0].copy(), best_sel[1].copy()),
                  sn_iterations=sn_iters, wall_time=time.perf_counter() - t0)
     return nxt, rec
 

@@ -2,8 +2,7 @@
 
 Model psi(x) = max_i(a_i.x + alpha_i) - max_j(b_j.x + beta_j), fitted by
 least squares (or quantile loss) through the MM solver.  Includes the OLS
-baseline, two synthetic data generators, value-based model comparison, and
-starting-point samplers.
+baseline, two synthetic data generators and starting-point samplers.
 """
 
 from __future__ import annotations
@@ -86,11 +85,6 @@ class PWAModel:
                    beta=np.array(obj["beta"], dtype=float))
 
 
-def pwa_eval(model: PWAModel, x) -> float:
-    x = np.asarray(x, dtype=float)
-    return float(model.eval(x[None, :])[0])
-
-
 @dataclass(frozen=True)
 class Dataset:
     X: np.ndarray
@@ -145,9 +139,6 @@ class PWAProblem:
     tau: float | None = None
     gamma: float = 0.0
     reg_smooth: str = "none"        # none | scad
-    reg_weights: np.ndarray | None = None
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
 
     def __post_init__(self):
         if self.k1 < 1 or self.k2 < 0:
@@ -183,13 +174,10 @@ def assemble(problem: PWAProblem) -> CompositeProblem:
     split = MonotoneSplit(problem.loss, y=ds.y, tau=problem.tau)
     reg = None
     if problem.gamma > 0:
-        wts = problem.reg_weights
-        if wts is None:
-            wts = np.ones(m)
-        reg = DcRegularizer(weights=wts, gamma=problem.gamma, smooth=problem.reg_smooth)
+        reg = DcRegularizer(weights=np.ones(m), gamma=problem.gamma,
+                            smooth=problem.reg_smooth)
     return CompositeProblem(U=U, e=np.zeros(N * k1), W=W, f=np.zeros(N * k2_eff),
-                            split=split, n_samples=N, weight=1.0 / N, reg=reg,
-                            lower=problem.lower, upper=problem.upper)
+                            split=split, n_samples=N, weight=1.0 / N, reg=reg)
 
 
 def ols_fit(dataset: Dataset):
@@ -225,23 +213,6 @@ def synth_example1(N: int, seed: int = 0):
 def synth_example2(N: int, seed: int = 0):
     """Nonconvex truth: max{x1-2x2, -2x1+x2+1} - max{3x1-2x2, 2x1+5x2} + noise."""
     return _synth(EXAMPLE2_MODEL, N, seed)
-
-
-def model_rmse(model_a: PWAModel, model_b: PWAModel, grid: int = 101) -> float:
-    """Root-mean-square gap between the two surfaces on [-1,1]^d."""
-    d = model_a.d
-    if d != model_b.d:
-        raise ValueError("models have different input dimensions")
-    if d <= 2:
-        axes = [np.linspace(-1.0, 1.0, grid)] * d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        P = np.stack([m.ravel() for m in mesh], axis=1)
-    else:
-        # low-discrepancy points for higher dimension
-        from scipy.stats import qmc
-        P = qmc.Sobol(d, scramble=False, seed=0).random(1024) * 2.0 - 1.0
-    diff = model_a.eval(P) - model_b.eval(P)
-    return float(np.sqrt(np.mean(diff ** 2)))
 
 
 def init_sampler(problem: PWAProblem, strategy: str, rng: np.random.Generator,

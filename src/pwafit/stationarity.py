@@ -12,7 +12,6 @@ attaches that residual to an `mm.run` report.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ import numpy as np
 from . import mm
 from .funcs import TIE_TOL, CompositeProblem
 from .snewton import SNConfig, sn_solve
-
-_CONT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,79 +44,11 @@ class PiecewiseAffine1D:
             if abs((a0 * x + b0) - (a1 * x + b1)) > 1e-9:
                 raise ValueError(f"discontinuous at breakpoint {x}")
 
-    # -- constructors
-
-    @classmethod
-    def affine(cls, slope: float, intercept: float = 0.0) -> "PiecewiseAffine1D":
-        return cls((), ((float(slope), float(intercept)),))
-
-    @classmethod
-    def maximum(cls, *fs) -> "PiecewiseAffine1D":
-        """Pointwise max; arguments are instances or (slope, intercept) pairs."""
-        fs = [f if isinstance(f, cls) else cls.affine(*f) for f in fs]
-        cands: set[float] = set()
-        for f in fs:
-            cands.update(f.breakpoints)
-        # crossings of every pair of lines appearing in any operand
-        lines = [(a, b) for f in fs for (a, b) in f.pieces]
-        for (a0, b0), (a1, b1) in itertools.combinations(set(lines), 2):
-            if abs(a0 - a1) > 1e-14:
-                cands.add((b1 - b0) / (a0 - a1))
-        xs = sorted(cands)
-        # active line on each open interval, read off at its midpoint
-        mids = []
-        if not xs:
-            mids = [0.0]
-        else:
-            mids.append(xs[0] - 1.0)
-            for i in range(len(xs) - 1):
-                mids.append(0.5 * (xs[i] + xs[i + 1]))
-            mids.append(xs[-1] + 1.0)
-        pieces = []
-        for t in mids:
-            vals = [f.value(t) for f in fs]
-            j = int(np.argmax(vals))
-            pieces.append(fs[j].piece_at(t))
-        # merge intervals that share one line
-        bps, merged = [], [pieces[0]]
-        for x, pc in zip(xs, pieces[1:]):
-            if abs(pc[0] - merged[-1][0]) < 1e-14 and abs(pc[1] - merged[-1][1]) < 1e-12:
-                continue
-            bps.append(x)
-            merged.append(pc)
-        return cls(tuple(bps), tuple(merged))
-
-    @classmethod
-    def minimum(cls, *fs) -> "PiecewiseAffine1D":
-        fs = [f if isinstance(f, cls) else cls.affine(*f) for f in fs]
-        return cls.maximum(*[f.scale(-1.0) for f in fs]).scale(-1.0)
-
-    def scale(self, k: float) -> "PiecewiseAffine1D":
-        return PiecewiseAffine1D(self.breakpoints,
-                                 tuple((k * a, k * b) for a, b in self.pieces))
-
-    # -- evaluation
-
-    def piece_at(self, x: float) -> tuple[float, float]:
-        return self.pieces[bisect.bisect_right(self.breakpoints, x)]
-
-    def value(self, x: float) -> float:
-        a, b = self.piece_at(x)
-        return a * x + b
-
     def slopes_at(self, x: float) -> tuple[float, float]:
         """(left slope, right slope) at x."""
         il = bisect.bisect_left(self.breakpoints, x)
         ir = bisect.bisect_right(self.breakpoints, x)
         return self.pieces[il][0], self.pieces[ir][0]
-
-    def dir(self, x: float, v: float) -> float:
-        a, b = self.slopes_at(x)
-        return b * v if v >= 0 else a * v
-
-    def is_convex(self) -> bool:
-        sl = [a for a, _ in self.pieces]
-        return all(sl[i] <= sl[i + 1] + 1e-12 for i in range(len(sl) - 1))
 
 
 @dataclass(frozen=True)
@@ -161,15 +90,6 @@ def classify_point(f: PiecewiseAffine1D, x: float) -> StationarityFlags:
     d_flag = a <= 0.0 <= b       # f'(x; -1) = -a >= 0 and f'(x; 1) = b >= 0
     local = a <= 0.0 <= b        # one dimension: nonnegative one-sided slopes
     return StationarityFlags(c_flag, l_flag, d_flag, local)
-
-
-def dc_critical_check(f1: PiecewiseAffine1D, f2: PiecewiseAffine1D, x: float) -> bool:
-    """Criticality of f1 - f2 at x: the convex subdifferentials intersect."""
-    if not f1.is_convex() or not f2.is_convex():
-        raise ValueError("dc criticality requires convex parts")
-    a1, b1 = f1.slopes_at(x)
-    a2, b2 = f2.slopes_at(x)
-    return max(a1, a2) <= min(b1, b2) + 1e-12
 
 
 # ---------------------------------------------------------------------------

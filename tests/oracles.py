@@ -7,9 +7,12 @@ maps by golden-section search, derivatives by finite differences.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 import numpy as np
+
+from pwafit.stationarity import PiecewiseAffine1D
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +119,18 @@ def pattern_count(N: int, k1: int, k2: int) -> int:
 def enum_subproblem_solve(sub, feas_tol: float = 1e-9, chunk: int = 4096):
     """Returns (theta*, r*, s*, rhat*, shat*, objective*)."""
     N, k1, k2, m = sub.n_samples, sub.k1, sub.k2, sub.m
-    if sub.l1 is not None and np.any(sub.l1 != 0.0):
+    if np.any(sub.l1 != 0.0):
         raise ValueError("oracle assumes no l1 term")
-    if sub.lin is not None and np.any(sub.lin != 0.0):
+    if np.any(sub.lin != 0.0):
         raise ValueError("oracle assumes no linear regularizer term")
     if sub.reg_const != 0.0:
         raise ValueError("oracle assumes no regularizer constant")
-    if sub.lower is not None or sub.upper is not None:
-        raise ValueError("oracle assumes no box bounds")
     if sub.split.kind != "squared":
         raise ValueError("oracle assumes squared loss")
     y = np.broadcast_to(np.atleast_1d(sub.split.y), (N,)).astype(float)
     w, c = sub.weight, sub.c
     n1, n2 = N * k1, N * k2
+    B1, B2, rhat_nu, shat_nu = blocks(sub)
     E1 = np.kron(np.eye(N), np.ones((k1, 1)))
     E2 = np.kron(np.eye(N), np.ones((k2, 1)))
     nx = m + 2 * N
@@ -137,13 +139,13 @@ def enum_subproblem_solve(sub, feas_tol: float = 1e-9, chunk: int = 4096):
 
     # fixed quadratic part: proximal pulls plus eliminated-slack quadratics
     # x = (theta, r, s);  u = beta1 - B1 th + E1 r;  v = beta2 - B2 th - E2 s
-    A_u = np.hstack([-sub.B1, E1, np.zeros((n1, N))])          # du/dx
-    A_v = np.hstack([-sub.B2, np.zeros((n2, N)), -E2])         # dv/dx
-    b_u = sub.beta1
-    b_v = sub.beta2
+    A_u = np.hstack([-B1, E1, np.zeros((n1, N))])              # du/dx
+    A_v = np.hstack([-B2, np.zeros((n2, N)), -E2])             # dv/dx
+    b_u = sub.beta[:n1]
+    b_v = sub.beta[n1:]
     H0 = c * np.eye(nx) + c * (A_u.T @ A_u) + c * (A_v.T @ A_v)
     anchor = np.concatenate([sub.theta_nu, sub.r_nu, sub.s_nu])
-    g0 = -c * anchor + c * A_u.T @ (b_u - sub.rhat_nu) + c * A_v.T @ (b_v - sub.shat_nu)
+    g0 = -c * anchor + c * A_u.T @ (b_u - rhat_nu) + c * A_v.T @ (b_v - shat_nu)
 
     # constraint catalogue (rows of C x = d when active)
     C_rows = np.vstack([
@@ -204,8 +206,8 @@ def enum_subproblem_solve(sub, feas_tol: float = 1e-9, chunk: int = 4096):
         val += 0.5 * c * (np.sum((th - sub.theta_nu) ** 2, axis=1)
                           + np.sum((r - sub.r_nu) ** 2, axis=1)
                           + np.sum((s - sub.s_nu) ** 2, axis=1)
-                          + np.sum((U - sub.rhat_nu) ** 2, axis=1)
-                          + np.sum((V - sub.shat_nu) ** 2, axis=1))
+                          + np.sum((U - rhat_nu) ** 2, axis=1)
+                          + np.sum((V - shat_nu) ** 2, axis=1))
         i = np.flatnonzero(ok)[np.argmin(val[ok])]      # first minimizer
         if best is None or val[i] < best[-1]:
             best = (th[i], r[i], s[i], np.maximum(U[i], 0.0), np.maximum(V[i], 0.0),
@@ -311,39 +313,192 @@ def majorant(comp, pair, theta, theta_bar) -> float:
 
 
 # ---------------------------------------------------------------------------
-# random problem/instance helpers shared by tests
+# dual subproblems: generic instances, block views, dense Jacobian,
+# feasibility and the unstacked dual value
+
+def dual_subproblem(*, B1, beta1, B2, beta2, rhat_nu, shat_nu, n_samples,
+                    l1=None, lin=None, reg_const=0.0, **rest):
+    """`DualSubproblem` from separate lambda (B1, beta1, rhat_nu) and mu
+    (B2, beta2, shat_nu) blocks; l1 and lin default to zeros."""
+    from pwafit.snewton import DualSubproblem
+    zeros = np.zeros(B1.shape[1])
+    return DualSubproblem(
+        B=np.vstack([B1, B2]), beta=np.concatenate([beta1, beta2]),
+        k1=B1.shape[0] // n_samples, n_samples=n_samples,
+        slack_nu=np.concatenate([rhat_nu, shat_nu]),
+        l1=zeros if l1 is None else l1, lin=zeros if lin is None else lin,
+        reg_const=reg_const, **rest)
+
+
+def blocks(sub):
+    """(B1, B2, rhat_nu, shat_nu): the lambda and mu rows of the stacked data."""
+    n1 = sub.n1
+    return sub.B[:n1], sub.B[n1:], sub.slack_nu[:n1], sub.slack_nu[n1:]
+
+
+def gen_jacobian(sub, lam, mu) -> np.ndarray:
+    """Dense element of the generalized Jacobian of -grad xi (symmetric PSD),
+    from its definition.  The solver applies the same matrix implicitly
+    through a Woodbury factorization."""
+    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
+    x = np.concatenate([lam, mu])
+    B, c, w, N, n1 = sub.B, sub.c, sub.weight, sub.n_samples, sub.n1
+    u = sub.theta_nu - (B.T @ x - sub.lin) / c
+    d_th = np.where(sub.l1 > 0.0, np.abs(u) > sub.l1 / c, 1.0)
+    rho = sub.split.prox_up_sens(lam.reshape(N, sub.k1).sum(axis=1), sub.r_nu, c, w)
+    sig = sub.split.prox_down_sens(mu.reshape(N, sub.k2).sum(axis=1), sub.s_nu, c, w)
+    V = (B * d_th) @ B.T / c
+    for s in range(N):
+        i0 = s * sub.k1
+        V[i0:i0 + sub.k1, i0:i0 + sub.k1] += rho[s]
+        j0 = n1 + s * sub.k2
+        V[j0:j0 + sub.k2, j0:j0 + sub.k2] += sig[s]
+    V[np.diag_indices_from(V)] += (sub.slack_nu - x / c > 0) / c
+    return V
+
+
+def feasibility(sub, th, r, s, rh, sh) -> float:
+    """Largest violation of the subproblem's constraints at a primal point."""
+    B1, B2, _, _ = blocks(sub)
+    n1 = sub.n1
+    g1 = B1 @ th - np.repeat(r, sub.k1) + rh - sub.beta[:n1]
+    g2 = B2 @ th + np.repeat(s, sub.k2) + sh - sub.beta[n1:]
+    res = max(np.abs(g1).max(initial=0.0), np.abs(g2).max(initial=0.0))
+    res = max(res, -min(rh.min(initial=0.0), sh.min(initial=0.0), 0.0))
+    return float(res)
+
 
 def four_matvec_value_grad(sub, lam, mu):
     """Dual value and gradient as the solver computed them before its
     constraint blocks were stacked: one matvec per block each way, and a
-    per-block sum of every term.  Kept verbatim as the reference for
+    per-block sum of every term.  Kept as the reference for
     `DualSubproblem.value_grad`."""
+    B1, B2, rhat_nu, shat_nu = blocks(sub)
+    beta1, beta2 = sub.beta[:sub.n1], sub.beta[sub.n1:]
     # inner_theta
-    agg = sub.B1.T @ lam + sub.B2.T @ mu - sub.lin
+    agg = B1.T @ lam + B2.T @ mu - sub.lin
     u = sub.theta_nu - agg / sub.c
     th = np.sign(u) * np.maximum(np.abs(u) - sub.l1 / sub.c, 0.0)
-    if sub.lower is not None or sub.upper is not None:
-        th = np.clip(th, sub.lower, sub.upper)
     # block_sums
     a = lam.reshape(sub.n_samples, sub.k1).sum(axis=1)
     b = mu.reshape(sub.n_samples, sub.k2).sum(axis=1)
     # inner_all
     r = sub.split.prox_up(a, sub.r_nu, sub.c, sub.weight)
     s = sub.split.prox_down(b, sub.s_nu, sub.c, sub.weight)
-    rh = np.maximum(sub.rhat_nu - lam / sub.c, 0.0)
-    sh = np.maximum(sub.shat_nu - mu / sub.c, 0.0)
+    rh = np.maximum(rhat_nu - lam / sub.c, 0.0)
+    sh = np.maximum(shat_nu - mu / sub.c, 0.0)
     # value_grad
     c, w = sub.c, sub.weight
-    v = -lam @ sub.beta1 - mu @ sub.beta2 + sub.reg_const
+    v = -lam @ beta1 - mu @ beta2 + sub.reg_const
     v += agg @ th + sub.l1 @ np.abs(th) + 0.5 * c * np.sum((th - sub.theta_nu) ** 2)
     v += float(np.sum(w * sub.split.up(r) - a * r + 0.5 * c * (r - sub.r_nu) ** 2))
     v += float(np.sum(w * sub.split.down(s) + b * s + 0.5 * c * (s - sub.s_nu) ** 2))
-    v += lam @ rh + 0.5 * c * np.sum((rh - sub.rhat_nu) ** 2)
-    v += mu @ sh + 0.5 * c * np.sum((sh - sub.shat_nu) ** 2)
-    g1 = sub.B1 @ th - np.repeat(r, sub.k1) + rh - sub.beta1
-    g2 = sub.B2 @ th + np.repeat(s, sub.k2) + sh - sub.beta2
+    v += lam @ rh + 0.5 * c * np.sum((rh - rhat_nu) ** 2)
+    v += mu @ sh + 0.5 * c * np.sum((sh - shat_nu) ** 2)
+    g1 = B1 @ th - np.repeat(r, sub.k1) + rh - beta1
+    g2 = B2 @ th + np.repeat(s, sub.k2) + sh - beta2
     return v, np.concatenate([g1, g2]), (th, r, s, rh, sh)
 
+
+# ---------------------------------------------------------------------------
+# surfaces compared by value
+
+def model_rmse(model_a, model_b, grid: int = 101) -> float:
+    """Root-mean-square gap between two `PWAModel` surfaces on [-1,1]^d: a
+    grid for d <= 2, 1024 Sobol points above."""
+    d = model_a.d
+    if d != model_b.d:
+        raise ValueError("models have different input dimensions")
+    if d <= 2:
+        axes = [np.linspace(-1.0, 1.0, grid)] * d
+        mesh = np.meshgrid(*axes, indexing="ij")
+        P = np.stack([m.ravel() for m in mesh], axis=1)
+    else:
+        from scipy.stats import qmc
+        P = qmc.Sobol(d, scramble=False, seed=0).random(1024) * 2.0 - 1.0
+    diff = model_a.eval(P) - model_b.eval(P)
+    return float(np.sqrt(np.mean(diff ** 2)))
+
+
+# ---------------------------------------------------------------------------
+# univariate piecewise affine functions
+
+class PA1D(PiecewiseAffine1D):
+    """The package's `PiecewiseAffine1D` with constructors (affine pieces,
+    pointwise max / min, scaling) and evaluation, to build test functions."""
+
+    @classmethod
+    def affine(cls, slope: float, intercept: float = 0.0) -> "PA1D":
+        return cls((), ((float(slope), float(intercept)),))
+
+    @classmethod
+    def maximum(cls, *fs) -> "PA1D":
+        """Pointwise max; arguments are instances or (slope, intercept) pairs."""
+        fs = [f if isinstance(f, cls) else cls.affine(*f) for f in fs]
+        cands: set[float] = set()
+        for f in fs:
+            cands.update(f.breakpoints)
+        # crossings of every pair of lines appearing in any operand
+        lines = [(a, b) for f in fs for (a, b) in f.pieces]
+        for (a0, b0), (a1, b1) in itertools.combinations(set(lines), 2):
+            if abs(a0 - a1) > 1e-14:
+                cands.add((b1 - b0) / (a0 - a1))
+        xs = sorted(cands)
+        # active line on each open interval, read off at its midpoint
+        mids = []
+        if not xs:
+            mids = [0.0]
+        else:
+            mids.append(xs[0] - 1.0)
+            for i in range(len(xs) - 1):
+                mids.append(0.5 * (xs[i] + xs[i + 1]))
+            mids.append(xs[-1] + 1.0)
+        pieces = []
+        for t in mids:
+            vals = [f.value(t) for f in fs]
+            j = int(np.argmax(vals))
+            pieces.append(fs[j].piece_at(t))
+        # merge intervals that share one line
+        bps, merged = [], [pieces[0]]
+        for x, pc in zip(xs, pieces[1:]):
+            if abs(pc[0] - merged[-1][0]) < 1e-14 and abs(pc[1] - merged[-1][1]) < 1e-12:
+                continue
+            bps.append(x)
+            merged.append(pc)
+        return cls(tuple(bps), tuple(merged))
+
+    @classmethod
+    def minimum(cls, *fs) -> "PA1D":
+        fs = [f if isinstance(f, cls) else cls.affine(*f) for f in fs]
+        return cls.maximum(*[f.scale(-1.0) for f in fs]).scale(-1.0)
+
+    def scale(self, k: float) -> "PA1D":
+        return type(self)(self.breakpoints,
+                          tuple((k * a, k * b) for a, b in self.pieces))
+
+    def piece_at(self, x: float) -> tuple[float, float]:
+        return self.pieces[bisect.bisect_right(self.breakpoints, x)]
+
+    def value(self, x: float) -> float:
+        a, b = self.piece_at(x)
+        return a * x + b
+
+    def is_convex(self) -> bool:
+        sl = [a for a, _ in self.pieces]
+        return all(sl[i] <= sl[i + 1] + 1e-12 for i in range(len(sl) - 1))
+
+
+def dc_critical_check(f1: PA1D, f2: PA1D, x: float) -> bool:
+    """Criticality of f1 - f2 at x: the convex subdifferentials intersect."""
+    if not f1.is_convex() or not f2.is_convex():
+        raise ValueError("dc criticality requires convex parts")
+    a1, b1 = f1.slopes_at(x)
+    a2, b2 = f2.slopes_at(x)
+    return max(a1, a2) <= min(b1, b2) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# random problem/instance helpers shared by tests
 
 def random_instance(seed, N=4, d=2, k1=2, k2=2, noise=1.0):
     """Random dataset + assembled composite problem."""
@@ -357,7 +512,6 @@ def random_instance(seed, N=4, d=2, k1=2, k2=2, noise=1.0):
 
 def random_pa1d(seed, max_pieces=5, span=3.0):
     """Random continuous piecewise affine function on the line."""
-    from pwafit.stationarity import PiecewiseAffine1D
     rng = np.random.default_rng(seed)
     n_bp = int(rng.integers(0, max_pieces))
     bps = np.sort(rng.uniform(-span, span, size=n_bp))

@@ -14,9 +14,10 @@ import pytest
 
 from pwafit import cli, mm, pwa, stationarity
 from pwafit.funcs import CompositeProblem, MonotoneSplit
-from pwafit.snewton import SNConfig, dual_value_grad, sn_solve
-from pwafit.stationarity import PiecewiseAffine1D as PA
-from oracles import enum_subproblem_solve, majorant, random_instance
+from pwafit.snewton import SNConfig, sn_solve
+from oracles import PA1D as PA
+from oracles import (dc_critical_check, enum_subproblem_solve, majorant,
+                     model_rmse, random_instance)
 
 SEED = 20260823
 
@@ -118,9 +119,9 @@ def test_criterion_1_golden_suite(capsys):
     # global minimizer (and also a dc critical point)
     dc1 = PA.maximum((2, 0), (0, 0), (-2, -4))
     dc2 = abs_f
-    ok &= stationarity.dc_critical_check(dc1, dc2, 0.0)
+    ok &= dc_critical_check(dc1, dc2, 0.0)
     ok &= not stationarity.classify_point(vee, 0.0).c_stationary
-    ok &= stationarity.dc_critical_check(dc1, dc2, -2.0)
+    ok &= dc_critical_check(dc1, dc2, -2.0)
     fl = stationarity.classify_point(vee, -2.0)
     ok &= fl.d_stationary and fl.local_min
 
@@ -273,18 +274,18 @@ def test_criterion_5_newton_oracle_equivalence(capsys):
         worst_obj = max(worst_obj, abs(res.value - oval))
         worst_gap = max(worst_gap, abs(res.value - res.dual_value))
         if idx % 10 == 0:    # Danskin gradient spot check
-            lam = rng.normal(size=sub.B1.shape[0]) * 0.3
-            mu = rng.normal(size=sub.B2.shape[0]) * 0.3
-            _, g = dual_value_grad(sub, lam, mu)
+            n1 = sub.n1
+            lam = rng.normal(size=n1) * 0.3
+            mu = rng.normal(size=sub.dual_dim - n1) * 0.3
+            g = sub.value_grad(lam, mu)[1]
             x = np.concatenate([lam, mu])
             h = 1e-6
             num = np.zeros_like(x)
             for i in range(x.size):
                 e = np.zeros_like(x)
                 e[i] = h
-                n1 = sub.B1.shape[0]
-                vp, _ = dual_value_grad(sub, (x + e)[:n1], (x + e)[n1:])
-                vm, _ = dual_value_grad(sub, (x - e)[:n1], (x - e)[n1:])
+                vp = sub.value_grad((x + e)[:n1], (x + e)[n1:])[0]
+                vm = sub.value_grad((x - e)[:n1], (x - e)[n1:])[0]
                 num[i] = (vp - vm) / (2 * h)
             worst_fd = max(worst_fd,
                            float(np.abs(g - num).max()) / max(1.0, float(np.abs(g).max())))
@@ -331,7 +332,7 @@ def test_criterion_7_convex_family_recovery(capsys, example1_runs):
     t0 = time.perf_counter()
     prob, truth, reps = example1_runs[500]
     best = min(reps, key=lambda r: r.f_N)
-    rmse = pwa.model_rmse(prob.model(best.theta), truth)
+    rmse = model_rmse(prob.model(best.theta), truth)
 
     fracs = []
     for N in (50, 100, 200, 500):
@@ -349,7 +350,7 @@ def test_criterion_7_convex_family_recovery(capsys, example1_runs):
 def test_criterion_8_dc_family_recovery(capsys, example2_runs):
     prob, truth, reps = example2_runs
     best = min(reps, key=lambda r: r.f_N)
-    rmse = pwa.model_rmse(prob.model(best.theta), truth)
+    rmse = model_rmse(prob.model(best.theta), truth)
     ok = rmse <= 0.12
     verdict(capsys, 8, ok, f"grid rmse {rmse:.3f}")
 

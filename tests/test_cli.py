@@ -80,9 +80,6 @@ class TestConfig:
     def test_out_of_domain_value_exits_2(self, tmp_path, bad):
         p = write_json(tmp_path / "c.json", {**SMALL_FIT, **bad})
         assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 2
-        bench = write_json(tmp_path / "b.json",
-                           {"runs": [{"name": "r", **SMALL_FIT, **bad}]})
-        assert main(["bench", "--config", bench, "--out", str(tmp_path)]) == 2
 
     def test_defaults_filled(self, tmp_path):
         p = write_json(tmp_path / "c.json", {"synth": {"example": 1}})
@@ -288,20 +285,3 @@ class TestCheck:
     def test_neither_branch_rejected(self, tmp_path):
         p = write_json(tmp_path / "c.json", {"points": [0.0]})
         assert main(["check", "--config", str(p), "--out", str(tmp_path)]) == 2
-
-
-class TestBench:
-    def test_outputs_and_determinism(self, tmp_path):
-        cfg = {"runs": [{"name": "tiny", **SMALL_FIT}]}
-        p = write_json(tmp_path / "c.json", cfg)
-        assert main(["bench", "--config", str(p), "--out", str(tmp_path)]) == 0
-        header, rows = read_csv(tmp_path / "bench.csv")
-        assert header[:3] == ["name", "N", "d"]
-        name, N, d, mm_it, sn_tot, obj, wt = rows[0]
-        assert name == "tiny" and int(N) == 30 and int(d) == 2
-        assert int(sn_tot) >= int(mm_it) >= 1
-        # same config again: identical counters and objective
-        out2 = tmp_path / "again"
-        assert main(["bench", "--config", str(p), "--out", str(out2)]) == 0
-        _, rows2 = read_csv(out2 / "bench.csv")
-        assert rows2[0][:6] == rows[0][:6]

@@ -74,10 +74,11 @@ class TestEpsArgmax:
         f = EXAMPLE1_ATOMS
         assert g_max(f, np.array([1.0, 1.0]), 100.0)[1] == [1, 2, 3, 4]
 
-    def test_nonpositive_eps_rejected(self):
+    def test_nonpositive_eps_rejected(self, tmp_path):
         # a negative expansion is a config error; eps = 0 is the exact argmax
-        with pytest.raises(cli.ConfigError):
-            cli._validate_nested({"eps": -1e-4})
+        (tmp_path / "c.json").write_text('{"synth": {"example": 1}, "eps": -1e-4}')
+        with pytest.raises(cli.ConfigError, match="eps"):
+            cli.load_config(str(tmp_path / "c.json"), "fit")
         assert g_max(TWO_LINES, np.array([0.0]), 0.0)[1] == [1, 2]
 
 
@@ -268,30 +269,36 @@ class TestGradients:
             assert np.allclose(reg.p_grad(x), num, rtol=1e-5, atol=1e-6)
 
 
+def majorant_value(reg, theta, theta_bar) -> float:
+    """gamma * P-hat(theta, theta_bar) from `majorant_data`."""
+    t, lin, const = reg.majorant_data(theta_bar)
+    return float(t @ np.abs(theta) - lin @ theta + const)
+
+
 class TestRegularizerMajorant:
     def test_disabled(self):
         reg0 = DcRegularizer(weights=np.ones(3), gamma=0.0, smooth="scad")
         t, lin, const = reg0.majorant_data(np.array([1.0, -4.0, 0.5]))
         assert not t.any() and not lin.any() and const == 0.0
-        assert reg0.majorant_value(np.ones(3), np.zeros(3)) == 0.0
+        assert majorant_value(reg0, np.ones(3), np.zeros(3)) == 0.0
 
     def test_pure_l1(self):
         reg = DcRegularizer(weights=np.ones(3), gamma=1.0)
         th = np.array([1.0, -2.0, 0.5])
         t, lin, const = reg.majorant_data(np.zeros(3))
         assert np.allclose(t, 1.0) and not lin.any() and const == 0.0
-        assert reg.majorant_value(th, np.zeros(3)) == pytest.approx(3.5)
+        assert majorant_value(reg, th, np.zeros(3)) == pytest.approx(3.5)
 
     def test_scad_majorizes_and_touches(self):
         reg = DcRegularizer(weights=np.full(2, 0.8), gamma=0.6, smooth="scad")
         rng = np.random.default_rng(8)
         for _ in range(30):
             th_bar = rng.normal(size=2) * 3.0
-            assert reg.majorant_value(th_bar, th_bar) == pytest.approx(
+            assert majorant_value(reg, th_bar, th_bar) == pytest.approx(
                 reg.value(th_bar), abs=1e-12)
             for _ in range(20):
                 th = rng.normal(size=2) * 4.0
-                assert reg.majorant_value(th, th_bar) >= reg.value(th) - 1e-10
+                assert majorant_value(reg, th, th_bar) >= reg.value(th) - 1e-10
 
     def test_scad_smooth_part_convex_on_grid(self):
         reg = DcRegularizer(weights=np.array([1.0]), gamma=1.0, smooth="scad")

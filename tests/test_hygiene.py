@@ -1,5 +1,7 @@
 """Source hygiene checks that need no linter: every imported name is used,
-and the package's modules import one another without a cycle."""
+the package's modules import one another without a cycle, and every
+definition is used by the package itself (code that only tests call belongs
+in the tests)."""
 
 import ast
 import pathlib
@@ -109,6 +111,46 @@ def import_cycle(graph: dict):
     return None
 
 
+def _definitions(tree):
+    """(label, name, node) of each module-level function, class and constant,
+    and of each method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for sub in (n for t in targets for n in ast.walk(t)):
+                if isinstance(sub, ast.Name):
+                    yield sub.id, sub.id, node
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """'module.label' of each definition (see `_definitions`) that no module
+    of `sources` ({module: source}) loads by name or attribute outside the
+    definition itself.  Dunder names are exempt."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    loads = [(n.id if isinstance(n, ast.Name) else n.attr, n)
+             for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute))
+             and not isinstance(n.ctx, ast.Store)]
+    found = []
+    for mod, tree in trees.items():
+        for label, name, node in _definitions(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            if not (name.startswith("__") and name.endswith("__")) and not any(
+                    n == name and id(ref) not in inside for n, ref in loads):
+                found.append(f"{mod}.{label}")
+    return found
+
+
+def test_every_definition_is_used_by_the_package():
+    found = unreferenced_definitions({p.stem: p.read_text() for p in MODULES})
+    assert not found, "defined in src/pwafit but used only outside it: " + ", ".join(found)
+
+
 def test_no_import_cycles():
     names = {p.stem for p in MODULES}
     graph = {p.stem: package_imports(p.read_text(), names) - {p.stem} for p in MODULES}
@@ -167,3 +209,22 @@ class TestImportGraph:
 
     def test_acyclic(self):
         assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set(), "d": {"a", "c"}}) is None
+
+
+class TestUnreferenced:
+    A = ("LIMIT = 1\n_UNUSED = 2\n__all__ = []\n"
+         "def helper():\n    return helper() + LIMIT\n"
+         "class Box:\n    def __init__(self):\n        self.size = 0\n"
+         "    def used(self):\n        return self.size\n"
+         "    def unused(self):\n        return self.unused()\n"
+         "    @property\n    def area(self):\n        return 0\n")
+
+    def test_flags_what_only_its_own_definition_uses(self):
+        # storing to an attribute is no use of it
+        b = "from a import Box\nBox().used()\nBox().area = 1\n"
+        assert unreferenced_definitions({"a": self.A, "b": b}) == [
+            "a._UNUSED", "a.helper", "a.Box.unused", "a.Box.area"]
+
+    def test_use_in_another_definition_counts(self):
+        src = "def f():\n    return g()\ndef g():\n    return 1\nf()\n"
+        assert unreferenced_definitions({"m": src}) == []

@@ -194,6 +194,25 @@ class TestBuildSubproblem:
         assert sub.reg_const == const
 
 
+    def test_stacked_rows_match_the_blocks(self):
+        # lambda rows U - (chosen h grad) over mu rows W - (chosen g grad),
+        # in the column-major layout the Woodbury step wants
+        prob, comp = random_instance(13, N=5, k1=3, k2=2)
+        th = np.random.default_rng(13).normal(size=prob.m)
+        st = mm.init_state(comp, th)
+        sel1, sel2 = np.array([0, 1, 2, 0, 1]), np.array([1, 0, 1, 0, 1])
+        sub = mm.build_subproblem(comp, st, sel1, sel2, c=1.0)
+        v, u = comp.W[np.arange(5) * 2 + sel2], comp.U[np.arange(5) * 3 + sel1]
+        (gv, hv), (g, h, _) = comp.atom_values(th), comp.psi(th)
+        assert sub.B.flags.f_contiguous and np.array_equal(sub.B, np.vstack(
+            [comp.U - np.repeat(v, 3, axis=0), comp.W - np.repeat(u, 2, axis=0)]))
+        assert np.array_equal(sub.beta, np.concatenate(
+            [np.repeat(h - (v * th).sum(axis=1), 3) - comp.e,
+             np.repeat(g - (u * th).sum(axis=1), 2) - comp.f]))
+        assert np.array_equal(sub.slack_nu, np.maximum(np.concatenate(
+            [((st.r + h)[:, None] - gv).ravel(), ((g - st.s)[:, None] - hv).ravel()]), 0.0))
+
+
 class TestMmIterate:
     def _cfg(self, **kw):
         base = dict(variant="full")
@@ -261,6 +280,17 @@ class TestRun:
         cfg = mm.MMConfig(variant="one", tol_rel=np.inf)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         assert rep.iterations == 1 and rep.reason == "tolerance"
+
+    def test_tol_step_replaces_tol_rel(self):
+        # tol_rel = 1 stops any fit after one step, unless tol_step > 0 puts
+        # the step-norm test in its place
+        prob, comp = random_instance(5, N=6, k1=2, k2=2)
+        th0 = np.random.default_rng(5).normal(size=prob.m)
+        rep = mm.run(comp, mm.MMConfig(variant="full", tol_rel=1.0, max_outer=5), th0)
+        assert rep.iterations == 1 and rep.reason == "tolerance"
+        rep = mm.run(comp, mm.MMConfig(variant="full", tol_rel=1.0, tol_step=1e-12,
+                                       max_outer=5), th0)
+        assert rep.iterations > 1 and rep.trace[0].step_norm > 1e-12
 
     def test_trace_invariants(self):
         for variant in ("full", "one", "random"):

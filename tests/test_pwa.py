@@ -12,36 +12,35 @@ from pwafit.pwa import (
     PWAProblem,
     assemble,
     init_sampler,
-    model_rmse,
     ols_fit,
-    pwa_eval,
     synth_example1,
     synth_example2,
 )
+from oracles import model_rmse
 
 
 class TestModelEval:
     def test_convex_example_point(self):
         # max{x1+x2, x1-x2, -2x1+x2, -2x1-x2} at (1, 1) is 2
-        assert pwa_eval(EXAMPLE1_MODEL, np.array([1.0, 1.0])) == 2.0
-        assert pwa_eval(EXAMPLE1_MODEL, np.array([-1.0, 0.0])) == 2.0
+        assert EXAMPLE1_MODEL.eval(np.array([1.0, 1.0]))[0] == 2.0
+        assert EXAMPLE1_MODEL.eval(np.array([-1.0, 0.0]))[0] == 2.0
 
     def test_dc_example_point(self):
         # max{0, 1} - max{0, 0} at the origin
-        assert pwa_eval(EXAMPLE2_MODEL, np.zeros(2)) == 1.0
+        assert EXAMPLE2_MODEL.eval(np.zeros(2))[0] == 1.0
 
     def test_single_affine(self):
         mdl = PWAModel(A=[[2.0, -1.0]], alpha=[0.5],
                        B=[[1.0, 1.0]], beta=[0.0])
         x = np.array([0.3, -0.4])
-        assert pwa_eval(mdl, x) == pytest.approx((2 * 0.3 + 0.4 + 0.5) - (0.3 - 0.4))
+        assert mdl.eval(x)[0] == pytest.approx((2 * 0.3 + 0.4 + 0.5) - (0.3 - 0.4))
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(-1, 1, size=(20, 2))
         vals = EXAMPLE2_MODEL.eval(X)
         for i in range(20):
-            assert vals[i] == pytest.approx(pwa_eval(EXAMPLE2_MODEL, X[i]))
+            assert vals[i] == pytest.approx(EXAMPLE2_MODEL.eval(X[i])[0])
 
 
 class TestFlattenRoundtrip:

@@ -4,19 +4,10 @@ import numpy as np
 import pytest
 
 from pwafit import mm
-from pwafit.snewton import (
-    DualSubproblem,
-    SNConfig,
-    _block_sum,
-    _newton_direction,
-    dual_value_grad,
-    gen_jacobian,
-    inner_theta,
-    prox_slack,
-    sn_solve,
-)
-from oracles import (enum_subproblem_solve, fd_grad, four_matvec_value_grad,
-                     golden_min, random_instance)
+from pwafit.snewton import SNConfig, _block_sum, _newton_direction, sn_solve
+from oracles import (dual_subproblem, enum_subproblem_solve, fd_grad,
+                     blocks, feasibility, four_matvec_value_grad,
+                     gen_jacobian, golden_min, random_instance)
 
 TIGHT = SNConfig(tol_grad=1e-12, max_iter=300)
 
@@ -35,14 +26,14 @@ def make_sub(seed, N=2, k1=2, k2=2, c=0.7, gamma=0.0, smooth="none"):
 
 
 def rand_duals(sub, rng, scale=0.5):
-    lam = rng.normal(size=sub.B1.shape[0]) * scale
-    mu = rng.normal(size=sub.B2.shape[0]) * scale
+    lam = rng.normal(size=sub.n1) * scale
+    mu = rng.normal(size=sub.dual_dim - sub.n1) * scale
     return lam, mu
 
 
 def varied_subproblems():
     """(label, sub) over k1 in {1, 2, 4}, k2 in {0 (the all-zero h atom), 1, 2},
-    plain, with an l1 dead zone and with box bounds."""
+    plain and with an l1 dead zone."""
     for k1 in (1, 2, 4):
         for k2 in (0, 1, 2):
             seed = 60 + 3 * k1 + k2
@@ -53,32 +44,21 @@ def varied_subproblems():
             # at zero, so only the other columns of B enter the Newton step
             l1 = np.where(np.arange(m) % 2 == 0, 50.0, 0.0)
             yield f"{k1},{k2} l1", replace(sub, l1=l1, theta_nu=np.zeros(m))
-            yield f"{k1},{k2} box", replace(sub, lower=sub.theta_nu - 0.05,
-                                            upper=sub.theta_nu + 0.05)
 
 
 class TestSubproblemValidation:
-    @pytest.mark.parametrize("rows1, rows2, name", [
-        (3, 4, "B1"), (4, 3, "B2"), (4, 0, "B2")], ids=["B1", "B2", "B2-empty"])
-    def test_rows_must_be_positive_multiple_of_samples(self, rows1, rows2, name):
+    @pytest.mark.parametrize("rows1, rows2", [(3, 4), (4, 3), (4, 0)],
+                             ids=["B1", "B2", "B2-empty"])
+    def test_rows_must_be_positive_multiple_of_samples(self, rows1, rows2):
         from pwafit.funcs import MonotoneSplit
-        with pytest.raises(ValueError, match=name):
-            DualSubproblem(
+        with pytest.raises(ValueError, match="k1, k2 >= 1"):
+            dual_subproblem(
                 B1=np.ones((rows1, 2)), beta1=np.zeros(rows1),
                 B2=np.ones((rows2, 2)), beta2=np.zeros(rows2),
                 split=MonotoneSplit("squared", y=np.zeros(2)), n_samples=2,
                 weight=0.5, c=1.0, theta_nu=np.zeros(2),
                 r_nu=np.zeros(2), s_nu=np.zeros(2),
                 rhat_nu=np.zeros(rows1), shat_nu=np.zeros(rows2))
-
-    def test_blocks_are_views_of_the_stacked_data(self):
-        comp, sub = make_sub(8, N=3, k1=2, k2=1)
-        n1 = sub.n1
-        assert np.shares_memory(sub.B1, sub.B) and np.shares_memory(sub.B2, sub.B)
-        assert sub.B.flags.f_contiguous     # the layout the Woodbury step wants
-        assert np.array_equal(sub.B, np.vstack([sub.B1, sub.B2]))
-        assert np.array_equal(sub.beta[n1:], sub.beta2)
-        assert np.array_equal(sub.slack_nu[:n1], sub.rhat_nu)
 
 
 class TestBlockSum:
@@ -105,13 +85,14 @@ class TestNewtonDirection:
         for label, sub in varied_subproblems():
             for _ in range(3):
                 lam, mu = rand_duals(sub, rng)
-                _, grad = dual_value_grad(sub, lam, mu)
-                d = _newton_direction(sub, lam, mu, grad, eps)
+                _, grad, (th, *_), jac = sub.value_grad(lam, mu)
+                d = _newton_direction(sub, jac, grad, eps)
                 V = gen_jacobian(sub, lam, mu) + eps * np.eye(sub.dual_dim)
                 rel = np.linalg.norm(V @ d - grad) / np.linalg.norm(grad)
                 assert rel <= 1e-8, (label, rel)
-                gathered += 0 < sub._masks(lam, mu)[0].sum() < sub.m
-        # the dead-zone and box instances take the gathered-columns path
+                # coordinates held at zero by their l1 weight leave the step
+                gathered += 0 < np.sum((sub.l1 > 0) & (th == 0)) < sub.m
+        # the dead-zone instances take the gathered-columns path
         assert gathered >= 18
 
 
@@ -121,7 +102,7 @@ class TestDualValueGrad:
         for label, sub in varied_subproblems():
             for scale in (0.1, 1.0, 10.0):
                 lam, mu = rand_duals(sub, rng, scale)
-                v, g, inner = sub.value_grad(lam, mu)
+                v, g, inner, _ = sub.value_grad(lam, mu)
                 v0, g0, inner0 = four_matvec_value_grad(sub, lam, mu)
                 assert abs(v - v0) <= 1e-12 * abs(v0), label
                 assert np.abs(g - g0).max() <= 1e-12 * np.abs(g0).max(), label
@@ -130,29 +111,29 @@ class TestDualValueGrad:
 
     def test_zero_multipliers_residual(self):
         comp, sub = make_sub(0)
-        lam = np.zeros(sub.B1.shape[0])
-        mu = np.zeros(sub.B2.shape[0])
-        _, g = dual_value_grad(sub, lam, mu)
+        lam = np.zeros(sub.n1)
+        mu = np.zeros(sub.dual_dim - sub.n1)
+        _, g, (th, *_), _ = sub.value_grad(lam, mu)
         # at zero multipliers theta stays at its anchor, slacks at theirs,
         # and r/s move only under the loss prox
-        th = inner_theta(sub, lam, mu)
         assert np.allclose(th, sub.theta_nu)
         r = sub.split.prox_up(np.zeros(sub.n_samples), sub.r_nu, sub.c, sub.weight)
         s = sub.split.prox_down(np.zeros(sub.n_samples), sub.s_nu, sub.c, sub.weight)
-        exp1 = sub.B1 @ th - np.repeat(r, sub.k1) + sub.rhat_nu - sub.beta1
-        exp2 = sub.B2 @ th + np.repeat(s, sub.k2) + sub.shat_nu - sub.beta2
+        B1, B2, rhat_nu, shat_nu = blocks(sub)
+        exp1 = B1 @ th - np.repeat(r, sub.k1) + rhat_nu - sub.beta[:sub.n1]
+        exp2 = B2 @ th + np.repeat(s, sub.k2) + shat_nu - sub.beta[sub.n1:]
         assert np.allclose(g, np.concatenate([exp1, exp2]), atol=1e-12)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(1)
         for seed in range(5):
             comp, sub = make_sub(seed)
-            n1 = sub.B1.shape[0]
+            n1 = sub.n1
             for _ in range(10):
                 lam, mu = rand_duals(sub, rng)
                 x = np.concatenate([lam, mu])
-                _, g = dual_value_grad(sub, lam, mu)
-                num = fd_grad(lambda z: dual_value_grad(sub, z[:n1], z[n1:])[0], x)
+                _, g = sub.value_grad(lam, mu)[:2]
+                num = fd_grad(lambda z: sub.value_grad(z[:n1], z[n1:])[0], x)
                 scale = max(1.0, np.abs(g).max())
                 assert np.abs(g - num).max() / scale < 1e-5
 
@@ -160,7 +141,7 @@ class TestDualValueGrad:
         # one sample, one atom each side, d = 1: everything scalar
         split_y = 0.4
         from pwafit.funcs import MonotoneSplit
-        sub = DualSubproblem(
+        sub = dual_subproblem(
             B1=np.array([[2.0, -1.0]]), beta1=np.array([0.3]),
             B2=np.array([[-1.0, 2.0]]), beta2=np.array([-0.2]),
             split=MonotoneSplit("squared", y=split_y), n_samples=1, weight=1.0,
@@ -169,15 +150,15 @@ class TestDualValueGrad:
             rhat_nu=np.array([0.5]), shat_nu=np.array([0.25]))
         lam = np.array([0.0])
         mu = np.array([0.0])
-        _, g = dual_value_grad(sub, lam, mu)
+        _, g = sub.value_grad(lam, mu)[:2]
         # theta = anchor; r solves min .5 max(r-.4,0)^2 + (r-0)^2 -> r = 0
         # s solves min .5 min(s-.4,0)^2 + s^2 -> s = 0.4/3
         th = sub.theta_nu
         r, s = 0.0, split_y / 3.0
-        g1 = sub.B1 @ th - r + 0.5 - sub.beta1
-        g2 = sub.B2 @ th + s + 0.25 - sub.beta2
-        assert g[0] == pytest.approx(float(g1[0]), abs=1e-12)
-        assert g[1] == pytest.approx(float(g2[0]), abs=1e-12)
+        g1 = np.array([2.0, -1.0]) @ th - r + 0.5 - 0.3
+        g2 = np.array([-1.0, 2.0]) @ th + s + 0.25 + 0.2
+        assert g[0] == pytest.approx(float(g1), abs=1e-12)
+        assert g[1] == pytest.approx(float(g2), abs=1e-12)
 
     def test_concavity_along_segments(self):
         rng = np.random.default_rng(2)
@@ -185,24 +166,27 @@ class TestDualValueGrad:
         for _ in range(30):
             la, ma = rand_duals(sub, rng, 1.0)
             lb, mb = rand_duals(sub, rng, 1.0)
-            va, _ = dual_value_grad(sub, la, ma)
-            vb, _ = dual_value_grad(sub, lb, mb)
-            vm, _ = dual_value_grad(sub, 0.5 * (la + lb), 0.5 * (ma + mb))
+            va = sub.value_grad(la, ma)[0]
+            vb = sub.value_grad(lb, mb)[0]
+            vm = sub.value_grad(0.5 * (la + lb), 0.5 * (ma + mb))[0]
             assert vm >= 0.5 * (va + vb) - 1e-10
 
 
 class TestInnerTheta:
+    """The theta part of `value_grad`'s inner minimizers."""
+
     def test_no_l1_closed_form(self):
         comp, sub = make_sub(4)
         rng = np.random.default_rng(4)
         lam, mu = rand_duals(sub, rng)
-        th = inner_theta(sub, lam, mu)
-        agg = sub.B1.T @ lam + sub.B2.T @ mu
+        th = sub.value_grad(lam, mu)[2][0]
+        B1, B2, _, _ = blocks(sub)
+        agg = B1.T @ lam + B2.T @ mu
         assert np.allclose(th, sub.theta_nu - agg / sub.c, atol=1e-12)
 
     def test_soft_threshold_dead_zone(self):
         from pwafit.funcs import MonotoneSplit
-        sub = DualSubproblem(
+        sub = dual_subproblem(
             B1=np.array([[1.0]]), beta1=np.array([0.0]),
             B2=np.array([[0.0]]), beta2=np.array([0.0]),
             split=MonotoneSplit("squared", y=0.0), n_samples=1, weight=1.0,
@@ -211,7 +195,7 @@ class TestInnerTheta:
             rhat_nu=np.zeros(1), shat_nu=np.zeros(1),
             l1=np.array([1.0]))
         # aggregate pull 0.5 with threshold 1 from anchor 0 -> thresholded
-        th = inner_theta(sub, np.array([0.5]), np.array([0.0]))
+        th = sub.value_grad(np.array([0.5]), np.array([0.0]))[2][0]
         assert th[0] == 0.0
 
     def test_matches_golden_section(self):
@@ -219,8 +203,9 @@ class TestInnerTheta:
         # rebuild with the regularizer majorant to get nonzero l1 weights
         rng = np.random.default_rng(5)
         lam, mu = rand_duals(sub, rng)
-        th = inner_theta(sub, lam, mu)
-        agg = sub.B1.T @ lam + sub.B2.T @ mu - sub.lin
+        th = sub.value_grad(lam, mu)[2][0]
+        B1, B2, _, _ = blocks(sub)
+        agg = B1.T @ lam + B2.T @ mu - sub.lin
         for i in range(sub.m):
             def obj(t):
                 return (agg[i] * t + 0.5 * sub.c * (t - sub.theta_nu[i]) ** 2
@@ -229,14 +214,32 @@ class TestInnerTheta:
             assert th[i] == pytest.approx(ref, abs=1e-6)
 
 
+def slack_minimizer(anchor, mult, c):
+    """Slacks of `value_grad`'s inner minimizer at multipliers `mult` for
+    slack anchors `anchor` (one sample, k1 = len - 1 >= 1, k2 = 1)."""
+    from pwafit.funcs import MonotoneSplit
+    anchor, mult = np.asarray(anchor, dtype=float), np.asarray(mult, dtype=float)
+    n = anchor.size
+    sub = dual_subproblem(
+        B1=np.zeros((n - 1, 1)), beta1=np.zeros(n - 1),
+        B2=np.zeros((1, 1)), beta2=np.zeros(1),
+        split=MonotoneSplit("squared", y=0.0), n_samples=1, weight=1.0,
+        c=c, theta_nu=np.zeros(1), r_nu=np.zeros(1), s_nu=np.zeros(1),
+        rhat_nu=anchor[:-1], shat_nu=anchor[-1:])
+    _, _, (_, _, _, rh, sh), _ = sub.value_grad(mult[:-1], mult[-1:])
+    return np.concatenate([rh, sh])
+
+
 class TestProxSlack:
+    """The slack part of `value_grad`'s inner minimizers."""
+
     def test_zero_multiplier(self):
         anchor = np.array([1.0, -0.5, 0.0])
-        assert np.allclose(prox_slack(anchor, np.zeros(3), 2.0),
+        assert np.allclose(slack_minimizer(anchor, np.zeros(3), 2.0),
                            [1.0, 0.0, 0.0])
 
     def test_exact_boundary(self):
-        assert prox_slack(np.array([1.0]), np.array([3.0]), 3.0)[0] == 0.0
+        assert slack_minimizer([1.0, 0.0], [3.0, 0.0], 3.0)[0] == 0.0
 
     def test_matches_componentwise_search(self):
         rng = np.random.default_rng(6)
@@ -245,7 +248,7 @@ class TestProxSlack:
             c = rng.uniform(0.5, 3)
             ref = golden_min(lambda v: mult * v + 0.5 * c * (v - anchor) ** 2
                              if v >= 0 else np.inf, 0.0, abs(anchor) + abs(mult) / c + 1)
-            got = prox_slack(np.array([anchor]), np.array([mult]), c)[0]
+            got = slack_minimizer([anchor, 0.0], [mult, 0.0], c)[0]
             assert got == pytest.approx(ref, abs=1e-5)
 
 
@@ -254,7 +257,7 @@ class TestGenJacobian:
         rng = np.random.default_rng(7)
         for seed in range(4):
             comp, sub = make_sub(seed + 10)
-            n1 = sub.B1.shape[0]
+            n1 = sub.n1
             lam, mu = rand_duals(sub, rng)
             V = gen_jacobian(sub, lam, mu)
             x = np.concatenate([lam, mu])
@@ -263,8 +266,8 @@ class TestGenJacobian:
             for i in range(x.size):
                 e = np.zeros_like(x)
                 e[i] = h
-                gp = dual_value_grad(sub, (x + e)[:n1], (x + e)[n1:])[1]
-                gm = dual_value_grad(sub, (x - e)[:n1], (x - e)[n1:])[1]
+                gp = sub.value_grad((x + e)[:n1], (x + e)[n1:])[1]
+                gm = sub.value_grad((x - e)[:n1], (x - e)[n1:])[1]
                 num[:, i] = -(gp - gm) / (2 * h)
             # random multipliers land on a smooth branch almost surely
             assert np.abs(V - num).max() < 1e-4
@@ -274,7 +277,7 @@ class TestGenJacobian:
     def test_dead_branches_contribute_zero(self):
         from pwafit.funcs import MonotoneSplit
         # slacks clamped (multipliers large), theta fully thresholded
-        sub = DualSubproblem(
+        sub = dual_subproblem(
             B1=np.array([[1.0]]), beta1=np.array([0.0]),
             B2=np.array([[1.0]]), beta2=np.array([0.0]),
             split=MonotoneSplit("squared", y=0.0), n_samples=1, weight=1.0,
@@ -290,7 +293,7 @@ class TestGenJacobian:
     def test_hand_two_by_two(self):
         from pwafit.funcs import MonotoneSplit
         c = 2.0
-        sub = DualSubproblem(
+        sub = dual_subproblem(
             B1=np.array([[1.0, 0.0]]), beta1=np.array([0.0]),
             B2=np.array([[0.0, 1.0]]), beta2=np.array([0.0]),
             split=MonotoneSplit("squared", y=10.0), n_samples=1, weight=1.0,
@@ -319,8 +322,7 @@ class TestSnSolve:
     @pytest.mark.parametrize("change, msg", [
         (lambda m: {"lin": np.full(m, 0.3)}, "linear"),
         (lambda m: {"reg_const": 0.5}, "constant"),
-        (lambda m: {"lower": -np.ones(m), "upper": np.ones(m)}, "bounds"),
-    ], ids=["lin", "reg_const", "bounds"])
+    ], ids=["lin", "reg_const"])
     def test_enumeration_oracle_rejects_unmodelled_terms(self, change, msg):
         # l1 stays zero, so only the guard for the changed term can fire
         comp, sub = make_sub(44, N=1, k1=1, k2=1)
@@ -333,19 +335,14 @@ class TestSnSolve:
             res = sn_solve(sub, cfg=TIGHT)
             assert res.converged
             assert abs(res.value - res.dual_value) <= 1e-8
-            assert sub.feasibility(res.theta, res.r, res.s, res.rhat, res.shat) <= 1e-8
+            assert feasibility(sub, res.theta, res.r, res.s, res.rhat, res.shat) <= 1e-8
             assert res.rhat.min(initial=0.0) >= 0 and res.shat.min(initial=0.0) >= 0
 
     def test_warm_start_economy(self):
         comp, sub = make_sub(40)
         res = sn_solve(sub, cfg=TIGHT)
         # tiny anchor shift, warm started at the previous optimum
-        sub2 = DualSubproblem(
-            B1=sub.B1, beta1=sub.beta1, B2=sub.B2, beta2=sub.beta2,
-            split=sub.split, n_samples=sub.n_samples, weight=sub.weight,
-            c=sub.c, theta_nu=sub.theta_nu + 1e-6,
-            r_nu=sub.r_nu, s_nu=sub.s_nu,
-            rhat_nu=sub.rhat_nu, shat_nu=sub.shat_nu)
+        sub2 = replace(sub, theta_nu=sub.theta_nu + 1e-6)
         res2 = sn_solve(sub2, warm=(res.lam, res.mu),
                         cfg=SNConfig(tol_grad=1e-9, max_iter=50))
         assert res2.converged and res2.iterations <= 3
@@ -355,7 +352,7 @@ class TestSnSolve:
         comp, sub = make_sub(41)
         res = sn_solve(sub, cfg=TIGHT)
         x0 = np.concatenate([res.lam, res.mu]) * (1 + 1e-9)
-        n1 = sub.B1.shape[0]
+        n1 = sub.n1
         res2 = sn_solve(sub, warm=(x0[:n1], x0[n1:]),
                         cfg=SNConfig(tol_grad=1e-8, max_iter=10))
         assert res2.converged and res2.iterations <= 2
@@ -369,7 +366,6 @@ class TestSnSolve:
     def test_armijo_progress(self):
         # the dual value of the returned point is at least the start value
         comp, sub = make_sub(43)
-        v0, _ = dual_value_grad(sub, np.zeros(sub.B1.shape[0]),
-                                np.zeros(sub.B2.shape[0]))
+        v0 = sub.value_grad(np.zeros(sub.n1), np.zeros(sub.dual_dim - sub.n1))[0]
         res = sn_solve(sub, cfg=TIGHT)
         assert res.dual_value >= v0 - 1e-12

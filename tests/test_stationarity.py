@@ -4,16 +4,13 @@ import pytest
 from pwafit import mm
 from pwafit.funcs import CompositeProblem, MonotoneSplit
 from pwafit.stationarity import (
-    PiecewiseAffine1D,
     classify_point,
-    dc_critical_check,
     dstat_residual,
     subdifferentials,
     weak_mstat_residual,
 )
-from oracles import random_instance, random_pa1d
-
-PA = PiecewiseAffine1D
+from oracles import PA1D as PA
+from oracles import dc_critical_check, random_instance, random_pa1d
 
 ABS = PA.maximum((1, 0), (-1, 0))                       # |x|
 NEG_ABS = ABS.scale(-1.0)                               # -|x|
