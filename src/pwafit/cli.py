@@ -53,7 +53,6 @@ _SCHEMAS = {
 }
 
 _INIT_KEYS = {"strategy": "gaussian", "scale": 1.0}
-_SYNTH_KEYS = {"example": 1, "N": 100, "seed": 0}
 
 
 def _finite(v) -> bool:
@@ -108,7 +107,7 @@ def load_config(path: str, command: str, seed_override=None) -> dict:
     else:
         cfg["init"] = dict(_INIT_KEYS)
     if cfg.get("synth") is not None:
-        cfg["synth"] = _validate(cfg["synth"], _SYNTH_KEYS, "synth")
+        cfg["synth"] = _validate(cfg["synth"], _SCHEMAS["synth"], "synth")
     if seed_override is not None:
         cfg["seed"] = int(seed_override)
     return cfg
@@ -121,10 +120,14 @@ def _load_dataset(cfg: dict) -> pwa.Dataset:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"dataset: {exc}") from exc
     if cfg.get("synth"):
-        s = cfg["synth"]
-        gen = pwa.synth_example1 if int(s["example"]) == 1 else pwa.synth_example2
-        return gen(int(s["N"]), int(s["seed"]))[0]
+        return _synth(cfg["synth"])[0]
     raise ConfigError("config needs either 'dataset' or 'synth'")
+
+
+def _synth(s: dict):
+    """(dataset, true model) of a `synth` config."""
+    gen = pwa.synth_example1 if int(s["example"]) == 1 else pwa.synth_example2
+    return gen(int(s["N"]), int(s["seed"]))
 
 
 def _mm_config(cfg: dict, seed: int) -> MMConfig:
@@ -135,10 +138,9 @@ def _mm_config(cfg: dict, seed: int) -> MMConfig:
                     sn_max_iter=cfg["sn_max_iter"])
 
 
-def _problem(cfg: dict, dataset: pwa.Dataset, gamma=None) -> pwa.PWAProblem:
-    g = cfg["gamma"] if gamma is None else gamma
+def _problem(cfg: dict, dataset: pwa.Dataset) -> pwa.PWAProblem:
     return pwa.PWAProblem(dataset=dataset, k1=int(cfg["k1"]), k2=int(cfg["k2"]),
-                          loss=cfg["loss"], tau=cfg["tau"], gamma=float(g),
+                          loss=cfg["loss"], tau=cfg["tau"], gamma=float(cfg["gamma"]),
                           reg_smooth=cfg["reg_smooth"])
 
 
@@ -153,7 +155,7 @@ def _one_start(problem, comp, cfg, start: int):
         [int(cfg["seed"]), start, 1]).integers(2 ** 31)))
     report = mm.run(comp, mc, theta0)
     if cfg["compute_residual"]:
-        stationarity.certify(comp, report, mc, mc.resolve_c(comp))
+        stationarity.certify(comp, report, mc)
     return report
 
 
@@ -175,6 +177,18 @@ def _best(results):
     return min(ok, key=lambda t: t[1].f_N)
 
 
+def _heldout_sse(cfg: dict, dataset: pwa.Dataset, test, starts: int) -> float:
+    """Squared error on the `test` rows of the best of `starts` fits to the
+    others.  Nothing reports a held-out fit's certificate, so it is skipped."""
+    cfg = {**cfg, "compute_residual": False}
+    train = pwa.Dataset(dataset.X[~test], dataset.y[~test])
+    prob = _problem(cfg, train)
+    comp = pwa.assemble(prob)
+    _, rep = _best(multi_start(prob, comp, cfg, starts))
+    model = prob.model(rep.theta)
+    return float(np.sum((dataset.y[test] - model.eval(dataset.X[test])) ** 2))
+
+
 # ---------------------------------------------------------------------------
 # gamma selection
 
@@ -184,20 +198,12 @@ def select_gamma(cfg: dict, dataset: pwa.Dataset, folds: int = 5) -> float:
     gmax = float(np.abs(X1.T @ dataset.y).max()) / dataset.N
     grid = gmax * np.logspace(0, -4, 10)
     idx = _fold_indices(dataset.N, folds, int(cfg["seed"]))
-    # only the final fit's certificate is reported, so fold fits skip it
-    fold_cfg = {**cfg, "compute_residual": False}
+    starts = max(1, int(cfg["starts"]) // 2)
     best_g, best_err = grid[0], np.inf
     for g in grid:
         err = 0.0
         for f in range(folds):
-            tr, te = idx != f, idx == f
-            ds_tr = pwa.Dataset(dataset.X[tr], dataset.y[tr])
-            prob = _problem(cfg, ds_tr, gamma=g)
-            comp = pwa.assemble(prob)
-            res = multi_start(prob, comp, fold_cfg, max(1, int(cfg["starts"]) // 2))
-            _, rep = _best(res)
-            model = prob.model(rep.theta)
-            err += float(np.sum((dataset.y[te] - model.eval(dataset.X[te])) ** 2))
+            err += _heldout_sse({**cfg, "gamma": g}, dataset, idx == f, starts)
         if err < best_err:
             best_g, best_err = g, err
     return float(best_g)
@@ -223,10 +229,9 @@ def _write_csv(path, header, rows):
 
 def cmd_fit(cfg: dict, out: str) -> int:
     dataset = _load_dataset(cfg)
-    gamma = cfg["gamma"]
-    if gamma == "cv":
-        gamma = select_gamma(cfg, dataset)
-    problem = _problem(cfg, dataset, gamma=gamma)
+    if cfg["gamma"] == "cv":
+        cfg = {**cfg, "gamma": select_gamma(cfg, dataset)}
+    problem = _problem(cfg, dataset)
     comp = pwa.assemble(problem)
     results = multi_start(problem, comp, cfg, int(cfg["starts"]))
     best_i, best = _best(results)
@@ -255,14 +260,12 @@ def cmd_fit(cfg: dict, out: str) -> int:
                  int(r.accepted), r.sn_iterations] for r in best.trace])
 
     values = sorted(round(r.f_N, 6) for _, r, e in results if r is not None)
-    hist = []
-    for v in dict.fromkeys(values):
-        hist.append([repr(v), values.count(v)])
-    _write_csv(os.path.join(out, "histogram.csv"), ["objective", "count"], hist)
+    _write_csv(os.path.join(out, "histogram.csv"), ["objective", "count"],
+               [[repr(v), values.count(v)] for v in dict.fromkeys(values)])
 
     report = {
         "command": "fit",
-        "config": _json_safe({**cfg, "gamma": gamma}),
+        "config": cfg,
         "N": dataset.N, "d": dataset.d,
         "best_start": best_i,
         "best_objective": best.f_N,
@@ -300,16 +303,9 @@ def cmd_cv(cfg: dict, out: str) -> int:
             try:
                 for f in range(folds):
                     tr, te = idx != f, idx == f
-                    ds_tr = pwa.Dataset(dataset.X[tr], dataset.y[tr])
-                    # cv reports no certificate, so fold fits skip it
-                    cell_cfg = {**cfg, "k1": k1, "k2": k2, "compute_residual": False}
-                    prob = _problem(cell_cfg, ds_tr)
-                    comp = pwa.assemble(prob)
-                    res = multi_start(prob, comp, cell_cfg, int(cfg["starts"]))
-                    _, rep = _best(res)
-                    model = prob.model(rep.theta)
-                    e_pa += float(np.sum((dataset.y[te] - model.eval(dataset.X[te])) ** 2))
-                    w, b, _ = pwa.ols_fit(ds_tr)
+                    e_pa += _heldout_sse({**cfg, "k1": k1, "k2": k2}, dataset, te,
+                                         int(cfg["starts"]))
+                    w, b, _ = pwa.ols_fit(pwa.Dataset(dataset.X[tr], dataset.y[tr]))
                     pred = dataset.X[te] @ w + b
                     e_ls += float(np.sum((dataset.y[te] - pred) ** 2))
                 ratios.append(e_pa / e_ls)
@@ -337,14 +333,13 @@ def cmd_cv(cfg: dict, out: str) -> int:
     _write_csv(os.path.join(out, "ratio_grid.csv"),
                ["k1\\k2"] + [str(b) for b in k2s], rows)
     with open(os.path.join(out, "cv_report.json"), "w") as fh:
-        json.dump({"command": "cv", "config": _json_safe(cfg),
+        json.dump({"command": "cv", "config": cfg,
                    "cells": cells}, fh, indent=1)
     return 0
 
 
 def cmd_synth(cfg: dict, out: str) -> int:
-    gen = pwa.synth_example1 if int(cfg["example"]) == 1 else pwa.synth_example2
-    dataset, model = gen(int(cfg["N"]), int(cfg["seed"]))
+    dataset, model = _synth(cfg)
     os.makedirs(out, exist_ok=True)
     dataset.save_csv(os.path.join(out, "dataset.csv"))
     with open(os.path.join(out, "true_model.json"), "w") as fh:
@@ -354,7 +349,7 @@ def cmd_synth(cfg: dict, out: str) -> int:
 
 def cmd_check(cfg: dict, out: str) -> int:
     os.makedirs(out, exist_ok=True)
-    report = {"command": "check", "config": _json_safe(cfg)}
+    report = {"command": "check", "config": cfg}
     if cfg.get("pwa1d") is not None:
         pw = cfg["pwa1d"]
         f = stationarity.PiecewiseAffine1D(
@@ -392,18 +387,6 @@ def cmd_check(cfg: dict, out: str) -> int:
     with open(os.path.join(out, "check.json"), "w") as fh:
         json.dump(report, fh, indent=1)
     return 0
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    return obj
 
 
 _COMMANDS = {"fit": cmd_fit, "cv": cmd_cv, "synth": cmd_synth,

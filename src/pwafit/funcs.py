@@ -30,41 +30,27 @@ class MonotoneSplit:
     which is how the stacked solvers evaluate all samples at once.
 
     Kinds: "squared" phi(t) = 0.5 (t - y)^2 and "quantile"
-    phi(t) = max(tau (t - y), (tau - 1)(t - y)) with tau in (0, 1), plus
-    "linear" with phi_up(t) = up_slope * t (up_slope >= 0) and
-    phi_down(t) = down_slope * t (down_slope <= 0), used for identity-like
-    losses in stationarity experiments.
+    phi(t) = max(tau (t - y), (tau - 1)(t - y)) with tau in (0, 1).
     """
 
-    def __init__(self, kind, *, y=None, tau=None, up_slope=None, down_slope=None):
-        if kind not in ("squared", "quantile", "linear"):
+    def __init__(self, kind, *, y=None, tau=None):
+        if kind not in ("squared", "quantile"):
             raise ValueError(f"unsupported split kind {kind!r}")
         self.kind = kind
-        if kind == "linear":
-            self.up_slope = np.asarray(0.0 if up_slope is None else up_slope, dtype=float)
-            self.down_slope = np.asarray(0.0 if down_slope is None else down_slope, dtype=float)
-            if np.any(self.up_slope < 0) or np.any(self.down_slope > 0):
-                raise ValueError("linear split needs up_slope >= 0 >= down_slope")
-            self.y = None
-        else:
-            self.y = np.asarray(y, dtype=float)
-            self.tau = None if tau is None else float(tau)
-            if kind == "quantile" and not (self.tau and 0.0 < self.tau < 1.0):
-                raise ValueError("quantile split needs tau in (0, 1)")
+        self.y = np.asarray(y, dtype=float)
+        self.tau = None if tau is None else float(tau)
+        if kind == "quantile" and not (self.tau and 0.0 < self.tau < 1.0):
+            raise ValueError("quantile split needs tau in (0, 1)")
 
     # -- values
 
     def up(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "linear":
-            return self.up_slope * t
         d = np.maximum(t - self.y, 0.0)
         return 0.5 * d * d if self.kind == "squared" else self.tau * d
 
     def down(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "linear":
-            return self.down_slope * t
         d = np.minimum(t - self.y, 0.0)
         return 0.5 * d * d if self.kind == "squared" else (self.tau - 1.0) * d
 
@@ -79,8 +65,6 @@ class MonotoneSplit:
     def prox_up(self, tilt, anchor, c, w=1.0):
         tilt = np.asarray(tilt, dtype=float)
         anchor = np.asarray(anchor, dtype=float)
-        if self.kind == "linear":
-            return anchor + (tilt - w * self.up_slope) / c
         flat = anchor + tilt / c
         if self.kind == "squared":
             quad = (w * self.y + tilt + c * anchor) / (w + c)
@@ -92,8 +76,6 @@ class MonotoneSplit:
     def prox_down(self, tilt, anchor, c, w=1.0):
         tilt = np.asarray(tilt, dtype=float)
         anchor = np.asarray(anchor, dtype=float)
-        if self.kind == "linear":
-            return anchor - (tilt + w * self.down_slope) / c
         flat = anchor - tilt / c
         if self.kind == "squared":
             quad = (w * self.y - tilt + c * anchor) / (w + c)
@@ -107,8 +89,6 @@ class MonotoneSplit:
     def prox_up_sens(self, tilt, anchor, c, w=1.0):
         tilt = np.asarray(tilt, dtype=float)
         anchor = np.asarray(anchor, dtype=float)
-        if self.kind == "linear":
-            return np.full(np.broadcast(tilt, anchor).shape, 1.0 / c)
         flat = anchor + tilt / c
         if self.kind == "squared":
             return np.where(flat < self.y, 1.0 / c, 1.0 / (w + c))
@@ -120,8 +100,6 @@ class MonotoneSplit:
         """-(d prox_down / d tilt), nonnegative."""
         tilt = np.asarray(tilt, dtype=float)
         anchor = np.asarray(anchor, dtype=float)
-        if self.kind == "linear":
-            return np.full(np.broadcast(tilt, anchor).shape, 1.0 / c)
         flat = anchor - tilt / c
         if self.kind == "squared":
             return np.where(flat > self.y, 1.0 / c, 1.0 / (w + c))

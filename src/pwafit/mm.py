@@ -47,8 +47,6 @@ class MMConfig:
     def resolve_c(self, problem: CompositeProblem) -> float:
         if self.c is not None:
             return float(self.c)
-        if problem.split.kind == "linear":
-            return 1e-2
         return 1e-2 * (1.0 + float(np.mean(np.atleast_1d(problem.split.y) ** 2)))
 
 
@@ -57,9 +55,7 @@ class AugmentedIterate:
     theta: np.ndarray
     r: np.ndarray
     s: np.ndarray
-    rhat: np.ndarray
-    shat: np.ndarray
-    warm: tuple | None = None       # dual warm start carried between solves
+    warm: np.ndarray | None = None  # stacked dual warm start carried between solves
 
 
 @dataclass
@@ -70,7 +66,6 @@ class Record:
     step_norm: float
     accepted: bool
     sn_iterations: int
-    wall_time: float
 
 
 @dataclass
@@ -88,15 +83,14 @@ class SolveReport:
 
 
 def init_state(problem: CompositeProblem, theta0) -> AugmentedIterate:
-    """Augmented start z0 with r = s = psi(theta0) and tight slacks."""
+    """Augmented start z0 with r = s = psi(theta0) and no dual warm start.
+
+    The slack anchors are not state: `build_subproblem` derives them from
+    theta, r and s.
+    """
     theta0 = np.asarray(theta0, dtype=float)
-    gv, hv = problem.atom_values(theta0)
-    g, h = gv.max(axis=1), hv.max(axis=1)
-    psi = g - h
-    # g and h are the row maxima, so both slacks are nonnegative
-    return AugmentedIterate(theta=theta0, r=psi, s=psi.copy(),
-                            rhat=(g[:, None] - gv).ravel(),
-                            shat=(h[:, None] - hv).ravel())
+    psi = problem.psi(theta0)[2]
+    return AugmentedIterate(theta=theta0, r=psi, s=psi.copy())
 
 
 def select_pairs(problem: CompositeProblem, theta, eps: float, variant: str,
@@ -170,7 +164,7 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
     np.subtract((g - (u_sel * theta).sum(axis=1))[:, None], problem.f.reshape(N, k2),
                 out=beta[n1:].reshape(N, k2))
 
-    # slack anchors: the point (theta, r, s, rhat, shat) is feasible for this
+    # slack anchors: the point (theta, r, s, slack) is feasible for this
     # selection's constraints and carries the current surrogate value exactly
     slack = np.empty(N * (k1 + k2))
     np.maximum((state.r + h)[:, None] - gv, 0.0, out=slack[:n1].reshape(N, k1))
@@ -190,24 +184,23 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
 
 def _step_norm(sub: DualSubproblem, res: SNResult) -> float:
     n1 = sub.n1
+    dsl = res.slack - sub.slack_nu
+    # the lambda and mu halves are summed apart, as `primal_value` does
     return float(np.sqrt(np.sum((res.theta - sub.theta_nu) ** 2)
                          + np.sum((res.r - sub.r_nu) ** 2)
                          + np.sum((res.s - sub.s_nu) ** 2)
-                         + np.sum((res.rhat - sub.slack_nu[:n1]) ** 2)
-                         + np.sum((res.shat - sub.slack_nu[n1:]) ** 2)))
+                         + np.sum(dsl[:n1] ** 2) + np.sum(dsl[n1:] ** 2)))
 
 
 def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
                config: MMConfig, c: float, sn_cfg: SNConfig,
                rng: np.random.Generator, iteration: int = 0):
     """One outer step.  Returns (next_state, Record)."""
-    t0 = time.perf_counter()
     sels, _ = select_pairs(problem, state.theta, config.eps, config.variant,
                            rng=rng, combo_cap=config.combo_cap)
     old_surrogate = problem.surrogate_value(state.theta, state.r, state.s)
 
-    best = None
-    best_sub = None
+    best = best_sub = None
     sn_iters = 0
     for sel1, sel2 in sels:
         sub = build_subproblem(problem, state, sel1, sel2, c)
@@ -225,9 +218,7 @@ def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
     # the drawn selection is the stationarity signal the stopping rule reads
     step = _step_norm(best_sub, best)
     if accepted:
-        nxt = AugmentedIterate(theta=best.theta, r=best.r, s=best.s,
-                               rhat=best.rhat, shat=best.shat,
-                               warm=(best.lam, best.mu))
+        nxt = AugmentedIterate(theta=best.theta, r=best.r, s=best.s, warm=best.x)
         surrogate = problem.surrogate_value(best.theta, best.r, best.s)
     else:
         nxt = state
@@ -235,7 +226,7 @@ def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
 
     rec = Record(iteration=iteration, f_N=problem.f_N(nxt.theta),
                  surrogate=surrogate, step_norm=step, accepted=accepted,
-                 sn_iterations=sn_iters, wall_time=time.perf_counter() - t0)
+                 sn_iterations=sn_iters)
     return nxt, rec
 
 

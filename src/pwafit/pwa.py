@@ -51,15 +51,10 @@ class PWAModel:
         return g - (X @ self.B.T + self.beta).max(axis=1)
 
     def flatten(self) -> np.ndarray:
-        """theta layout: per atom (weights then intercept), g atoms then h."""
-        parts = []
-        for i in range(self.k1):
-            parts.append(self.A[i])
-            parts.append([self.alpha[i]])
-        for j in range(self.k2):
-            parts.append(self.B[j])
-            parts.append([self.beta[j]])
-        return np.concatenate([np.ravel(p) for p in parts])
+        """theta layout: per atom (weights then intercept), g atoms then h;
+        the inverse of `unflatten`."""
+        return np.vstack([np.column_stack([self.A, self.alpha]),
+                          np.column_stack([self.B, self.beta])]).ravel()
 
     @classmethod
     def unflatten(cls, theta, k1: int, k2: int, d: int) -> "PWAModel":

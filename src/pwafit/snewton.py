@@ -1,20 +1,21 @@
 """Semismooth Newton solver for the Lagrangian dual of each MM subproblem.
 
-The subproblem minimizes, over z = (theta, r, s, rhat, shat) with
-nonnegative slacks,
+The subproblem minimizes, over z = (theta, r, s, slack) with a nonnegative
+slack,
 
     sum_s w [phi_up(r_s) + phi_down(s_s)] + t.|theta| - lin.theta + const
     + (c/2) ||z - z_anchor||^2
 
 subject to the stacked equality constraints
 
-    B1 theta - E1 r + rhat = beta1,      B2 theta + E2 s + shat = beta2,
+    B theta + (-E1 r; E2 s) + slack = beta,
 
-where E1/E2 repeat each sample's scalar r_s/s_s across its atom rows; B1/B2
-and beta1/beta2 are the lambda and mu rows of one stacked B and beta.  The
-dual function xi(lambda, mu) is concave and SC^1; its gradient is the
-constraint residual at the unique inner minimizers (Danskin), and a Newton
-direction is obtained from one element of the generalized Jacobian.
+where E1/E2 repeat each sample's scalar r_s/s_s across its k1 lambda rows
+and its k2 mu rows.  B, beta and the slack stack the N*k1 lambda rows over
+the N*k2 mu rows, and so does the multiplier x = (lambda, mu).  The dual
+function xi(x) is concave and SC^1; its gradient is the constraint residual
+at the unique inner minimizers (Danskin), and a Newton direction is obtained
+from one element of the generalized Jacobian.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class DualSubproblem:
     theta_nu: np.ndarray
     r_nu: np.ndarray
     s_nu: np.ndarray
-    slack_nu: np.ndarray          # (rhat anchors, then shat anchors)
+    slack_nu: np.ndarray          # slack anchors, lambda rows then mu rows
     l1: np.ndarray                # l1 weights t_i of the regularizer majorant
     lin: np.ndarray               # linear part of the regularizer majorant
     reg_const: float              # constant part of the regularizer majorant
@@ -86,16 +87,15 @@ class DualSubproblem:
 
     # -- dual value and gradient
 
-    def value_grad(self, lam, mu):
-        """(xi, grad xi, inner minimizers (theta, r, s, rhat, shat), Jacobian
-        data) at the multipliers; the last item is what `_newton_direction`
-        reads."""
-        x = np.concatenate([lam, mu])
-        c, w, N = self.c, self.weight, self.n_samples
+    def value_grad(self, x):
+        """(xi, grad xi, inner minimizers (theta, r, s, slack), Jacobian data)
+        at the stacked multipliers x = (lambda, mu); the last item is what
+        `_newton_direction` reads."""
+        c, w, N, n1 = self.c, self.weight, self.n_samples, self.n1
         agg = self.B.T @ x - self.lin
         u = self.theta_nu - agg / c
         th = np.sign(u) * np.maximum(np.abs(u) - self.l1 / c, 0.0)
-        a, b = _block_sum(lam, self.k1), _block_sum(mu, self.k2)
+        a, b = _block_sum(x[:n1], self.k1), _block_sum(x[n1:], self.k2)
         r = self.split.prox_up(a, self.r_nu, c, w)
         s = self.split.prox_down(b, self.s_nu, c, w)
         sl = np.maximum(self.slack_nu - x / c, 0.0)
@@ -105,44 +105,46 @@ class DualSubproblem:
              + w * float(np.sum(self.split.up(r)) + np.sum(self.split.down(s)))
              - a @ r + b @ s + 0.5 * c * (dth @ dth + dr @ dr + ds @ ds + dsl @ dsl))
         g = self.B @ th
-        g[:self.n1].reshape(N, self.k1)[...] -= r[:, None]
-        g[self.n1:].reshape(N, self.k2)[...] += s[:, None]
+        g[:n1].reshape(N, self.k1)[...] -= r[:, None]
+        g[n1:].reshape(N, self.k2)[...] += s[:, None]
         g += sl
         g -= self.beta
-        return float(v), g, (th, r, s, sl[:self.n1], sl[self.n1:]), (u, a, b, sl)
+        return float(v), g, (th, r, s, sl), (u, a, b, sl)
 
     # -- primal objective of the subproblem (for gap checks / MM acceptance)
 
-    def primal_value(self, th, r, s, rh, sh) -> float:
+    def primal_value(self, th, r, s, slack) -> float:
         c, w, n1 = self.c, self.weight, self.n1
         v = float(np.sum(w * (self.split.up(r) + self.split.down(s))))
         v += self.l1 @ np.abs(th) - self.lin @ th + self.reg_const
+        dsl = slack - self.slack_nu
+        # the lambda and mu halves are summed apart: one sum over the stacked
+        # slack rounds differently, and this value drives MM acceptance
         v += 0.5 * c * (np.sum((th - self.theta_nu) ** 2) + np.sum((r - self.r_nu) ** 2)
                         + np.sum((s - self.s_nu) ** 2)
-                        + np.sum((rh - self.slack_nu[:n1]) ** 2)
-                        + np.sum((sh - self.slack_nu[n1:]) ** 2))
+                        + np.sum(dsl[:n1] ** 2) + np.sum(dsl[n1:] ** 2))
         return v
+
+
+# Armijo backtracking factor and sufficient-increase constant; the Newton
+# system is regularized by eps = min(_EPS_FLOOR + ||grad||, _EPS_CAP)
+_RHO, _SIGMA = 0.5, 1e-4
+_EPS_FLOOR, _EPS_CAP = 1e-8, 1e-2
 
 
 @dataclass
 class SNConfig:
-    rho: float = 0.5
-    sigma: float = 1e-4
     tol_grad: float = 1e-10
     max_iter: int = 100
-    eps_floor: float = 1e-8
-    eps_cap: float = 1e-2
 
 
 @dataclass
 class SNResult:
-    lam: np.ndarray
-    mu: np.ndarray
+    x: np.ndarray                 # stacked multipliers (lambda, mu)
     theta: np.ndarray
     r: np.ndarray
     s: np.ndarray
-    rhat: np.ndarray
-    shat: np.ndarray
+    slack: np.ndarray             # stacked slack, same row order as x
     value: float
     dual_value: float
     kkt_residual: float
@@ -199,19 +201,11 @@ def _newton_direction(sub: DualSubproblem, jac, grad, eps):
 
 
 def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNResult:
-    """Maximize the dual by semismooth Newton with Armijo backtracking."""
+    """Maximize the dual by semismooth Newton with Armijo backtracking, from
+    the stacked multipliers `warm` (a previous `SNResult.x`) or zero."""
     cfg = cfg or SNConfig()
-    n = sub.dual_dim
-    if warm is None:
-        x = np.zeros(n)
-    else:
-        lam0, mu0 = warm
-        x = np.concatenate([np.asarray(lam0, dtype=float).ravel(),
-                            np.asarray(mu0, dtype=float).ravel()])
-        if x.size != n:
-            x = np.zeros(n)
-    n1 = sub.n1
-    val, grad, inner, jac = sub.value_grad(x[:n1], x[n1:])
+    x = np.zeros(sub.dual_dim) if warm is None else warm
+    val, grad, inner, jac = sub.value_grad(x)
     it = 0
     converged = False
     for it in range(1, cfg.max_iter + 1):
@@ -220,7 +214,7 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
             converged = True
             it -= 1
             break
-        eps = min(cfg.eps_floor + gnorm, cfg.eps_cap)
+        eps = min(_EPS_FLOOR + gnorm, _EPS_CAP)
         for _ in range(3):
             try:
                 d = _newton_direction(sub, jac, grad, eps)
@@ -240,27 +234,27 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
             alpha, stepped = 1.0, False
             for _ in range(20):
                 xn = x + alpha * d
-                vn, gn, innern, jacn = sub.value_grad(xn[:n1], xn[n1:])
+                vn, gn, innern, jacn = sub.value_grad(xn)
                 if float(np.linalg.norm(gn)) < gnorm:
                     x, val, grad, inner, jac = xn, vn, gn, innern, jacn
                     stepped = True
                     break
-                alpha *= cfg.rho
+                alpha *= _RHO
             if stepped:
                 continue
             break
         alpha = 1.0
         for _ in range(60):
             xn = x + alpha * d
-            vn, gn, innern, jacn = sub.value_grad(xn[:n1], xn[n1:])
-            if vn >= val + cfg.sigma * alpha * slope:
+            vn, gn, innern, jacn = sub.value_grad(xn)
+            if vn >= val + _SIGMA * alpha * slope:
                 break
-            alpha *= cfg.rho
+            alpha *= _RHO
         x, val, grad, inner, jac = xn, vn, gn, innern, jacn
     converged = converged or float(np.linalg.norm(grad)) <= cfg.tol_grad
 
-    th, r, s, rh, sh = inner
-    return SNResult(lam=x[:n1], mu=x[n1:], theta=th, r=r, s=s, rhat=rh, shat=sh,
-                    value=sub.primal_value(th, r, s, rh, sh), dual_value=val,
+    th, r, s, sl = inner
+    return SNResult(x=x, theta=th, r=r, s=s, slack=sl,
+                    value=sub.primal_value(th, r, s, sl), dual_value=val,
                     kkt_residual=float(np.linalg.norm(grad)),
                     iterations=it, converged=converged)

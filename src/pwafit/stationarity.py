@@ -121,7 +121,7 @@ def dstat_residual(problem: CompositeProblem, theta_bar, c: float,
     warm = None
     for sel1, sel2 in sels:
         r, res = _selection_residual(problem, state, sel1, sel2, c, warm)
-        warm = (res.lam, res.mu)
+        warm = res.x
         if r >= worst:
             worst, worst_sel = r, (sel1, sel2)
     return worst, worst_sel, coverage
@@ -139,14 +139,16 @@ def weak_mstat_residual(problem: CompositeProblem, theta_bar, selection,
 
 
 def certify(problem: CompositeProblem, report: mm.SolveReport,
-            config: mm.MMConfig, c: float) -> mm.SolveReport:
-    """Fill the report's residual fields at its final theta.
+            config: mm.MMConfig) -> mm.SolveReport:
+    """Fill the report's residual fields at its final theta, with the
+    proximal weight `config` resolves.
 
     The `one` variant gets the weak M-stationarity residual of its own
     selection; the others get the d-stationarity residual over the first
     `combo_cap` exact-argmax selections, with their coverage.
     """
     theta = report.theta
+    c = config.resolve_c(problem)
     if config.variant == "one":
         sels, _ = mm.select_pairs(problem, theta, config.eps, "one")
         report.residual = weak_mstat_residual(problem, theta, sels[0], c)

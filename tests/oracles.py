@@ -12,6 +12,7 @@ import itertools
 
 import numpy as np
 
+from pwafit.funcs import MonotoneSplit
 from pwafit.stationarity import PiecewiseAffine1D
 
 
@@ -336,13 +337,14 @@ def blocks(sub):
     return sub.B[:n1], sub.B[n1:], sub.slack_nu[:n1], sub.slack_nu[n1:]
 
 
-def gen_jacobian(sub, lam, mu) -> np.ndarray:
-    """Dense element of the generalized Jacobian of -grad xi (symmetric PSD),
-    from its definition.  The solver applies the same matrix implicitly
-    through a Woodbury factorization."""
-    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
-    x = np.concatenate([lam, mu])
+def gen_jacobian(sub, x) -> np.ndarray:
+    """Dense element of the generalized Jacobian of -grad xi (symmetric PSD)
+    at the stacked multipliers x = (lambda, mu), from its definition.  The
+    solver applies the same matrix implicitly through a Woodbury
+    factorization."""
+    x = np.asarray(x, dtype=float)
     B, c, w, N, n1 = sub.B, sub.c, sub.weight, sub.n_samples, sub.n1
+    lam, mu = x[:n1], x[n1:]
     u = sub.theta_nu - (B.T @ x - sub.lin) / c
     d_th = np.where(sub.l1 > 0.0, np.abs(u) > sub.l1 / c, 1.0)
     rho = sub.split.prox_up_sens(lam.reshape(N, sub.k1).sum(axis=1), sub.r_nu, c, w)
@@ -357,10 +359,11 @@ def gen_jacobian(sub, lam, mu) -> np.ndarray:
     return V
 
 
-def feasibility(sub, th, r, s, rh, sh) -> float:
+def feasibility(sub, th, r, s, slack) -> float:
     """Largest violation of the subproblem's constraints at a primal point."""
     B1, B2, _, _ = blocks(sub)
     n1 = sub.n1
+    rh, sh = slack[:n1], slack[n1:]
     g1 = B1 @ th - np.repeat(r, sub.k1) + rh - sub.beta[:n1]
     g2 = B2 @ th + np.repeat(s, sub.k2) + sh - sub.beta[n1:]
     res = max(np.abs(g1).max(initial=0.0), np.abs(g2).max(initial=0.0))
@@ -398,6 +401,42 @@ def four_matvec_value_grad(sub, lam, mu):
     g1 = B1 @ th - np.repeat(r, sub.k1) + rh - beta1
     g2 = B2 @ th + np.repeat(s, sub.k2) + sh - beta2
     return v, np.concatenate([g1, g2]), (th, r, s, rh, sh)
+
+
+# ---------------------------------------------------------------------------
+# a linear loss split
+
+class LinearSplit(MonotoneSplit):
+    """phi_up(t) = up_slope * t (up_slope >= 0) plus phi_down(t) =
+    down_slope * t (down_slope <= 0): an identity-like loss for stationarity
+    counterexamples, with the proxes and sensitivities the solvers call."""
+
+    def __init__(self, up_slope=0.0, down_slope=0.0):
+        self.kind = "linear"
+        self.y = None
+        self.up_slope = np.asarray(up_slope, dtype=float)
+        self.down_slope = np.asarray(down_slope, dtype=float)
+        if np.any(self.up_slope < 0) or np.any(self.down_slope > 0):
+            raise ValueError("linear split needs up_slope >= 0 >= down_slope")
+
+    def up(self, t):
+        return self.up_slope * np.asarray(t, dtype=float)
+
+    def down(self, t):
+        return self.down_slope * np.asarray(t, dtype=float)
+
+    def prox_up(self, tilt, anchor, c, w=1.0):
+        return np.asarray(anchor, dtype=float) + (np.asarray(tilt, dtype=float)
+                                                  - w * self.up_slope) / c
+
+    def prox_down(self, tilt, anchor, c, w=1.0):
+        return np.asarray(anchor, dtype=float) - (np.asarray(tilt, dtype=float)
+                                                  + w * self.down_slope) / c
+
+    def prox_up_sens(self, tilt, anchor, c, w=1.0):
+        return np.full(np.broadcast(tilt, anchor).shape, 1.0 / c)
+
+    prox_down_sens = prox_up_sens
 
 
 # ---------------------------------------------------------------------------

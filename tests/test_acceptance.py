@@ -277,15 +277,15 @@ def test_criterion_5_newton_oracle_equivalence(capsys):
             n1 = sub.n1
             lam = rng.normal(size=n1) * 0.3
             mu = rng.normal(size=sub.dual_dim - n1) * 0.3
-            g = sub.value_grad(lam, mu)[1]
             x = np.concatenate([lam, mu])
+            g = sub.value_grad(x)[1]
             h = 1e-6
             num = np.zeros_like(x)
             for i in range(x.size):
                 e = np.zeros_like(x)
                 e[i] = h
-                vp = sub.value_grad((x + e)[:n1], (x + e)[n1:])[0]
-                vm = sub.value_grad((x - e)[:n1], (x - e)[n1:])[0]
+                vp = sub.value_grad(x + e)[0]
+                vm = sub.value_grad(x - e)[0]
                 num[i] = (vp - vm) / (2 * h)
             worst_fd = max(worst_fd,
                            float(np.abs(g - num).max()) / max(1.0, float(np.abs(g).max())))

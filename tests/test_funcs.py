@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from pwafit import cli, mm
 from pwafit.funcs import TIE_TOL, CompositeProblem, DcRegularizer, MonotoneSplit
-from oracles import (composite_dir, diffmax_dir, fd_dir, fd_grad, loss_value,
-                     majorant, prox_bisect, prox_oracle)
+from oracles import (LinearSplit, composite_dir, diffmax_dir, fd_dir, fd_grad,
+                     loss_value, majorant, prox_bisect, prox_oracle)
 
 
 def diffmax(g_atoms, h_atoms=None, split=None):
@@ -148,10 +148,13 @@ class TestMonotoneSplit:
             MonotoneSplit("huber", y=0.0)
 
     def test_linear_split_signs(self):
-        sp = MonotoneSplit("linear", up_slope=2.0, down_slope=-1.0)
+        # the oracles' linear split, which the d-stationarity counterexample uses
+        sp = LinearSplit(up_slope=2.0, down_slope=-1.0)
         assert sp.phi(3.0) == pytest.approx(3.0)
         with pytest.raises(ValueError):
-            MonotoneSplit("linear", up_slope=-1.0, down_slope=0.0)
+            LinearSplit(up_slope=-1.0, down_slope=0.0)
+        with pytest.raises(ValueError):
+            MonotoneSplit("linear", y=0.0)
 
 
 class TestCompositeDir:
@@ -353,7 +356,7 @@ class TestProx:
         assert float(sp.prox_up(0.0, 1.0, 3.0)) == 1.0
 
     def test_linear_prox(self):
-        sp = MonotoneSplit("linear", up_slope=2.0, down_slope=-1.0)
+        sp = LinearSplit(up_slope=2.0, down_slope=-1.0)
         ref = prox_bisect(lambda t: 2.0, 0.7, 0.3, 1.5, 1.0, sign=-1.0)
         assert float(sp.prox_up(0.7, 0.3, 1.5, 1.0)) == pytest.approx(ref, abs=1e-8)
 

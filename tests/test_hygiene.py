@@ -1,14 +1,16 @@
 """Source hygiene checks that need no linter: every imported name is used,
-the package's modules import one another without a cycle, and every
-definition is used by the package itself (code that only tests call belongs
-in the tests)."""
+the package's modules import one another without a cycle, every definition
+is used by the package itself (code that only tests call belongs in the
+tests), and every package function the benchmark's tracer wraps exists."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "pwafit"
+BENCH = SRC.parents[1] / "perfbench"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -156,6 +158,20 @@ def test_no_import_cycles():
     graph = {p.stem: package_imports(p.read_text(), names) - {p.stem} for p in MODULES}
     cycle = import_cycle(graph)
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def test_benchmark_tracer_hooks_resolve(monkeypatch):
+    # perfbench/tracer.py swaps its TARGETS for timing wrappers by name, so a
+    # package refactor that renames one breaks traced benchmark runs
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(owner, attr) for owner, attr, _ in tracer.TARGETS]
+    before = [getattr(*t) for t in targets]
+    with tracer.Tracer().active():
+        assert all(getattr(*t) is not f for t, f in zip(targets, before))
+    assert all(getattr(*t) is f for t, f in zip(targets, before))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

@@ -14,6 +14,15 @@ def _state_close(a: mm.AugmentedIterate, b: mm.AugmentedIterate, tol=1e-8):
             and np.abs(a.s - b.s).max() < tol)
 
 
+def init_slack(comp, st):
+    """(lambda, mu) slack anchors, (N, k1) and (N, k2), of the subproblem at
+    an init state for its exact-argmax pair, and that pair."""
+    (sel1, sel2), = mm.select_pairs(comp, st.theta, TIE_TOL, "one")[0]
+    sl = mm.build_subproblem(comp, st, sel1, sel2, c=1.0).slack_nu
+    N, n1 = comp.n_samples, comp.n_samples * comp.k1
+    return sl[:n1].reshape(N, -1), sl[n1:].reshape(N, -1), sel1, sel2
+
+
 class TestInitState:
     def test_zero_model(self):
         prob, comp = random_instance(0, N=5, k1=2, k2=2)
@@ -21,7 +30,8 @@ class TestInitState:
         assert np.all(st.theta == 0.0)
         # psi(0) = max(e) - max(f) with all-zero intercepts = 0
         assert np.allclose(st.r, 0.0) and np.allclose(st.s, 0.0)
-        assert st.rhat.min() >= 0.0 and st.shat.min() >= 0.0
+        g_sl, h_sl, _, _ = init_slack(comp, st)
+        assert g_sl.min() >= 0.0 and h_sl.min() >= 0.0
 
     def test_known_model_values(self):
         # four upward atoms of the first example model evaluated at (1, 1)
@@ -33,7 +43,10 @@ class TestInitState:
         assert st.r[0] == pytest.approx(2.0)
         assert st.s[0] == pytest.approx(2.0)
         # slack for the argmax atom is tight
-        assert st.rhat.min() == pytest.approx(0.0, abs=1e-12)
+        g_sl, h_sl, sel1, sel2 = init_slack(comp, st)
+        assert g_sl.min() >= 0.0 and h_sl.min() >= 0.0
+        assert g_sl[0, sel1[0]] == pytest.approx(0.0, abs=1e-12)
+        assert h_sl[0, sel2[0]] == pytest.approx(0.0, abs=1e-12)
 
     def test_surrogate_equals_objective_at_start(self):
         for seed in range(5):
@@ -343,10 +356,9 @@ class TestRun:
         cfg1 = mm.MMConfig(variant="one", tol_rel=1e-6, max_outer=200)
         rep1 = mm.run(comp, cfg1, np.zeros(prob.m))
         assert rep1.residual is None and rep1.residual_kind is None
-        stationarity.certify(comp, rep1, cfg1, cfg1.resolve_c(comp))
+        stationarity.certify(comp, rep1, cfg1)
         assert rep1.residual_kind == "weak_mstat" and rep1.residual is not None
         cfg2 = mm.MMConfig(variant="full", tol_rel=1e-6, max_outer=200)
-        rep2 = stationarity.certify(comp, mm.run(comp, cfg2, np.zeros(prob.m)),
-                                    cfg2, cfg2.resolve_c(comp))
+        rep2 = stationarity.certify(comp, mm.run(comp, cfg2, np.zeros(prob.m)), cfg2)
         assert rep2.residual_kind == "dstat"
         assert rep2.residual_coverage == 1.0

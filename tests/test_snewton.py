@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pwafit import mm
+from pwafit.funcs import DcRegularizer, MonotoneSplit
 from pwafit.snewton import SNConfig, _block_sum, _newton_direction, sn_solve
 from oracles import (dual_subproblem, enum_subproblem_solve, fd_grad,
                      blocks, feasibility, four_matvec_value_grad,
@@ -15,7 +16,6 @@ TIGHT = SNConfig(tol_grad=1e-12, max_iter=300)
 def make_sub(seed, N=2, k1=2, k2=2, c=0.7, gamma=0.0, smooth="none"):
     prob, comp = random_instance(seed, N=N, k1=k1, k2=k2)
     if gamma > 0:
-        from pwafit.funcs import DcRegularizer
         comp.reg = DcRegularizer(weights=np.ones(prob.m), gamma=gamma,
                                  smooth=smooth)
     rng = np.random.default_rng(seed + 500)
@@ -26,9 +26,10 @@ def make_sub(seed, N=2, k1=2, k2=2, c=0.7, gamma=0.0, smooth="none"):
 
 
 def rand_duals(sub, rng, scale=0.5):
+    """Stacked multipliers (lambda, mu), lambda drawn first."""
     lam = rng.normal(size=sub.n1) * scale
     mu = rng.normal(size=sub.dual_dim - sub.n1) * scale
-    return lam, mu
+    return np.concatenate([lam, mu])
 
 
 def varied_subproblems():
@@ -50,7 +51,6 @@ class TestSubproblemValidation:
     @pytest.mark.parametrize("rows1, rows2", [(3, 4), (4, 3), (4, 0)],
                              ids=["B1", "B2", "B2-empty"])
     def test_rows_must_be_positive_multiple_of_samples(self, rows1, rows2):
-        from pwafit.funcs import MonotoneSplit
         with pytest.raises(ValueError, match="k1, k2 >= 1"):
             dual_subproblem(
                 B1=np.ones((rows1, 2)), beta1=np.zeros(rows1),
@@ -84,10 +84,10 @@ class TestNewtonDirection:
         gathered = 0
         for label, sub in varied_subproblems():
             for _ in range(3):
-                lam, mu = rand_duals(sub, rng)
-                _, grad, (th, *_), jac = sub.value_grad(lam, mu)
+                x = rand_duals(sub, rng)
+                _, grad, (th, *_), jac = sub.value_grad(x)
                 d = _newton_direction(sub, jac, grad, eps)
-                V = gen_jacobian(sub, lam, mu) + eps * np.eye(sub.dual_dim)
+                V = gen_jacobian(sub, x) + eps * np.eye(sub.dual_dim)
                 rel = np.linalg.norm(V @ d - grad) / np.linalg.norm(grad)
                 assert rel <= 1e-8, (label, rel)
                 # coordinates held at zero by their l1 weight leave the step
@@ -101,19 +101,18 @@ class TestDualValueGrad:
         rng = np.random.default_rng(10)
         for label, sub in varied_subproblems():
             for scale in (0.1, 1.0, 10.0):
-                lam, mu = rand_duals(sub, rng, scale)
-                v, g, inner, _ = sub.value_grad(lam, mu)
-                v0, g0, inner0 = four_matvec_value_grad(sub, lam, mu)
+                x = rand_duals(sub, rng, scale)
+                v, g, inner, _ = sub.value_grad(x)
+                v0, g0, inner0 = four_matvec_value_grad(sub, x[:sub.n1], x[sub.n1:])
                 assert abs(v - v0) <= 1e-12 * abs(v0), label
                 assert np.abs(g - g0).max() <= 1e-12 * np.abs(g0).max(), label
-                for a, b in zip(inner, inner0):
+                # the reference returns the lambda and mu slacks apart
+                for a, b in zip(inner, (*inner0[:3], np.concatenate(inner0[3:]))):
                     assert np.allclose(a, b, rtol=1e-12, atol=1e-14), label
 
     def test_zero_multipliers_residual(self):
         comp, sub = make_sub(0)
-        lam = np.zeros(sub.n1)
-        mu = np.zeros(sub.dual_dim - sub.n1)
-        _, g, (th, *_), _ = sub.value_grad(lam, mu)
+        _, g, (th, *_), _ = sub.value_grad(np.zeros(sub.dual_dim))
         # at zero multipliers theta stays at its anchor, slacks at theirs,
         # and r/s move only under the loss prox
         assert np.allclose(th, sub.theta_nu)
@@ -128,19 +127,16 @@ class TestDualValueGrad:
         rng = np.random.default_rng(1)
         for seed in range(5):
             comp, sub = make_sub(seed)
-            n1 = sub.n1
             for _ in range(10):
-                lam, mu = rand_duals(sub, rng)
-                x = np.concatenate([lam, mu])
-                _, g = sub.value_grad(lam, mu)[:2]
-                num = fd_grad(lambda z: sub.value_grad(z[:n1], z[n1:])[0], x)
+                x = rand_duals(sub, rng)
+                _, g = sub.value_grad(x)[:2]
+                num = fd_grad(lambda z: sub.value_grad(z)[0], x)
                 scale = max(1.0, np.abs(g).max())
                 assert np.abs(g - num).max() / scale < 1e-5
 
     def test_hand_computed_single_sample(self):
         # one sample, one atom each side, d = 1: everything scalar
         split_y = 0.4
-        from pwafit.funcs import MonotoneSplit
         sub = dual_subproblem(
             B1=np.array([[2.0, -1.0]]), beta1=np.array([0.3]),
             B2=np.array([[-1.0, 2.0]]), beta2=np.array([-0.2]),
@@ -148,9 +144,7 @@ class TestDualValueGrad:
             c=2.0, theta_nu=np.array([0.1, -0.2]),
             r_nu=np.array([0.0]), s_nu=np.array([0.0]),
             rhat_nu=np.array([0.5]), shat_nu=np.array([0.25]))
-        lam = np.array([0.0])
-        mu = np.array([0.0])
-        _, g = sub.value_grad(lam, mu)[:2]
+        _, g = sub.value_grad(np.zeros(2))[:2]
         # theta = anchor; r solves min .5 max(r-.4,0)^2 + (r-0)^2 -> r = 0
         # s solves min .5 min(s-.4,0)^2 + s^2 -> s = 0.4/3
         th = sub.theta_nu
@@ -164,11 +158,11 @@ class TestDualValueGrad:
         rng = np.random.default_rng(2)
         comp, sub = make_sub(3)
         for _ in range(30):
-            la, ma = rand_duals(sub, rng, 1.0)
-            lb, mb = rand_duals(sub, rng, 1.0)
-            va = sub.value_grad(la, ma)[0]
-            vb = sub.value_grad(lb, mb)[0]
-            vm = sub.value_grad(0.5 * (la + lb), 0.5 * (ma + mb))[0]
+            xa = rand_duals(sub, rng, 1.0)
+            xb = rand_duals(sub, rng, 1.0)
+            va = sub.value_grad(xa)[0]
+            vb = sub.value_grad(xb)[0]
+            vm = sub.value_grad(0.5 * (xa + xb))[0]
             assert vm >= 0.5 * (va + vb) - 1e-10
 
 
@@ -178,14 +172,13 @@ class TestInnerTheta:
     def test_no_l1_closed_form(self):
         comp, sub = make_sub(4)
         rng = np.random.default_rng(4)
-        lam, mu = rand_duals(sub, rng)
-        th = sub.value_grad(lam, mu)[2][0]
+        x = rand_duals(sub, rng)
+        th = sub.value_grad(x)[2][0]
         B1, B2, _, _ = blocks(sub)
-        agg = B1.T @ lam + B2.T @ mu
+        agg = B1.T @ x[:sub.n1] + B2.T @ x[sub.n1:]
         assert np.allclose(th, sub.theta_nu - agg / sub.c, atol=1e-12)
 
     def test_soft_threshold_dead_zone(self):
-        from pwafit.funcs import MonotoneSplit
         sub = dual_subproblem(
             B1=np.array([[1.0]]), beta1=np.array([0.0]),
             B2=np.array([[0.0]]), beta2=np.array([0.0]),
@@ -195,17 +188,17 @@ class TestInnerTheta:
             rhat_nu=np.zeros(1), shat_nu=np.zeros(1),
             l1=np.array([1.0]))
         # aggregate pull 0.5 with threshold 1 from anchor 0 -> thresholded
-        th = sub.value_grad(np.array([0.5]), np.array([0.0]))[2][0]
+        th = sub.value_grad(np.array([0.5, 0.0]))[2][0]
         assert th[0] == 0.0
 
     def test_matches_golden_section(self):
         comp, sub = make_sub(5, gamma=0.3, smooth="scad")
         # rebuild with the regularizer majorant to get nonzero l1 weights
         rng = np.random.default_rng(5)
-        lam, mu = rand_duals(sub, rng)
-        th = sub.value_grad(lam, mu)[2][0]
+        x = rand_duals(sub, rng)
+        th = sub.value_grad(x)[2][0]
         B1, B2, _, _ = blocks(sub)
-        agg = B1.T @ lam + B2.T @ mu - sub.lin
+        agg = B1.T @ x[:sub.n1] + B2.T @ x[sub.n1:] - sub.lin
         for i in range(sub.m):
             def obj(t):
                 return (agg[i] * t + 0.5 * sub.c * (t - sub.theta_nu[i]) ** 2
@@ -217,7 +210,6 @@ class TestInnerTheta:
 def slack_minimizer(anchor, mult, c):
     """Slacks of `value_grad`'s inner minimizer at multipliers `mult` for
     slack anchors `anchor` (one sample, k1 = len - 1 >= 1, k2 = 1)."""
-    from pwafit.funcs import MonotoneSplit
     anchor, mult = np.asarray(anchor, dtype=float), np.asarray(mult, dtype=float)
     n = anchor.size
     sub = dual_subproblem(
@@ -226,8 +218,7 @@ def slack_minimizer(anchor, mult, c):
         split=MonotoneSplit("squared", y=0.0), n_samples=1, weight=1.0,
         c=c, theta_nu=np.zeros(1), r_nu=np.zeros(1), s_nu=np.zeros(1),
         rhat_nu=anchor[:-1], shat_nu=anchor[-1:])
-    _, _, (_, _, _, rh, sh), _ = sub.value_grad(mult[:-1], mult[-1:])
-    return np.concatenate([rh, sh])
+    return sub.value_grad(mult)[2][3]
 
 
 class TestProxSlack:
@@ -257,17 +248,15 @@ class TestGenJacobian:
         rng = np.random.default_rng(7)
         for seed in range(4):
             comp, sub = make_sub(seed + 10)
-            n1 = sub.n1
-            lam, mu = rand_duals(sub, rng)
-            V = gen_jacobian(sub, lam, mu)
-            x = np.concatenate([lam, mu])
+            x = rand_duals(sub, rng)
+            V = gen_jacobian(sub, x)
             h = 1e-7
             num = np.zeros_like(V)
             for i in range(x.size):
                 e = np.zeros_like(x)
                 e[i] = h
-                gp = sub.value_grad((x + e)[:n1], (x + e)[n1:])[1]
-                gm = sub.value_grad((x - e)[:n1], (x - e)[n1:])[1]
+                gp = sub.value_grad(x + e)[1]
+                gm = sub.value_grad(x - e)[1]
                 num[:, i] = -(gp - gm) / (2 * h)
             # random multipliers land on a smooth branch almost surely
             assert np.abs(V - num).max() < 1e-4
@@ -275,7 +264,6 @@ class TestGenJacobian:
             assert np.linalg.eigvalsh(V).min() >= -1e-10
 
     def test_dead_branches_contribute_zero(self):
-        from pwafit.funcs import MonotoneSplit
         # slacks clamped (multipliers large), theta fully thresholded
         sub = dual_subproblem(
             B1=np.array([[1.0]]), beta1=np.array([0.0]),
@@ -285,13 +273,12 @@ class TestGenJacobian:
             r_nu=np.zeros(1), s_nu=np.zeros(1),
             rhat_nu=np.zeros(1), shat_nu=np.zeros(1),
             l1=np.array([100.0]))
-        V = gen_jacobian(sub, np.array([5.0]), np.array([5.0]))
+        V = gen_jacobian(sub, np.array([5.0, 5.0]))
         # theta dead, slacks clamped: only the (r, s) rank-one blocks remain
         assert V[0, 1] == 0.0
         assert V[0, 0] > 0 and V[1, 1] > 0
 
     def test_hand_two_by_two(self):
-        from pwafit.funcs import MonotoneSplit
         c = 2.0
         sub = dual_subproblem(
             B1=np.array([[1.0, 0.0]]), beta1=np.array([0.0]),
@@ -300,7 +287,7 @@ class TestGenJacobian:
             c=c, theta_nu=np.zeros(2),
             r_nu=np.zeros(1), s_nu=np.zeros(1),
             rhat_nu=np.ones(1), shat_nu=np.ones(1))
-        V = gen_jacobian(sub, np.zeros(1), np.zeros(1))
+        V = gen_jacobian(sub, np.zeros(2))
         # theta block: (1/c) B B^T = (1/c) I; r on flat branch (below y):
         # rho = 1/c; s on quadratic branch: sigma = 1/(w + c); slack masks on
         exp = np.array([[1 / c + 1 / c + 1 / c, 0.0],
@@ -335,15 +322,15 @@ class TestSnSolve:
             res = sn_solve(sub, cfg=TIGHT)
             assert res.converged
             assert abs(res.value - res.dual_value) <= 1e-8
-            assert feasibility(sub, res.theta, res.r, res.s, res.rhat, res.shat) <= 1e-8
-            assert res.rhat.min(initial=0.0) >= 0 and res.shat.min(initial=0.0) >= 0
+            assert feasibility(sub, res.theta, res.r, res.s, res.slack) <= 1e-8
+            assert res.slack.min(initial=0.0) >= 0
 
     def test_warm_start_economy(self):
         comp, sub = make_sub(40)
         res = sn_solve(sub, cfg=TIGHT)
         # tiny anchor shift, warm started at the previous optimum
         sub2 = replace(sub, theta_nu=sub.theta_nu + 1e-6)
-        res2 = sn_solve(sub2, warm=(res.lam, res.mu),
+        res2 = sn_solve(sub2, warm=res.x,
                         cfg=SNConfig(tol_grad=1e-9, max_iter=50))
         assert res2.converged and res2.iterations <= 3
 
@@ -351,9 +338,7 @@ class TestSnSolve:
         # start at the optimum's branch pattern: a single Newton step lands
         comp, sub = make_sub(41)
         res = sn_solve(sub, cfg=TIGHT)
-        x0 = np.concatenate([res.lam, res.mu]) * (1 + 1e-9)
-        n1 = sub.n1
-        res2 = sn_solve(sub, warm=(x0[:n1], x0[n1:]),
+        res2 = sn_solve(sub, warm=res.x * (1 + 1e-9),
                         cfg=SNConfig(tol_grad=1e-8, max_iter=10))
         assert res2.converged and res2.iterations <= 2
 
@@ -366,6 +351,6 @@ class TestSnSolve:
     def test_armijo_progress(self):
         # the dual value of the returned point is at least the start value
         comp, sub = make_sub(43)
-        v0 = sub.value_grad(np.zeros(sub.n1), np.zeros(sub.dual_dim - sub.n1))[0]
+        v0 = sub.value_grad(np.zeros(sub.dual_dim))[0]
         res = sn_solve(sub, cfg=TIGHT)
         assert res.dual_value >= v0 - 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pwafit import mm
-from pwafit.funcs import CompositeProblem, MonotoneSplit
+from pwafit.funcs import CompositeProblem
 from pwafit.stationarity import (
     classify_point,
     dstat_residual,
@@ -10,7 +10,7 @@ from pwafit.stationarity import (
     weak_mstat_residual,
 )
 from oracles import PA1D as PA
-from oracles import dc_critical_check, random_instance, random_pa1d
+from oracles import LinearSplit, dc_critical_check, random_instance, random_pa1d
 
 ABS = PA.maximum((1, 0), (-1, 0))                       # |x|
 NEG_ABS = ABS.scale(-1.0)                               # -|x|
@@ -134,7 +134,7 @@ def _counterexample_problem():
     return CompositeProblem(
         U=np.array([[2.0], [1.5]]), e=np.zeros(2),
         W=np.array([[1.0], [0.5]]), f=np.zeros(2),
-        split=MonotoneSplit("linear", up_slope=2.0, down_slope=-1.0),
+        split=LinearSplit(up_slope=2.0, down_slope=-1.0),
         n_samples=1, weight=1.0)
 
 
