@@ -37,8 +37,8 @@ _MM_KEYS = {"c": None, "eps": 1e-4, "tol_rel": 1e-4, "tol_step": 0.0,
             "max_outer": 500, "combo_cap": 64, "sn_tol_floor": 1e-6,
             "sn_max_iter": 100, "variant": "random", "compute_residual": True}
 
-_PROBLEM_KEYS = {"k1": 1, "k2": 0, "loss": "squared", "tau": None, "gamma": 0.0,
-                 "reg_smooth": "none"}
+_OBJECTIVE_KEYS = {"loss": "squared", "tau": None, "gamma": 0.0, "reg_smooth": "none"}
+_PROBLEM_KEYS = {"k1": 1, "k2": 0, **_OBJECTIVE_KEYS}
 
 _SCHEMAS = {
     "fit": {"dataset": None, "synth": None, "starts": 20, "seed": 0,
@@ -48,8 +48,7 @@ _SCHEMAS = {
            **_PROBLEM_KEYS, **_MM_KEYS},
     "synth": {"example": 1, "N": 100, "seed": 0},
     "check": {"model": None, "dataset": None, "pwa1d": None, "points": None,
-              "seed": 0, **_PROBLEM_KEYS,
-              "c": None, "combo_cap": 64},
+              "seed": 0, **_OBJECTIVE_KEYS, "c": None, "combo_cap": 64},
 }
 
 _INIT_KEYS = {"strategy": "gaussian", "scale": 1.0}
@@ -59,23 +58,50 @@ def _finite(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
+def _number(lo):
+    return lambda v: _finite(v) and v >= lo
+
+
 def _integer(lo):
     return lambda v: _finite(v) and float(v).is_integer() and v >= lo
 
 
-# key -> (accepts the value, what it must be); checked wherever the key occurs
+# key -> (accepts the value, what it must be); checked wherever the key
+# occurs, in the nested `init` and `synth` objects too
 _DOMAINS = {
     "variant": (lambda v: v in ("full", "one", "random"), "one of full/one/random"),
     "loss": (lambda v: v in ("squared", "quantile"), "squared or quantile"),
-    "eps": (lambda v: _finite(v) and v >= 0, "a number >= 0"),
+    "tau": (lambda v: v is None or (_finite(v) and 0 < v < 1), "null or in (0, 1)"),
+    "reg_smooth": (lambda v: v in ("none", "scad"), "none or scad"),
+    "strategy": (lambda v: v in ("gaussian", "ols-perturb"), "gaussian or ols-perturb"),
+    "eps": (_number(0), "a number >= 0"),
+    "tol_rel": (_number(0), "a number >= 0"),
+    "tol_step": (_number(0), "a number >= 0"),
+    "sn_tol_floor": (_number(0), "a number >= 0"),
+    "scale": (_number(0), "a number >= 0"),
+    "gamma": (lambda v: v == "cv" or _number(0)(v), 'a number >= 0, or "cv" in fit'),
     "c": (lambda v: v is None or (_finite(v) and v > 0), "null or a number > 0"),
+    "compute_residual": (lambda v: isinstance(v, bool), "true or false"),
     "combo_cap": (_integer(1), "an integer >= 1"),
     "k1": (_integer(1), "an integer >= 1"),
     "k2": (_integer(0), "an integer >= 0"),
+    "grid": (lambda v: isinstance(v, list) and all(
+        isinstance(cell, list) and len(cell) == 2 and _integer(1)(cell[0])
+        and _integer(0)(cell[1]) for cell in v), "a list of [k1, k2] cells"),
+    "example": (lambda v: _integer(1)(v) and v <= 2, "1 or 2"),
+    "N": (_integer(1), "an integer >= 1"),
+    "starts": (_integer(1), "an integer >= 1"),
+    "max_outer": (_integer(1), "an integer >= 1"),
+    "sn_max_iter": (_integer(1), "an integer >= 1"),
+    "simulations": (_integer(1), "an integer >= 1"),
+    "folds": (_integer(2), "an integer >= 2"),
+    "seed": (_integer(0), "an integer >= 0"),
 }
 
 
 def _validate(raw: dict, schema: dict, where: str) -> dict:
+    """raw with the schema's defaults filled; a key outside the schema or a
+    value outside its `_DOMAINS` entry is a ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected a JSON object")
     unknown = set(raw) - set(schema)
@@ -83,12 +109,15 @@ def _validate(raw: dict, schema: dict, where: str) -> dict:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     out = dict(schema)
     out.update(raw)
+    for key, (ok, what) in _DOMAINS.items():
+        if key in out and not ok(out[key]):
+            raise ConfigError(f"{where}: {key} must be {what}, got {out[key]!r}")
     return out
 
 
 def load_config(path: str, command: str, seed_override=None) -> dict:
-    """The command's config with defaults filled, value domains checked and
-    the nested `init` and `synth` objects filled and checked."""
+    """The command's config with defaults filled and value domains checked,
+    the nested `init` and `synth` objects included."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -97,19 +126,16 @@ def load_config(path: str, command: str, seed_override=None) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     cfg = _validate(raw, _SCHEMAS[command], command)
-    for key, (ok, what) in _DOMAINS.items():
-        if key in cfg and not ok(cfg[key]):
-            raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
-    if cfg.get("loss") == "quantile" and not (_finite(cfg["tau"]) and 0 < cfg["tau"] < 1):
-        raise ConfigError(f"quantile loss needs 0 < tau < 1, got {cfg['tau']!r}")
-    if cfg.get("init") is not None:
-        cfg["init"] = _validate(cfg["init"], _INIT_KEYS, "init")
-    else:
-        cfg["init"] = dict(_INIT_KEYS)
+    if seed_override is not None:
+        cfg = _validate({**cfg, "seed": seed_override}, _SCHEMAS[command], "--seed")
+    if cfg.get("loss") == "quantile" and cfg["tau"] is None:
+        raise ConfigError("quantile loss needs a tau")
+    if cfg.get("gamma") == "cv" and command != "fit":
+        raise ConfigError(f'gamma "cv" is for fit only, not {command}')
+    cfg["init"] = _validate({} if cfg.get("init") is None else cfg["init"],
+                            _INIT_KEYS, "init")
     if cfg.get("synth") is not None:
         cfg["synth"] = _validate(cfg["synth"], _SCHEMAS["synth"], "synth")
-    if seed_override is not None:
-        cfg["seed"] = int(seed_override)
     return cfg
 
 
@@ -288,8 +314,6 @@ def cmd_fit(cfg: dict, out: str) -> int:
 def cmd_cv(cfg: dict, out: str) -> int:
     dataset = _load_dataset(cfg)
     folds = int(cfg["folds"])
-    if folds < 2:
-        raise ConfigError("cv needs folds >= 2")
     sims = int(cfg["simulations"])
     grid = [(int(a), int(b)) for a, b in cfg["grid"]]
 
@@ -378,8 +402,8 @@ def cmd_check(cfg: dict, out: str) -> int:
         problem = _problem(cfg2, dataset)
         comp = pwa.assemble(problem)
         c = MMConfig(c=cfg["c"]).resolve_c(comp)
-        res, _, cov = stationarity.dstat_residual(comp, model.flatten(), c,
-                                                  int(cfg["combo_cap"]))
+        res, cov = stationarity.dstat_residual(comp, model.flatten(), c,
+                                               int(cfg["combo_cap"]))
         report.update({"dstat_residual": res, "coverage": cov,
                        "objective": comp.f_N(model.flatten())})
     else:

@@ -9,6 +9,7 @@ the one composite dc program of pointwise-max type the solvers work on.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,12 @@ class MonotoneSplit:
 
     Kinds: "squared" phi(t) = 0.5 (t - y)^2 and "quantile"
     phi(t) = max(tau (t - y), (tau - 1)(t - y)) with tau in (0, 1).
+
+    phi_down is phi_up of the mirrored loss (y -> -y, tau -> 1 - tau) read
+    at -t, so only the up half is written out: the down maps negate the
+    argument, the anchor and the prox.  Negation is exact and rounding is
+    symmetric (fl(-a - -b) = -fl(a - b), fl(tau - 1) = -fl(1 - tau)), so they
+    equal the direct phi_down formulas bit for bit, up to the sign of a zero.
     """
 
     def __init__(self, kind, *, y=None, tau=None):
@@ -41,6 +48,10 @@ class MonotoneSplit:
         self.tau = None if tau is None else float(tau)
         if kind == "quantile" and not (self.tau and 0.0 < self.tau < 1.0):
             raise ValueError("quantile split needs tau in (0, 1)")
+        # copied before it has a mirror, so 1 - tau is not validated again
+        self.mirror = copy.copy(self)
+        self.mirror.y = -self.y
+        self.mirror.tau = None if tau is None else 1.0 - self.tau
 
     # -- values
 
@@ -50,9 +61,7 @@ class MonotoneSplit:
         return 0.5 * d * d if self.kind == "squared" else self.tau * d
 
     def down(self, t):
-        t = np.asarray(t, dtype=float)
-        d = np.minimum(t - self.y, 0.0)
-        return 0.5 * d * d if self.kind == "squared" else (self.tau - 1.0) * d
+        return self.mirror.up(-np.asarray(t, dtype=float))
 
     def phi(self, t):
         return self.up(t) + self.down(t)
@@ -74,14 +83,7 @@ class MonotoneSplit:
         return out
 
     def prox_down(self, tilt, anchor, c, w=1.0):
-        tilt = np.asarray(tilt, dtype=float)
-        anchor = np.asarray(anchor, dtype=float)
-        flat = anchor - tilt / c
-        if self.kind == "squared":
-            quad = (w * self.y - tilt + c * anchor) / (w + c)
-            return np.where(flat >= self.y, flat, quad)
-        slope = anchor + (w * (1.0 - self.tau) - tilt) / c
-        return np.where(flat >= self.y, flat, np.where(slope <= self.y, slope, self.y))
+        return -self.mirror.prox_up(tilt, -np.asarray(anchor, dtype=float), c, w)
 
     # -- prox sensitivities w.r.t. the tilt (right-branch rule at kinks),
     #    used to assemble generalized Jacobians.  Both are >= 0.
@@ -98,14 +100,7 @@ class MonotoneSplit:
 
     def prox_down_sens(self, tilt, anchor, c, w=1.0):
         """-(d prox_down / d tilt), nonnegative."""
-        tilt = np.asarray(tilt, dtype=float)
-        anchor = np.asarray(anchor, dtype=float)
-        flat = anchor - tilt / c
-        if self.kind == "squared":
-            return np.where(flat > self.y, 1.0 / c, 1.0 / (w + c))
-        slope = anchor + (w * (1.0 - self.tau) - tilt) / c
-        on_branch = (flat > self.y) | (slope < self.y)
-        return np.where(on_branch, 1.0 / c, 0.0)
+        return self.mirror.prox_up_sens(tilt, -np.asarray(anchor, dtype=float), c, w)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcs import TIE_TOL, CompositeProblem
-from .snewton import DualSubproblem, SNConfig, SNResult, sn_solve
+from .snewton import DualSubproblem, SNConfig, sn_solve
 
 
 @dataclass
@@ -99,7 +99,8 @@ def select_pairs(problem: CompositeProblem, theta, eps: float, variant: str,
     """Per-sample pair selections (0-based index arrays (sel1, sel2)).
 
     A sample's eps-argmax pairs are ranked lexicographically, (g atom, h atom)
-    in index order; every variant picks a rank per sample and decodes it.
+    in index order; every variant picks a rank per sample and decodes it,
+    `random` by drawing it from `rng`.
     Returns (selections, coverage) where coverage is the enumerated fraction
     of the full eps-argmax product (always 1.0 for one/random).
     """
@@ -115,8 +116,6 @@ def select_pairs(problem: CompositeProblem, theta, eps: float, variant: str,
         return _nth_set(m1, rank // n2), _nth_set(m2, rank % n2)
 
     if variant == "random":
-        if rng is None:
-            rng = np.random.default_rng(0)
         return [decode(rng.integers(counts))], 1.0
     if variant != "full":
         raise ValueError(f"unknown variant {variant!r}")
@@ -182,16 +181,6 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
                           lin=lin, reg_const=reg_const)
 
 
-def _step_norm(sub: DualSubproblem, res: SNResult) -> float:
-    n1 = sub.n1
-    dsl = res.slack - sub.slack_nu
-    # the lambda and mu halves are summed apart, as `primal_value` does
-    return float(np.sqrt(np.sum((res.theta - sub.theta_nu) ** 2)
-                         + np.sum((res.r - sub.r_nu) ** 2)
-                         + np.sum((res.s - sub.s_nu) ** 2)
-                         + np.sum(dsl[:n1] ** 2) + np.sum(dsl[n1:] ** 2)))
-
-
 def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
                config: MMConfig, c: float, sn_cfg: SNConfig,
                rng: np.random.Generator, iteration: int = 0):
@@ -216,7 +205,7 @@ def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
 
     # candidate displacement is recorded even on rejection: a tiny step for
     # the drawn selection is the stationarity signal the stopping rule reads
-    step = _step_norm(best_sub, best)
+    step = float(np.sqrt(best_sub.displacement_sq(best.theta, best.r, best.s, best.slack)))
     if accepted:
         nxt = AugmentedIterate(theta=best.theta, r=best.r, s=best.s, warm=best.x)
         surrogate = problem.surrogate_value(best.theta, best.r, best.s)

@@ -101,11 +101,10 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
-    def save_csv(self, path, header: bool = True):
+    def save_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
-            if header:
-                w.writerow([f"x{i + 1}" for i in range(self.d)] + ["y"])
+            w.writerow([f"x{i + 1}" for i in range(self.d)] + ["y"])
             for row, yv in zip(self.X, self.y):
                 w.writerow([repr(float(v)) for v in row] + [repr(float(yv))])
 

@@ -114,19 +114,21 @@ class DualSubproblem:
     # -- primal objective of the subproblem (for gap checks / MM acceptance)
 
     def primal_value(self, th, r, s, slack) -> float:
-        c, w, n1 = self.c, self.weight, self.n1
-        v = float(np.sum(w * (self.split.up(r) + self.split.down(s))))
+        v = float(np.sum(self.weight * (self.split.up(r) + self.split.down(s))))
         v += self.l1 @ np.abs(th) - self.lin @ th + self.reg_const
+        return v + 0.5 * self.c * self.displacement_sq(th, r, s, slack)
+
+    def displacement_sq(self, th, r, s, slack) -> float:
+        """||z - z_nu||^2.  The slack's lambda and mu halves are summed apart:
+        one sum over the stacked slack rounds differently, and this value
+        drives MM acceptance and the step norm."""
         dsl = slack - self.slack_nu
-        # the lambda and mu halves are summed apart: one sum over the stacked
-        # slack rounds differently, and this value drives MM acceptance
-        v += 0.5 * c * (np.sum((th - self.theta_nu) ** 2) + np.sum((r - self.r_nu) ** 2)
-                        + np.sum((s - self.s_nu) ** 2)
-                        + np.sum(dsl[:n1] ** 2) + np.sum(dsl[n1:] ** 2))
-        return v
+        return (np.sum((th - self.theta_nu) ** 2) + np.sum((r - self.r_nu) ** 2)
+                + np.sum((s - self.s_nu) ** 2)
+                + np.sum(dsl[:self.n1] ** 2) + np.sum(dsl[self.n1:] ** 2))
 
 
-# Armijo backtracking factor and sufficient-increase constant; the Newton
+# backtracking factor and Armijo's sufficient-increase constant; the Newton
 # system is regularized by eps = min(_EPS_FLOOR + ||grad||, _EPS_CAP)
 _RHO, _SIGMA = 0.5, 1e-4
 _EPS_FLOOR, _EPS_CAP = 1e-8, 1e-2
@@ -227,29 +229,21 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
         if slope <= 0:  # numerical safeguard: fall back to gradient ascent
             d = grad.copy()
             slope = float(grad @ grad)
-        if slope <= 1e-12 * (1.0 + abs(val)):
-            # value changes this small drown in floating-point noise, so the
-            # Armijo test is meaningless; backtrack on the gradient norm
-            # instead and stop once no step length contracts it
-            alpha, stepped = 1.0, False
-            for _ in range(20):
-                xn = x + alpha * d
-                vn, gn, innern, jacn = sub.value_grad(xn)
-                if float(np.linalg.norm(gn)) < gnorm:
-                    x, val, grad, inner, jac = xn, vn, gn, innern, jacn
-                    stepped = True
-                    break
-                alpha *= _RHO
-            if stepped:
-                continue
-            break
+        # one backtracking loop: Armijo on the dual value (60 trials, the last
+        # taken if none passes) or, once value changes drown in rounding, a
+        # decrease of ||grad|| (20 trials; if none passes, the solve stops)
+        flat = slope <= 1e-12 * (1.0 + abs(val))
         alpha = 1.0
-        for _ in range(60):
+        for _ in range(20 if flat else 60):
             xn = x + alpha * d
             vn, gn, innern, jacn = sub.value_grad(xn)
-            if vn >= val + _SIGMA * alpha * slope:
+            if (float(np.linalg.norm(gn)) < gnorm if flat
+                    else vn >= val + _SIGMA * alpha * slope):
                 break
             alpha *= _RHO
+        else:
+            if flat:
+                break
         x, val, grad, inner, jac = xn, vn, gn, innern, jacn
     converged = converged or float(np.linalg.norm(grad)) <= cfg.tol_grad
 

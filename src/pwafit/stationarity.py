@@ -104,38 +104,35 @@ def _selection_residual(problem, state, sel1, sel2, c, warm=None):
     return float(np.abs(res.theta - state.theta).max(initial=0.0)), res
 
 
+def _max_residual(problem: CompositeProblem, theta_bar, sels, c: float) -> float:
+    """Largest `_selection_residual` over `sels`, each solve warm-started
+    from the previous one's multipliers; a NaN one is kept, not dropped."""
+    state = mm.init_state(problem, np.asarray(theta_bar, dtype=float))
+    residual, warm = 0.0, None
+    for sel1, sel2 in sels:
+        r, res = _selection_residual(problem, state, sel1, sel2, c, warm)
+        residual, warm = np.maximum(residual, r), res.x
+    return float(residual)
+
+
 def dstat_residual(problem: CompositeProblem, theta_bar, c: float,
                    combo_cap: int = 64):
     """Max subproblem displacement over exact-argmax pair selections.
 
     The selections are `mm.select_pairs`'s "full" ones at tolerance TIE_TOL.
-    Returns (residual, worst_selection, coverage); residual near zero
-    certifies d-stationarity exactly when coverage == 1.
+    Returns (residual, coverage); residual near zero certifies
+    d-stationarity exactly when coverage == 1.
     """
-    theta_bar = np.asarray(theta_bar, dtype=float)
-    state = mm.init_state(problem, theta_bar)
     sels, coverage = mm.select_pairs(problem, theta_bar, TIE_TOL, "full",
                                      combo_cap=combo_cap)
-    worst = 0.0
-    worst_sel = None
-    warm = None
-    for sel1, sel2 in sels:
-        r, res = _selection_residual(problem, state, sel1, sel2, c, warm)
-        warm = res.x
-        if r >= worst:
-            worst, worst_sel = r, (sel1, sel2)
-    return worst, worst_sel, coverage
+    return _max_residual(problem, theta_bar, sels, c), coverage
 
 
 def weak_mstat_residual(problem: CompositeProblem, theta_bar, selection,
                         c: float) -> float:
     """Displacement under the subproblem of one given pair selection."""
-    theta_bar = np.asarray(theta_bar, dtype=float)
-    state = mm.init_state(problem, theta_bar)
-    sel1 = np.asarray(selection[0], dtype=int)
-    sel2 = np.asarray(selection[1], dtype=int)
-    r, _ = _selection_residual(problem, state, sel1, sel2, c)
-    return r
+    sel = tuple(np.asarray(part, dtype=int) for part in selection)
+    return _max_residual(problem, theta_bar, [sel], c)
 
 
 def certify(problem: CompositeProblem, report: mm.SolveReport,
@@ -155,7 +152,7 @@ def certify(problem: CompositeProblem, report: mm.SolveReport,
         report.residual_kind = "weak_mstat"
         report.residual_coverage = 1.0
     else:
-        report.residual, _, report.residual_coverage = dstat_residual(
+        report.residual, report.residual_coverage = dstat_residual(
             problem, theta, c, config.combo_cap)
         report.residual_kind = "dstat"
     return report

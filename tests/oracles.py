@@ -440,6 +440,40 @@ class LinearSplit(MonotoneSplit):
 
 
 # ---------------------------------------------------------------------------
+# the down half of a MonotoneSplit, written out directly
+
+# `MonotoneSplit` reads phi_down through the up half of its mirrored loss;
+# these are the direct formulas it replaced, which it must equal exactly
+
+def down_direct(split, t):
+    t = np.asarray(t, dtype=float)
+    d = np.minimum(t - split.y, 0.0)
+    return 0.5 * d * d if split.kind == "squared" else (split.tau - 1.0) * d
+
+
+def prox_down_direct(split, tilt, anchor, c, w=1.0):
+    tilt = np.asarray(tilt, dtype=float)
+    anchor = np.asarray(anchor, dtype=float)
+    flat = anchor - tilt / c
+    if split.kind == "squared":
+        quad = (w * split.y - tilt + c * anchor) / (w + c)
+        return np.where(flat >= split.y, flat, quad)
+    slope = anchor + (w * (1.0 - split.tau) - tilt) / c
+    return np.where(flat >= split.y, flat, np.where(slope <= split.y, slope, split.y))
+
+
+def prox_down_sens_direct(split, tilt, anchor, c, w=1.0):
+    tilt = np.asarray(tilt, dtype=float)
+    anchor = np.asarray(anchor, dtype=float)
+    flat = anchor - tilt / c
+    if split.kind == "squared":
+        return np.where(flat > split.y, 1.0 / c, 1.0 / (w + c))
+    slope = anchor + (w * (1.0 - split.tau) - tilt) / c
+    on_branch = (flat > split.y) | (slope < split.y)
+    return np.where(on_branch, 1.0 / c, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # surfaces compared by value
 
 def model_rmse(model_a, model_b, grid: int = 101) -> float:

@@ -209,8 +209,8 @@ def test_criterion_4_stationarity_certification(capsys):
         cfg = mm.MMConfig(variant="full", tol_step=1e-7, max_outer=2000,
                           sn_tol_floor=1e-10, seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
-        res, _, cov = stationarity.dstat_residual(comp, rep.theta,
-                                                  cfg.resolve_c(comp))
+        res, cov = stationarity.dstat_residual(comp, rep.theta,
+                                               cfg.resolve_c(comp))
         full_ok += (res <= 1e-5 and cov == 1.0)
 
     # (b) randomized single-draw variant, 100 seeded runs
@@ -221,8 +221,8 @@ def test_criterion_4_stationarity_certification(capsys):
         cfg = mm.MMConfig(variant="random", tol_step=1e-7, max_outer=2000,
                           sn_tol_floor=1e-10, seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
-        res, _, cov = stationarity.dstat_residual(comp, rep.theta,
-                                                  cfg.resolve_c(comp))
+        res, cov = stationarity.dstat_residual(comp, rep.theta,
+                                               cfg.resolve_c(comp))
         rand_ok += (res <= 1e-5 and cov == 1.0)
 
     # (c) single-pair variant reaches weak M-stationarity

@@ -21,7 +21,7 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
-def count_certificates(monkeypatch, dstat=(0.0, [], 1.0)):
+def count_certificates(monkeypatch, dstat=(0.0, 1.0)):
     """Replace both certificate residuals by stubs; returns their call log."""
     from pwafit import stationarity
     calls = []
@@ -72,14 +72,42 @@ class TestConfig:
         cfg = load_config(p, "fit", seed_override=42)
         assert cfg["seed"] == 42
 
+    def test_out_of_domain_seed_override_exits_2(self, tmp_path):
+        p = write_json(tmp_path / "c.json", SMALL_FIT)
+        assert main(["fit", "--config", p, "--seed", "-1", "--out", str(tmp_path)]) == 2
+
     @pytest.mark.parametrize("bad", [
         {"variant": "bogus"}, {"eps": -1}, {"variant": "full", "combo_cap": 0},
         {"c": -1.0}, {"c": 0}, {"loss": "huber"}, {"loss": "quantile"},
         {"loss": "quantile", "tau": 1.0}, {"k1": 0}, {"k2": -1}, {"k1": 1.5},
+        {"tau": 1.5}, {"gamma": -1}, {"reg_smooth": "bogus"}, {"sn_tol_floor": -1},
+        {"tol_rel": -1}, {"tol_step": -1}, {"max_outer": 2.5}, {"sn_max_iter": 0},
+        {"starts": 0}, {"seed": -1}, {"compute_residual": "yes"},
+        {"init": {"strategy": "bogus"}}, {"init": {"scale": -1}},
+        {"synth": {"example": 3}}, {"synth": {"N": 0}}, {"synth": {"seed": -1}},
     ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_out_of_domain_value_exits_2(self, tmp_path, bad):
         p = write_json(tmp_path / "c.json", {**SMALL_FIT, **bad})
         assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command, bad", [
+        ("cv", {"simulations": 0}), ("cv", {"folds": 2.5}), ("cv", {"grid": [[0, 1]]}),
+        ("cv", {"grid": [[1.5, 1]]}), ("cv", {"gamma": "cv"}),
+        ("synth", {"example": 3}), ("synth", {"N": 0}), ("synth", {"seed": -1}),
+        ("check", {"k1": 2}), ("check", {"gamma": "cv"}),
+    ], ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()))
+    def test_out_of_domain_value_exits_2_in_other_commands(self, tmp_path, command, bad):
+        # each base config runs to exit 0 as it is; check's k1/k2 come from
+        # its model, so setting them is an unknown key
+        base = {"cv": {"synth": {"example": 2, "N": 30, "seed": 3}, "grid": [[1, 1]],
+                       "folds": 3, "starts": 1, "max_outer": 5,
+                       "compute_residual": False},
+                "synth": {"example": 2, "N": 20, "seed": 0},
+                "check": {"pwa1d": {"breakpoints": [0.0],
+                                    "pieces": [[-1.0, 0.0], [1.0, 0.0]]},
+                          "points": [0.0]}}[command]
+        p = write_json(tmp_path / "c.json", {**base, **bad})
+        assert main([command, "--config", p, "--out", str(tmp_path)]) == 2
 
     def test_defaults_filled(self, tmp_path):
         p = write_json(tmp_path / "c.json", {"synth": {"example": 1}})
@@ -156,7 +184,7 @@ class TestFit:
     def test_report_carries_certificate_coverage(self, tmp_path, monkeypatch):
         # a dstat residual only certifies d-stationarity at coverage 1, so the
         # report says how much of the selection product it covered
-        count_certificates(monkeypatch, dstat=(0.5, None, 0.25))
+        count_certificates(monkeypatch, dstat=(0.5, 0.25))
         cfg = {**SMALL_FIT, "starts": 1, "compute_residual": True}
         p = write_json(tmp_path / "c.json", cfg)
         assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 0

@@ -2,12 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pwafit import cli, mm
 from pwafit.funcs import TIE_TOL, CompositeProblem, DcRegularizer, MonotoneSplit
-from oracles import (LinearSplit, composite_dir, diffmax_dir, fd_dir, fd_grad,
-                     loss_value, majorant, prox_bisect, prox_oracle)
+from oracles import (LinearSplit, composite_dir, diffmax_dir, down_direct, fd_dir,
+                     fd_grad, loss_value, majorant, prox_bisect, prox_down_direct,
+                     prox_down_sens_direct, prox_oracle)
 
 
 def diffmax(g_atoms, h_atoms=None, split=None):
@@ -137,6 +138,30 @@ class TestMonotoneSplit:
         lo, hi = min(t1, t2), max(t1, t2)
         assert sp.up(hi) >= sp.up(lo) - 1e-12
         assert sp.down(hi) <= sp.down(lo) + 1e-12
+
+    # dyadic values make exact ties (t = y, zero tilt, prox kinks) common
+    _GRID = st.sampled_from([-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0])
+
+    @given(st.sampled_from(["squared", "quantile"]),
+           st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(0.01, 0.99)),
+           st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.1, 5)),
+           st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.1, 2)),
+           st.lists(st.tuples(*[st.one_of(_GRID, st.floats(-3, 3))] * 4),
+                    min_size=1, max_size=6))
+    # rows (y, t, tilt, anchor) on the kinks: t = y, zero tilt, the flat
+    # prox branch ending at y and (quantile) the slope branch ending at y
+    @example("quantile", 0.5, 1.0, 1.0, [(0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.5, 0.0)])
+    @example("squared", None, 1.0, 1.0, [(0.5, 0.5, 0.0, 0.5), (0.0, -1.0, 1.0, 1.0)])
+    @settings(max_examples=300, deadline=None)
+    def test_down_maps_equal_direct_formulas(self, kind, tau, c, w, rows):
+        # the mirrored up half reproduces the direct down formulas exactly
+        y, t, tilt, anchor = (np.array(col) for col in zip(*rows))
+        sp = MonotoneSplit(kind, y=y, tau=tau if kind == "quantile" else None)
+        assert np.array_equal(sp.down(t), down_direct(sp, t))
+        assert np.array_equal(sp.prox_down(tilt, anchor, c, w),
+                              prox_down_direct(sp, tilt, anchor, c, w))
+        assert np.array_equal(sp.prox_down_sens(tilt, anchor, c, w),
+                              prox_down_sens_direct(sp, tilt, anchor, c, w))
 
     def test_constant_regions(self):
         sp = MonotoneSplit("squared", y=1.5)

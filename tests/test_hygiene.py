@@ -1,9 +1,11 @@
 """Source hygiene checks that need no linter: every imported name is used,
 the package's modules import one another without a cycle, every definition
 is used by the package itself (code that only tests call belongs in the
-tests), and every package function the benchmark's tracer wraps exists."""
+tests), every package function the benchmark's tracer wraps or its other
+scripts read exists, and every CLI config key has its value domain checked."""
 
 import ast
+import importlib
 import importlib.util
 import pathlib
 
@@ -172,6 +174,48 @@ def test_benchmark_tracer_hooks_resolve(monkeypatch):
     with tracer.Tracer().active():
         assert all(getattr(*t) is not f for t, f in zip(targets, before))
     assert all(getattr(*t) is f for t, f in zip(targets, before))
+
+
+def benchmark_package_reads(source: str) -> set:
+    """(module, attribute) of each ``module.attribute`` a benchmark source
+    reads or patches, for the modules it imports with ``from pwafit import``."""
+    tree = ast.parse(source)
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "pwafit"
+               for a in node.names}
+    return {(n.value.id, n.attr) for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.value.id in modules}
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
+def test_benchmark_package_reads_resolve(path):
+    # the benchmark's self-tests patch package internals by name, such as
+    # stationarity._selection_residual, so a rename breaks them
+    missing = sorted(f"{mod}.{attr}" for mod, attr in benchmark_package_reads(path.read_text())
+                     if not hasattr(importlib.import_module(f"pwafit.{mod}"), attr))
+    assert not missing, f"{path.name} uses names pwafit lacks: " + ", ".join(missing)
+
+
+# config keys with no `cli._DOMAINS` entry: paths and free-form objects
+DOMAIN_EXEMPT = {
+    "dataset": "a path; reading the CSV checks it",
+    "model": "a path; reading the model JSON checks it",
+    "synth": "an object; load_config checks it against the synth schema",
+    "init": "an object; load_config checks it against cli._INIT_KEYS",
+    "pwa1d": "a free-form object; check builds a piecewise affine function from it",
+    "points": "a free-form list of the points check classifies",
+}
+
+
+def test_every_config_key_has_a_domain():
+    # load_config rejects a value outside its key's domain with exit 2; a key
+    # without one is accepted as anything and fails late, or not at all
+    from pwafit import cli
+    keys = set(cli._INIT_KEYS).union(*cli._SCHEMAS.values())
+    missing = sorted(keys - set(cli._DOMAINS) - set(DOMAIN_EXEMPT))
+    assert not missing, "config keys without a value domain: " + ", ".join(missing)
+    assert set(DOMAIN_EXEMPT) <= keys - set(cli._DOMAINS)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

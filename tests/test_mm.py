@@ -168,7 +168,7 @@ class TestSelectPairsMatchesLoop:
             return build(problem, state, sel1, sel2, c)
 
         monkeypatch.setattr(mm, "build_subproblem", record)
-        _, _, dcov = stationarity.dstat_residual(comp, theta, 1.0, combo_cap=5)
+        _, dcov = stationarity.dstat_residual(comp, theta, 1.0, combo_cap=5)
         assert dcov == cov
         _assert_same_selections(seen, sels)
 

@@ -348,6 +348,16 @@ class TestSnSolve:
         assert not res.converged
         assert res.iterations == 2
 
+    def test_gradient_norm_exit(self):
+        # with tol_grad = 0 the Newton steps reach rounding level, where the
+        # slope is too small for Armijo: the solve stops once no step length
+        # contracts ||grad||, before max_iter, unconverged, and reports the
+        # gradient norm of the point it returns
+        comp, sub = make_sub(42)
+        res = sn_solve(sub, cfg=SNConfig(tol_grad=0.0, max_iter=50))
+        assert not res.converged and res.iterations < 50
+        assert res.kkt_residual == np.linalg.norm(sub.value_grad(res.x)[1])
+
     def test_armijo_progress(self):
         # the dual value of the returned point is at least the start value
         comp, sub = make_sub(43)

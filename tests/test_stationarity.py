@@ -147,7 +147,7 @@ class TestDstatResidual:
         w, b, _ = ols_fit(prob.dataset)
         # gauge: put the OLS fit in the g atom, zero h atom
         theta = np.concatenate([w, [b], np.zeros(3)])
-        res, _, cov = dstat_residual(comp, theta, c=1.0)
+        res, cov = dstat_residual(comp, theta, c=1.0)
         assert cov == 1.0
         assert res <= 1e-8
 
@@ -157,7 +157,7 @@ class TestDstatResidual:
         w, b, _ = ols_fit(prob.dataset)
         theta = np.concatenate([w, [b], np.zeros(3)])
         theta[0] += 0.1     # not a gauge direction: changes the fitted surface
-        res, _, _ = dstat_residual(comp, theta, c=1.0)
+        res, _ = dstat_residual(comp, theta, c=1.0)
         assert res > 1e-3
 
     def test_counterexample_pairs(self):
@@ -166,7 +166,7 @@ class TestDstatResidual:
         # the lexicographically-first pair certifies weak M-stationarity ...
         assert weak_mstat_residual(comp, theta, ([0], [0]), c=1.0) <= 1e-9
         # ... but the full pair enumeration exposes a descent selection
-        res, worst, cov = dstat_residual(comp, theta, c=1.0)
+        res, cov = dstat_residual(comp, theta, c=1.0)
         assert cov == 1.0
         assert res > 1e-3
 
@@ -183,7 +183,7 @@ class TestDstatResidual:
         cfg = mm.MMConfig(variant="full", tol_step=1e-7, sn_tol_floor=1e-11,
                           max_outer=1000)
         rep = mm.run(comp, cfg, np.random.default_rng(4).normal(size=prob.m))
-        res, _, cov = dstat_residual(comp, rep.theta, c=cfg.resolve_c(comp))
+        res, cov = dstat_residual(comp, rep.theta, c=cfg.resolve_c(comp))
         assert cov == 1.0
         assert res <= 1e-5
 
@@ -193,5 +193,5 @@ class TestDstatResidual:
         from pwafit.pwa import ols_fit
         w, b, _ = ols_fit(prob.dataset)
         theta = np.concatenate([w, [b]])
-        res, _, _ = dstat_residual(comp, theta, c=0.5)
+        res, _ = dstat_residual(comp, theta, c=0.5)
         assert res <= 1e-6
