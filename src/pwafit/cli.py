@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -33,12 +34,17 @@ class SolverError(Exception):
 # ---------------------------------------------------------------------------
 # config handling
 
-_MM_KEYS = {"c": None, "eps": 1e-4, "tol_rel": 1e-4, "tol_step": 0.0,
-            "max_outer": 500, "combo_cap": 64, "sn_tol_floor": 1e-6,
-            "sn_max_iter": 100, "variant": "random", "compute_residual": True}
+def _defaults(cls, skip=()) -> dict:
+    """{field: default} of the dataclass's fields with one, less `skip`."""
+    return {f.name: f.default for f in fields(cls)
+            if f.default is not MISSING and f.name not in skip}
 
-_OBJECTIVE_KEYS = {"loss": "squared", "tau": None, "gamma": 0.0, "reg_smooth": "none"}
-_PROBLEM_KEYS = {"k1": 1, "k2": 0, **_OBJECTIVE_KEYS}
+
+# an MMConfig's seed is drawn per start, and sn_tol_fixed is a library-only switch
+_MM_FIELDS = _defaults(MMConfig, skip=("seed", "sn_tol_fixed"))
+_MM_KEYS = {**_MM_FIELDS, "compute_residual": True}
+_PROBLEM_KEYS = _defaults(pwa.PWAProblem)
+_OBJECTIVE_KEYS = _defaults(pwa.PWAProblem, skip=("k1", "k2"))
 
 _SCHEMAS = {
     "fit": {"dataset": None, "synth": None, "starts": 20, "seed": 0,
@@ -48,7 +54,7 @@ _SCHEMAS = {
            **_PROBLEM_KEYS, **_MM_KEYS},
     "synth": {"example": 1, "N": 100, "seed": 0},
     "check": {"model": None, "dataset": None, "pwa1d": None, "points": None,
-              "seed": 0, **_OBJECTIVE_KEYS, "c": None, "combo_cap": 64},
+              "seed": 0, **_OBJECTIVE_KEYS, **{k: _MM_KEYS[k] for k in ("c", "combo_cap")}},
 }
 
 _INIT_KEYS = {"strategy": "gaussian", "scale": 1.0}
@@ -63,7 +69,8 @@ def _number(lo):
 
 
 def _integer(lo):
-    return lambda v: _finite(v) and float(v).is_integer() and v >= lo
+    # JSON integers only: 5.0 parses as a float, and config values go uncast
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo
 
 
 # key -> (accepts the value, what it must be); checked wherever the key
@@ -152,33 +159,23 @@ def _load_dataset(cfg: dict) -> pwa.Dataset:
 
 def _synth(s: dict):
     """(dataset, true model) of a `synth` config."""
-    gen = pwa.synth_example1 if int(s["example"]) == 1 else pwa.synth_example2
-    return gen(int(s["N"]), int(s["seed"]))
-
-
-def _mm_config(cfg: dict, seed: int) -> MMConfig:
-    return MMConfig(c=cfg["c"], eps=cfg["eps"], variant=cfg["variant"],
-                    tol_rel=cfg["tol_rel"], tol_step=cfg["tol_step"],
-                    max_outer=cfg["max_outer"], combo_cap=cfg["combo_cap"],
-                    seed=seed, sn_tol_floor=cfg["sn_tol_floor"],
-                    sn_max_iter=cfg["sn_max_iter"])
+    gen = pwa.synth_example1 if s["example"] == 1 else pwa.synth_example2
+    return gen(s["N"], s["seed"])
 
 
 def _problem(cfg: dict, dataset: pwa.Dataset) -> pwa.PWAProblem:
-    return pwa.PWAProblem(dataset=dataset, k1=int(cfg["k1"]), k2=int(cfg["k2"]),
-                          loss=cfg["loss"], tau=cfg["tau"], gamma=float(cfg["gamma"]),
-                          reg_smooth=cfg["reg_smooth"])
+    return pwa.PWAProblem(dataset, **{k: cfg[k] for k in _PROBLEM_KEYS})
 
 
 # ---------------------------------------------------------------------------
 # multi-start driver
 
 def _one_start(problem, comp, cfg, start: int):
-    rng = np.random.default_rng([int(cfg["seed"]), start])
+    rng = np.random.default_rng([cfg["seed"], start])
     theta0 = pwa.init_sampler(problem, cfg["init"]["strategy"], rng,
-                              float(cfg["init"]["scale"]))
-    mc = _mm_config(cfg, seed=int(np.random.default_rng(
-        [int(cfg["seed"]), start, 1]).integers(2 ** 31)))
+                              cfg["init"]["scale"])
+    mc = MMConfig(**{k: cfg[k] for k in _MM_FIELDS}, seed=int(
+        np.random.default_rng([cfg["seed"], start, 1]).integers(2 ** 31)))
     report = mm.run(comp, mc, theta0)
     if cfg["compute_residual"]:
         stationarity.certify(comp, report, mc)
@@ -223,8 +220,8 @@ def select_gamma(cfg: dict, dataset: pwa.Dataset, folds: int = 5) -> float:
     X1 = np.hstack([dataset.X, np.ones((dataset.N, 1))])
     gmax = float(np.abs(X1.T @ dataset.y).max()) / dataset.N
     grid = gmax * np.logspace(0, -4, 10)
-    idx = _fold_indices(dataset.N, folds, int(cfg["seed"]))
-    starts = max(1, int(cfg["starts"]) // 2)
+    idx = _fold_indices(dataset.N, folds, cfg["seed"])
+    starts = max(1, cfg["starts"] // 2)
     best_g, best_err = grid[0], np.inf
     for g in grid:
         err = 0.0
@@ -259,7 +256,7 @@ def cmd_fit(cfg: dict, out: str) -> int:
         cfg = {**cfg, "gamma": select_gamma(cfg, dataset)}
     problem = _problem(cfg, dataset)
     comp = pwa.assemble(problem)
-    results = multi_start(problem, comp, cfg, int(cfg["starts"]))
+    results = multi_start(problem, comp, cfg, cfg["starts"])
     best_i, best = _best(results)
 
     os.makedirs(out, exist_ok=True)
@@ -313,22 +310,20 @@ def cmd_fit(cfg: dict, out: str) -> int:
 
 def cmd_cv(cfg: dict, out: str) -> int:
     dataset = _load_dataset(cfg)
-    folds = int(cfg["folds"])
-    sims = int(cfg["simulations"])
-    grid = [(int(a), int(b)) for a, b in cfg["grid"]]
+    folds, sims, grid = cfg["folds"], cfg["simulations"], cfg["grid"]
 
     cells = {}
     for (k1, k2) in grid:
         ratios = []
         detail = []
         for sim in range(sims):
-            idx = _fold_indices(dataset.N, folds, int(cfg["seed"]) + sim)
+            idx = _fold_indices(dataset.N, folds, cfg["seed"] + sim)
             e_pa = e_ls = 0.0
             try:
                 for f in range(folds):
                     tr, te = idx != f, idx == f
                     e_pa += _heldout_sse({**cfg, "k1": k1, "k2": k2}, dataset, te,
-                                         int(cfg["starts"]))
+                                         cfg["starts"])
                     w, b, _ = pwa.ols_fit(pwa.Dataset(dataset.X[tr], dataset.y[tr]))
                     pred = dataset.X[te] @ w + b
                     e_ls += float(np.sum((dataset.y[te] - pred) ** 2))
@@ -403,7 +398,7 @@ def cmd_check(cfg: dict, out: str) -> int:
         comp = pwa.assemble(problem)
         c = MMConfig(c=cfg["c"]).resolve_c(comp)
         res, cov = stationarity.dstat_residual(comp, model.flatten(), c,
-                                               int(cfg["combo_cap"]))
+                                               cfg["combo_cap"])
         report.update({"dstat_residual": res, "coverage": cov,
                        "objective": comp.f_N(model.flatten())})
     else:

@@ -106,19 +106,21 @@ class MonotoneSplit:
 # ---------------------------------------------------------------------------
 # dc regularizers
 
+SCAD_A = 3.7        # SCAD shape parameter (Fan and Li's choice); must exceed 2
 
-def _scad_smooth_value(t, lam, a):
+
+def _scad_smooth_value(t, lam):
     """Smooth part p with lam*|t| - p(t) equal to the SCAD penalty."""
     at = np.abs(t)
-    mid = (at - lam) ** 2 / (2.0 * (a - 1.0))
-    outer = lam * at - 0.5 * (a + 1.0) * lam**2
-    return np.where(at <= lam, 0.0, np.where(at <= a * lam, mid, outer))
+    mid = (at - lam) ** 2 / (2.0 * (SCAD_A - 1.0))
+    outer = lam * at - 0.5 * (SCAD_A + 1.0) * lam**2
+    return np.where(at <= lam, 0.0, np.where(at <= SCAD_A * lam, mid, outer))
 
 
-def _scad_smooth_grad(t, lam, a):
+def _scad_smooth_grad(t, lam):
     at = np.abs(t)
-    mid = (at - lam) / (a - 1.0)
-    mag = np.where(at <= lam, 0.0, np.where(at <= a * lam, mid, lam))
+    mid = (at - lam) / (SCAD_A - 1.0)
+    mag = np.where(at <= lam, 0.0, np.where(at <= SCAD_A * lam, mid, lam))
     return np.sign(t) * mag
 
 
@@ -128,13 +130,12 @@ class DcRegularizer:
 
     smooth = "none" gives the pure weighted l1; smooth = "scad" uses the
     standard dc decomposition of the SCAD penalty with thresholds c_i and
-    shape parameter a.
+    shape parameter SCAD_A.
     """
 
     weights: np.ndarray
     gamma: float
     smooth: str = "none"
-    a: float = 3.7
 
     def __post_init__(self):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
@@ -142,20 +143,18 @@ class DcRegularizer:
             raise ValueError("regularizer weights and gamma must be nonnegative")
         if self.smooth not in ("none", "scad"):
             raise ValueError(f"unsupported smooth part {self.smooth!r}")
-        if self.smooth == "scad" and self.a <= 2.0:
-            raise ValueError("SCAD shape parameter must exceed 2")
 
     def p_value(self, theta):
         theta = np.asarray(theta, dtype=float)
         if self.smooth == "none":
             return np.zeros_like(theta)
-        return _scad_smooth_value(theta, self.weights, self.a)
+        return _scad_smooth_value(theta, self.weights)
 
     def p_grad(self, theta):
         theta = np.asarray(theta, dtype=float)
         if self.smooth == "none":
             return np.zeros_like(theta)
-        return _scad_smooth_grad(theta, self.weights, self.a)
+        return _scad_smooth_grad(theta, self.weights)
 
     def value(self, theta) -> float:
         """gamma * P(theta)."""

@@ -32,17 +32,19 @@ from .snewton import DualSubproblem, SNConfig, sn_solve
 
 @dataclass
 class MMConfig:
+    """MM options; the CLI takes its defaults and its key order from here."""
+
     c: float | None = None          # proximal weight; None -> data-scaled default
     eps: float = 1e-4               # argmax expansion
-    variant: str = "full"           # full | one | random
     tol_rel: float = 1e-4           # relative objective-change stopping rule
     tol_step: float = 0.0           # > 0: stop on ||dz|| <= tol_step instead of tol_rel
     max_outer: int = 500
     combo_cap: int = 64
-    seed: int = 0
     sn_tol_floor: float = 1e-6      # floor of the inner tolerance schedule
-    sn_tol_fixed: bool = False      # True: always solve to sn_tol_floor
     sn_max_iter: int = 100
+    variant: str = "random"         # full | one | random
+    seed: int = 0
+    sn_tol_fixed: bool = False      # True: always solve to sn_tol_floor
 
     def resolve_c(self, problem: CompositeProblem) -> float:
         if self.c is not None:
@@ -95,7 +97,7 @@ def init_state(problem: CompositeProblem, theta0) -> AugmentedIterate:
 
 def select_pairs(problem: CompositeProblem, theta, eps: float, variant: str,
                  rng: np.random.Generator | None = None,
-                 combo_cap: int = 64):
+                 combo_cap: int = MMConfig.combo_cap):
     """Per-sample pair selections (0-based index arrays (sel1, sel2)).
 
     A sample's eps-argmax pairs are ranked lexicographically, (g atom, h atom)

@@ -126,9 +126,11 @@ class Dataset:
 
 @dataclass
 class PWAProblem:
+    """The model to fit; the CLI takes its defaults from here."""
+
     dataset: Dataset
-    k1: int
-    k2: int
+    k1: int = 1
+    k2: int = 0
     loss: str = "squared"           # squared | quantile
     tau: float | None = None
     gamma: float = 0.0

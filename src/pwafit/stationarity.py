@@ -116,7 +116,7 @@ def _max_residual(problem: CompositeProblem, theta_bar, sels, c: float) -> float
 
 
 def dstat_residual(problem: CompositeProblem, theta_bar, c: float,
-                   combo_cap: int = 64):
+                   combo_cap: int = mm.MMConfig.combo_cap):
     """Max subproblem displacement over exact-argmax pair selections.
 
     The selections are `mm.select_pairs`'s "full" ones at tolerance TIE_TOL.

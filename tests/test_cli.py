@@ -85,16 +85,20 @@ class TestConfig:
         {"starts": 0}, {"seed": -1}, {"compute_residual": "yes"},
         {"init": {"strategy": "bogus"}}, {"init": {"scale": -1}},
         {"synth": {"example": 3}}, {"synth": {"N": 0}}, {"synth": {"seed": -1}},
+        # integer keys take JSON integers only, not integral floats
+        {"max_outer": 5.0}, {"combo_cap": 4.0}, {"sn_max_iter": 10.0}, {"k1": 2.0},
+        {"starts": 1.0},
     ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
-    def test_out_of_domain_value_exits_2(self, tmp_path, bad):
+    def test_out_of_domain_value_exits_2(self, tmp_path, capsys, bad):
         p = write_json(tmp_path / "c.json", {**SMALL_FIT, **bad})
         assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 2
+        assert list(bad)[-1] in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, bad", [
         ("cv", {"simulations": 0}), ("cv", {"folds": 2.5}), ("cv", {"grid": [[0, 1]]}),
         ("cv", {"grid": [[1.5, 1]]}), ("cv", {"gamma": "cv"}),
         ("synth", {"example": 3}), ("synth", {"N": 0}), ("synth", {"seed": -1}),
-        ("check", {"k1": 2}), ("check", {"gamma": "cv"}),
+        ("synth", {"N": 60.0}), ("check", {"k1": 2}), ("check", {"gamma": "cv"}),
     ], ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()))
     def test_out_of_domain_value_exits_2_in_other_commands(self, tmp_path, command, bad):
         # each base config runs to exit 0 as it is; check's k1/k2 come from

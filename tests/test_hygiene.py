@@ -2,9 +2,11 @@
 the package's modules import one another without a cycle, every definition
 is used by the package itself (code that only tests call belongs in the
 tests), every package function the benchmark's tracer wraps or its other
-scripts read exists, and every CLI config key has its value domain checked."""
+scripts read exists, every CLI config key has its value domain checked, and
+the CLI's MM and model defaults are the library's."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
@@ -216,6 +218,27 @@ def test_every_config_key_has_a_domain():
     missing = sorted(keys - set(cli._DOMAINS) - set(DOMAIN_EXEMPT))
     assert not missing, "config keys without a value domain: " + ", ".join(missing)
     assert set(DOMAIN_EXEMPT) <= keys - set(cli._DOMAINS)
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # a CLI default that differs from MMConfig's or PWAProblem's makes
+    # `pwafit fit` and a library call with the same options solve different
+    # problems; the CLI draws MMConfig's seed per start, and sn_tol_fixed is
+    # no config key
+    from pwafit import cli, mm, pwa
+    mm_fields = {f.name: f.default for f in dataclasses.fields(mm.MMConfig)
+                 if f.name not in ("seed", "sn_tol_fixed")}
+    model_fields = {f.name: f.default for f in dataclasses.fields(pwa.PWAProblem)
+                    if f.name != "dataset"}
+    for command in ("fit", "cv", "check"):
+        schema = cli._SCHEMAS[command]
+        wrong = sorted(f"{command}.{key}: {schema[key]!r}, library {default!r}"
+                       for key, default in {**mm_fields, **model_fields}.items()
+                       if key in schema and schema[key] != default)
+        assert not wrong, "CLI defaults differ from the library's: " + "; ".join(wrong)
+    for command in ("fit", "cv"):
+        missing = sorted(set(mm_fields) - set(cli._SCHEMAS[command]))
+        assert not missing, f"MMConfig fields {command} cannot set: " + ", ".join(missing)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
