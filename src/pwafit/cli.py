@@ -278,9 +278,10 @@ def cmd_fit(cfg: dict, out: str) -> int:
 
     _write_csv(os.path.join(out, "trace.csv"),
                ["iteration", "f_N", "surrogate", "step_norm", "accepted",
-                "sn_iterations"],
+                "sn_iterations", "sn_converged"],
                [[r.iteration, repr(r.f_N), repr(r.surrogate), repr(r.step_norm),
-                 int(r.accepted), r.sn_iterations] for r in best.trace])
+                 int(r.accepted), r.sn_iterations, int(r.sn_converged)]
+                for r in best.trace])
 
     values = sorted(round(r.f_N, 6) for _, r, e in results if r is not None)
     _write_csv(os.path.join(out, "histogram.csv"), ["objective", "count"],
@@ -296,9 +297,11 @@ def cmd_fit(cfg: dict, out: str) -> int:
         else best.f_N,
         "iterations": best.iterations,
         "sn_total": best.sn_total,
+        "inner_failures": sum(not r.sn_converged for r in best.trace),
         "residual": best.residual,
         "residual_kind": best.residual_kind,
         "residual_coverage": best.residual_coverage,
+        "residual_unconverged": best.residual_unconverged,
         "reason": best.reason,
         "failed_starts": [i for i, r, e in results if r is None],
         "wall_time": best.wall_time,
@@ -397,9 +400,10 @@ def cmd_check(cfg: dict, out: str) -> int:
         problem = _problem(cfg2, dataset)
         comp = pwa.assemble(problem)
         c = MMConfig(c=cfg["c"]).resolve_c(comp)
-        res, cov = stationarity.dstat_residual(comp, model.flatten(), c,
-                                               cfg["combo_cap"])
+        res, cov, unconverged = stationarity.dstat_residual(
+            comp, model.flatten(), c, cfg["combo_cap"])
         report.update({"dstat_residual": res, "coverage": cov,
+                       "unconverged": unconverged,
                        "objective": comp.f_N(model.flatten())})
     else:
         raise ConfigError("check needs either 'pwa1d' or 'model' + 'dataset'")

@@ -68,6 +68,7 @@ class Record:
     step_norm: float
     accepted: bool
     sn_iterations: int
+    sn_converged: bool            # the chosen candidate's SN solve converged
 
 
 @dataclass
@@ -81,6 +82,7 @@ class SolveReport:
     residual: float | None = None
     residual_kind: str | None = None
     residual_coverage: float | None = None
+    residual_unconverged: int | None = None
     wall_time: float = 0.0
 
 
@@ -141,35 +143,22 @@ def _nth_set(mask, rank):
 
 
 def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
-                     sel1, sel2, c: float) -> DualSubproblem:
-    """Dual subproblem data for one per-sample atom-pair selection."""
+                     sel1, sel2, c: float, *,
+                     reuse: DualSubproblem | None = None) -> DualSubproblem:
+    """Dual subproblem data for one per-sample atom-pair selection.
+
+    With `reuse`, a subproblem built earlier from the same problem, that
+    subproblem is overwritten in place and returned: B, beta and the anchors
+    are rewritten, and its Newton work arrays are kept.
+    """
     theta = state.theta
     N, k1, k2, m = problem.n_samples, problem.k1, problem.k2, problem.m
     n1 = N * k1
+    for sel, k in ((sel1, k1), (sel2, k2)):
+        if np.min(sel, initial=0) < 0 or np.max(sel, initial=0) >= k:
+            raise IndexError(f"atom selection outside 0..{k - 1}")
     gv, hv = problem.atom_values(theta)
     g, h = gv.max(axis=1), hv.max(axis=1)
-
-    v_sel = problem.W[np.arange(N) * k2 + sel2]          # (N, m) chosen h-atom grads
-    u_sel = problem.U[np.arange(N) * k1 + sel1]
-
-    # lambda rows U - (chosen h grad) over mu rows W - (chosen g grad); the
-    # per-sample reshapes of B's rows are views (splitting an axis never copies)
-    B = np.empty((N * (k1 + k2), m), order="F")
-    np.subtract(problem.U.reshape(N, k1, m), v_sel[:, None, :],
-                out=B[:n1].reshape(N, k1, m))
-    np.subtract(problem.W.reshape(N, k2, m), u_sel[:, None, :],
-                out=B[n1:].reshape(N, k2, m))
-    beta = np.empty(N * (k1 + k2))
-    np.subtract((h - (v_sel * theta).sum(axis=1))[:, None], problem.e.reshape(N, k1),
-                out=beta[:n1].reshape(N, k1))
-    np.subtract((g - (u_sel * theta).sum(axis=1))[:, None], problem.f.reshape(N, k2),
-                out=beta[n1:].reshape(N, k2))
-
-    # slack anchors: the point (theta, r, s, slack) is feasible for this
-    # selection's constraints and carries the current surrogate value exactly
-    slack = np.empty(N * (k1 + k2))
-    np.maximum((state.r + h)[:, None] - gv, 0.0, out=slack[:n1].reshape(N, k1))
-    np.maximum((g - state.s)[:, None] - hv, 0.0, out=slack[n1:].reshape(N, k2))
 
     if problem.reg is not None and problem.reg.gamma > 0:
         l1, lin, reg_const = problem.reg.majorant_data(theta)
@@ -177,37 +166,74 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
         l1 = lin = np.zeros_like(theta)
         reg_const = 0.0
 
-    return DualSubproblem(B=B, beta=beta, k1=k1, split=problem.split, n_samples=N,
-                          weight=problem.weight, c=c, theta_nu=theta,
-                          r_nu=state.r, s_nu=state.s, slack_nu=slack, l1=l1,
-                          lin=lin, reg_const=reg_const)
+    if reuse is None:
+        n = N * (k1 + k2)
+        sub = DualSubproblem(
+            B=np.empty((n, m), order="F"), beta=np.empty(n), k1=k1,
+            split=problem.split, n_samples=N, weight=problem.weight, c=c,
+            theta_nu=theta, r_nu=state.r, s_nu=state.s, slack_nu=np.empty(n),
+            l1=l1, lin=lin, reg_const=reg_const)
+    else:
+        sub = reuse
+        sub.c, sub.theta_nu, sub.r_nu, sub.s_nu = c, theta, state.r, state.s
+        sub.l1, sub.lin, sub.reg_const = l1, lin, reg_const
+
+    # lambda rows U - (chosen h grad) over mu rows W - (chosen g grad); the
+    # per-sample reshapes of B's rows are views (splitting an axis never
+    # copies).  The chosen gradients are gathered into the memory of the
+    # Newton work array Z, which is free between Newton steps, as a row-major
+    # (N, m) array, whose row sums round as a fresh array's would
+    chosen = sub.work_Z.ravel(order="F")[:N * m].reshape(N, m)
+    halves = ((slice(0, n1), k1, problem.U, problem.e, problem.W, sel2, h),
+              (slice(n1, None), k2, problem.W, problem.f, problem.U, sel1, g))
+    for rows, k, atoms, offsets, other, sel, top in halves:
+        # mode "clip" writes straight into `chosen`, where "raise" would
+        # buffer a copy (the range is checked above)
+        np.take(other, np.arange(N) * (len(other) // N) + sel, axis=0, out=chosen,
+                mode="clip")
+        np.subtract(atoms.reshape(N, k, m), chosen[:, None, :],
+                    out=sub.B[rows].reshape(N, k, m))
+        np.subtract((top - np.multiply(chosen, theta, out=chosen).sum(axis=1))[:, None],
+                    offsets.reshape(N, k), out=sub.beta[rows].reshape(N, k))
+
+    # slack anchors: the point (theta, r, s, slack) is feasible for this
+    # selection's constraints and carries the current surrogate value exactly;
+    # they do not depend on the selection
+    np.maximum((state.r + h)[:, None] - gv, 0.0, out=sub.slack_nu[:n1].reshape(N, k1))
+    np.maximum((g - state.s)[:, None] - hv, 0.0, out=sub.slack_nu[n1:].reshape(N, k2))
+    return sub
 
 
 def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
                config: MMConfig, c: float, sn_cfg: SNConfig,
-               rng: np.random.Generator, iteration: int = 0):
-    """One outer step.  Returns (next_state, Record)."""
+               rng: np.random.Generator, iteration: int = 0,
+               sub: DualSubproblem | None = None):
+    """One outer step.  Returns (next_state, Record, subproblem); the
+    subproblem, or the one passed as `sub`, is rebuilt in place for each
+    candidate selection, so pass it back to the next step."""
     sels, _ = select_pairs(problem, state.theta, config.eps, config.variant,
                            rng=rng, combo_cap=config.combo_cap)
     old_surrogate = problem.surrogate_value(state.theta, state.r, state.s)
 
-    best = best_sub = None
+    best = None
     sn_iters = 0
     for sel1, sel2 in sels:
-        sub = build_subproblem(problem, state, sel1, sel2, c)
+        sub = build_subproblem(problem, state, sel1, sel2, c, reuse=sub)
         res = sn_solve(sub, warm=state.warm, cfg=sn_cfg)
         sn_iters += res.iterations
         # strict improvement keeps the lexicographically-first minimizer
         if best is None or res.value < best.value:
-            best, best_sub = res, sub
+            best = res
 
     accepted = True
     if config.variant == "random" and not (best.value < old_surrogate):
         accepted = False
 
     # candidate displacement is recorded even on rejection: a tiny step for
-    # the drawn selection is the stationarity signal the stopping rule reads
-    step = float(np.sqrt(best_sub.displacement_sq(best.theta, best.r, best.s, best.slack)))
+    # the drawn selection is the stationarity signal the stopping rule reads.
+    # The anchors it is measured from do not depend on the selection, so the
+    # last candidate's subproblem measures the best one's
+    step = float(np.sqrt(sub.displacement_sq(best.theta, best.r, best.s, best.slack)))
     if accepted:
         nxt = AugmentedIterate(theta=best.theta, r=best.r, s=best.s, warm=best.x)
         surrogate = problem.surrogate_value(best.theta, best.r, best.s)
@@ -217,8 +243,8 @@ def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
 
     rec = Record(iteration=iteration, f_N=problem.f_N(nxt.theta),
                  surrogate=surrogate, step_norm=step, accepted=accepted,
-                 sn_iterations=sn_iters)
-    return nxt, rec
+                 sn_iterations=sn_iters, sn_converged=best.converged)
+    return nxt, rec, sub
 
 
 def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
@@ -239,9 +265,10 @@ def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
     sn_total = 0
     reason = "max_outer"
     sn_tol = config.sn_tol_floor
+    sub = None
     for it in range(config.max_outer):
         sn_cfg = SNConfig(tol_grad=sn_tol, max_iter=config.sn_max_iter)
-        state, rec = mm_iterate(problem, state, config, c, sn_cfg, rng, it)
+        state, rec, sub = mm_iterate(problem, state, config, c, sn_cfg, rng, it, sub)
         trace.append(rec)
         sn_total += rec.sn_iterations
         df = abs(rec.f_N - f_prev)

@@ -27,15 +27,16 @@ import numpy as np
 from .funcs import MonotoneSplit
 
 
-def _block_sum(X, k):
-    """Sum of each sample's k consecutive entries (rows, for 2-D X).
+def _block_sum(X, k, out=None):
+    """Sum of each sample's k consecutive entries (rows, for 2-D X), written
+    to `out` when given.
 
     Adds the k strided slices X[j::k] in index order.  The sums are the ones
     numpy's ``X.reshape(N, k, -1).sum(axis=1)`` gives, bit for bit (for 1-D X
     while k < 8, where numpy's pairwise summation starts), at a fraction of
     its per-call cost.  The ``+ 0.0`` turns -0.0 into 0.0, as numpy's sum does.
     """
-    out = X[0::k] + 0.0
+    out = np.add(X[0::k], 0.0, out=out)
     for j in range(1, k):
         out += X[j::k]
     return out
@@ -46,7 +47,10 @@ class DualSubproblem:
     """Stacked affine constraint data plus prox oracles and anchors.
 
     B stacks the N*k1 lambda rows over the N*k2 mu rows; beta and slack_nu
-    follow the same row order.
+    follow the same row order.  Each subproblem also owns the work arrays
+    `_newton_direction` overwrites on every call, so no Newton step allocates
+    an array of B's size; `mm.build_subproblem(..., reuse=sub)` overwrites B,
+    beta and the anchors in place and keeps the work arrays.
     """
 
     B: np.ndarray                 # (N*(k1+k2), m), column-major
@@ -76,6 +80,15 @@ class DualSubproblem:
         # with which the tight certificate solves stalled above their
         # tolerance about a quarter more often
         self.B = np.asfortranarray(self.B, dtype=float)
+        # Newton work arrays: Z = Delta^{-1} B, the diagonal of Delta with
+        # its per-row Sherman-Morrison factors, and two (N, m) block
+        # temporaries, all column-major like B, so that no ufunc on them
+        # mixes memory orders
+        self.work_Z = np.empty_like(self.B, order="F")
+        self.work_diag = np.empty(self.dual_dim)
+        self.work_f = np.empty(self.dual_dim)
+        self.work_S = np.empty((N, self.m), order="F")
+        self.work_T = np.empty((N, self.m), order="F")
 
     @property
     def m(self) -> int:
@@ -161,44 +174,47 @@ def _newton_direction(sub: DualSubproblem, jac, grad, eps):
     masks); the diagonal-plus-rank-one sample blocks invert in closed form,
     after which the theta coupling is an m-dimensional correction.  jac is
     the Jacobian data `value_grad` returned at the current multipliers; the
-    masks and loss sensitivities below follow from it.
+    masks and loss sensitivities below follow from it.  Intermediates go to
+    the subproblem's work arrays; only vectors of the dual dimension are
+    allocated.
     """
     u, a, b, sl = jac
-    c, w, N, n1 = sub.c, sub.weight, sub.n_samples, sub.n1
+    c, w, n1 = sub.c, sub.weight, sub.n1
+    diag, f, S, T = sub.work_diag, sub.work_f, sub.work_S, sub.work_T
     d_th = np.where(sub.l1 > 0.0, np.abs(u) > sub.l1 / c, 1.0)
     rho = sub.split.prox_up_sens(a, sub.r_nu, c, w)
     sig = sub.split.prox_down_sens(b, sub.s_nu, c, w)
-    diag = (sl > 0) / c + eps
-    inv = 1.0 / diag
+    np.divide(sl > 0, c, out=diag)
+    diag += eps
     # Delta = diag + each sample's rho (sig) 11^T over its k1 (k2) rows; by
     # Sherman-Morrison, Delta^{-1} x = x / diag - f (per-sample block sum of
-    # x / diag) with f = inv * rho / (1 + rho * block sum of inv)
-    blocks = []
-    for rows, k, t in ((slice(0, n1), sub.k1, rho), (slice(n1, None), sub.k2, sig)):
-        inv_k = inv[rows]
-        coef = t / (1.0 + t * _block_sum(inv_k, k))
-        blocks.append((rows, k, coef[:, None, None] * inv_k.reshape(N, k)[:, :, None]))
+    # x / diag) with f = inv * rho / (1 + rho * block sum of inv), inv = 1 / diag
+    blocks = ((slice(0, n1), sub.k1, rho), (slice(n1, None), sub.k2, sig))
+    np.divide(1.0, diag, out=f)
+    for rows, k, t in blocks:
+        inv_k = f[rows].reshape(-1, k)
+        inv_k *= (t / (1.0 + t * _block_sum(f[rows], k)))[:, None]
 
-    def delta_solve(X):
-        """Apply Delta^{-1} to the columns of X."""
-        Y = X / diag[:, None]
-        for rows, k, f in blocks:
-            Yk = Y[rows]
-            s = _block_sum(Yk, k)
-            # one atom row of every sample at a time: a temporary as large as
-            # Y page-faults afresh on most calls once the allocator has
-            # returned its memory to the system
+    def delta_solve(X, Y):
+        """Y = Delta^{-1} X, column by column."""
+        np.divide(X, diag[:, None], out=Y)
+        s, fs = S[:, :X.shape[1]], T[:, :X.shape[1]]
+        for rows, k, _ in blocks:
+            Yk, fk = Y[rows], f[rows, None]
+            _block_sum(Yk, k, out=s)
+            # one atom row of every sample at a time, through the work arrays
             for j in range(k):
-                Yk[j::k] -= f[:, j] * s
+                Yk[j::k] -= np.multiply(fk[j::k], s, out=fs)
         return Y
 
     act = np.flatnonzero(d_th)
-    y = delta_solve(grad[:, None])
+    y = delta_solve(grad[:, None], np.empty((sub.dual_dim, 1)))
     if act.size:
         B = sub.B if act.size == sub.m else sub.B[:, act]
-        Z = delta_solve(B)
-        S = c * np.eye(act.size) + B.T @ Z
-        y -= Z @ np.linalg.solve(S, B.T @ y)
+        Z = delta_solve(B, sub.work_Z[:, :act.size])
+        S_th = c * np.eye(act.size) + B.T @ Z
+        # f is read by delta_solve only, so it can hold the correction
+        y -= np.matmul(Z, np.linalg.solve(S_th, B.T @ y), out=f.reshape(-1, 1))
     return y.ravel()
 
 

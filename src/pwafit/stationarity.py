@@ -98,21 +98,26 @@ def classify_point(f: PiecewiseAffine1D, x: float) -> StationarityFlags:
 _TIGHT_SN = SNConfig(tol_grad=1e-12, max_iter=200)
 
 
-def _selection_residual(problem, state, sel1, sel2, c, warm=None):
-    sub = mm.build_subproblem(problem, state, sel1, sel2, c)
+def _selection_residual(sub, warm=None):
+    """(max|theta - theta_bar|, SNResult) of one tight solve of `sub`, whose
+    anchor theta_bar is the certified point."""
     res = sn_solve(sub, warm=warm, cfg=_TIGHT_SN)
-    return float(np.abs(res.theta - state.theta).max(initial=0.0)), res
+    return float(np.abs(res.theta - sub.theta_nu).max(initial=0.0)), res
 
 
-def _max_residual(problem: CompositeProblem, theta_bar, sels, c: float) -> float:
-    """Largest `_selection_residual` over `sels`, each solve warm-started
-    from the previous one's multipliers; a NaN one is kept, not dropped."""
+def _max_residual(problem: CompositeProblem, theta_bar, sels, c: float):
+    """(largest `_selection_residual` over `sels`, number of those solves that
+    did not converge).  One subproblem is rebuilt in place for each selection,
+    and each solve is warm-started from the previous one's multipliers; a NaN
+    residual is kept, not dropped."""
     state = mm.init_state(problem, np.asarray(theta_bar, dtype=float))
-    residual, warm = 0.0, None
+    residual, warm, sub, unconverged = 0.0, None, None, 0
     for sel1, sel2 in sels:
-        r, res = _selection_residual(problem, state, sel1, sel2, c, warm)
+        sub = mm.build_subproblem(problem, state, sel1, sel2, c, reuse=sub)
+        r, res = _selection_residual(sub, warm)
         residual, warm = np.maximum(residual, r), res.x
-    return float(residual)
+        unconverged += not res.converged
+    return float(residual), unconverged
 
 
 def dstat_residual(problem: CompositeProblem, theta_bar, c: float,
@@ -120,17 +125,19 @@ def dstat_residual(problem: CompositeProblem, theta_bar, c: float,
     """Max subproblem displacement over exact-argmax pair selections.
 
     The selections are `mm.select_pairs`'s "full" ones at tolerance TIE_TOL.
-    Returns (residual, coverage); residual near zero certifies
-    d-stationarity exactly when coverage == 1.
+    Returns (residual, coverage, unconverged); residual near zero certifies
+    d-stationarity exactly when coverage == 1 and no solve is unconverged.
     """
     sels, coverage = mm.select_pairs(problem, theta_bar, TIE_TOL, "full",
                                      combo_cap=combo_cap)
-    return _max_residual(problem, theta_bar, sels, c), coverage
+    residual, unconverged = _max_residual(problem, theta_bar, sels, c)
+    return residual, coverage, unconverged
 
 
 def weak_mstat_residual(problem: CompositeProblem, theta_bar, selection,
-                        c: float) -> float:
-    """Displacement under the subproblem of one given pair selection."""
+                        c: float):
+    """(displacement under the subproblem of one given pair selection, 1 if
+    its solve did not converge else 0)."""
     sel = tuple(np.asarray(part, dtype=int) for part in selection)
     return _max_residual(problem, theta_bar, [sel], c)
 
@@ -142,17 +149,20 @@ def certify(problem: CompositeProblem, report: mm.SolveReport,
 
     The `one` variant gets the weak M-stationarity residual of its own
     selection; the others get the d-stationarity residual over the first
-    `combo_cap` exact-argmax selections, with their coverage.
+    `combo_cap` exact-argmax selections, with their coverage.  Either way the
+    report counts the certificate's unconverged solves.
     """
     theta = report.theta
     c = config.resolve_c(problem)
     if config.variant == "one":
         sels, _ = mm.select_pairs(problem, theta, config.eps, "one")
-        report.residual = weak_mstat_residual(problem, theta, sels[0], c)
+        report.residual, report.residual_unconverged = weak_mstat_residual(
+            problem, theta, sels[0], c)
         report.residual_kind = "weak_mstat"
         report.residual_coverage = 1.0
     else:
-        report.residual, report.residual_coverage = dstat_residual(
-            problem, theta, c, config.combo_cap)
+        (report.residual, report.residual_coverage,
+         report.residual_unconverged) = dstat_residual(problem, theta, c,
+                                                       config.combo_cap)
         report.residual_kind = "dstat"
     return report

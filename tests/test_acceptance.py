@@ -209,8 +209,8 @@ def test_criterion_4_stationarity_certification(capsys):
         cfg = mm.MMConfig(variant="full", tol_step=1e-7, max_outer=2000,
                           sn_tol_floor=1e-10, seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
-        res, cov = stationarity.dstat_residual(comp, rep.theta,
-                                               cfg.resolve_c(comp))
+        res, cov, _ = stationarity.dstat_residual(comp, rep.theta,
+                                                  cfg.resolve_c(comp))
         full_ok += (res <= 1e-5 and cov == 1.0)
 
     # (b) randomized single-draw variant, 100 seeded runs
@@ -221,8 +221,8 @@ def test_criterion_4_stationarity_certification(capsys):
         cfg = mm.MMConfig(variant="random", tol_step=1e-7, max_outer=2000,
                           sn_tol_floor=1e-10, seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
-        res, cov = stationarity.dstat_residual(comp, rep.theta,
-                                               cfg.resolve_c(comp))
+        res, cov, _ = stationarity.dstat_residual(comp, rep.theta,
+                                                  cfg.resolve_c(comp))
         rand_ok += (res <= 1e-5 and cov == 1.0)
 
     # (c) single-pair variant reaches weak M-stationarity
@@ -234,8 +234,8 @@ def test_criterion_4_stationarity_certification(capsys):
                           sn_tol_floor=1e-10, seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
         sels, _ = mm.select_pairs(comp, rep.theta, 1e-9, "one")
-        res = stationarity.weak_mstat_residual(comp, rep.theta, sels[0],
-                                               cfg.resolve_c(comp))
+        res, _ = stationarity.weak_mstat_residual(comp, rep.theta, sels[0],
+                                                  cfg.resolve_c(comp))
         one_ok += res <= 1e-5
 
     ok = full_ok == 10 and rand_ok >= 95 and one_ok == 10

@@ -21,7 +21,7 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
-def count_certificates(monkeypatch, dstat=(0.0, 1.0)):
+def count_certificates(monkeypatch, dstat=(0.0, 1.0, 0)):
     """Replace both certificate residuals by stubs; returns their call log."""
     from pwafit import stationarity
     calls = []
@@ -34,7 +34,7 @@ def count_certificates(monkeypatch, dstat=(0.0, 1.0)):
 
     monkeypatch.setattr(stationarity, "dstat_residual", counting("dstat", dstat))
     monkeypatch.setattr(stationarity, "weak_mstat_residual",
-                        counting("weak_mstat", 0.0))
+                        counting("weak_mstat", (0.0, 0)))
     return calls
 
 
@@ -185,10 +185,25 @@ class TestFit:
         for key in ("best_start", "best_objective", "iterations", "sn_total"):
             assert a[key] == b[key]
 
+    def test_inner_failures_reported(self, fit_dir, tmp_path):
+        # each step's SN health is in trace.csv, and report.json counts the
+        # steps whose solve did not converge
+        for out, cfg in ((fit_dir, None), (tmp_path, {**SMALL_FIT, "sn_max_iter": 1})):
+            if cfg is not None:
+                p = write_json(tmp_path / "c.json", cfg)
+                assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 0
+            header, rows = read_csv(out / "trace.csv")
+            assert header[-2:] == ["sn_iterations", "sn_converged"]
+            with open(out / "report.json") as fh:
+                rep = json.load(fh)
+            assert rep["inner_failures"] == sum(r[-1] == "0" for r in rows)
+            assert rep["inner_failures"] == 0 if cfg is None else rep["inner_failures"] > 0
+
     def test_report_carries_certificate_coverage(self, tmp_path, monkeypatch):
         # a dstat residual only certifies d-stationarity at coverage 1, so the
         # report says how much of the selection product it covered
-        count_certificates(monkeypatch, dstat=(0.5, 0.25))
+        # and how many of its solves did not converge
+        count_certificates(monkeypatch, dstat=(0.5, 0.25, 3))
         cfg = {**SMALL_FIT, "starts": 1, "compute_residual": True}
         p = write_json(tmp_path / "c.json", cfg)
         assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 0
@@ -196,6 +211,7 @@ class TestFit:
             rep = json.load(fh)
         assert rep["residual_kind"] == "dstat"
         assert rep["residual"] == 0.5 and rep["residual_coverage"] == 0.25
+        assert rep["residual_unconverged"] == 3
 
     def test_gamma_cv_certifies_only_the_final_fit(self, tmp_path, monkeypatch):
         # select_gamma's fold fits are never reported, so they skip the
@@ -312,6 +328,7 @@ class TestCheck:
             rep = json.load(fh)
         assert rep["dstat_residual"] >= 0.0
         assert 0.0 < rep["coverage"] <= 1.0
+        assert rep["unconverged"] == 0
         assert rep["objective"] > 0.0
 
     def test_neither_branch_rejected(self, tmp_path):

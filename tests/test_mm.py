@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from pwafit import mm, pwa, stationarity
 from pwafit.funcs import TIE_TOL, CompositeProblem, DcRegularizer
-from pwafit.snewton import SNConfig
+from pwafit.snewton import SNConfig, sn_solve
 from oracles import loop_select_pairs, random_instance
 
 
@@ -163,12 +163,12 @@ class TestSelectPairsMatchesLoop:
         seen = []
         build = mm.build_subproblem
 
-        def record(problem, state, sel1, sel2, c):
+        def record(problem, state, sel1, sel2, c, *, reuse=None):
             seen.append((sel1, sel2))
-            return build(problem, state, sel1, sel2, c)
+            return build(problem, state, sel1, sel2, c, reuse=reuse)
 
         monkeypatch.setattr(mm, "build_subproblem", record)
-        _, dcov = stationarity.dstat_residual(comp, theta, 1.0, combo_cap=5)
+        _, dcov, _ = stationarity.dstat_residual(comp, theta, 1.0, combo_cap=5)
         assert dcov == cov
         _assert_same_selections(seen, sels)
 
@@ -226,6 +226,53 @@ class TestBuildSubproblem:
             [((st.r + h)[:, None] - gv).ravel(), ((g - st.s)[:, None] - hv).ravel()]), 0.0))
 
 
+class TestReusedSubproblem:
+    """`build_subproblem(..., reuse=prev)` rewrites only the B rows of samples
+    whose selection changed; the result must be the fresh build's."""
+
+    @staticmethod
+    def _next_selection(comp, sel1, sel2, case, rng):
+        sel1, sel2 = sel1.copy(), sel2.copy()
+        if case == "one":
+            # a mu row (sel1) changes, or a lambda row (sel2) when k2 > 1
+            i = int(rng.integers(comp.n_samples))
+            if comp.k2 > 1:
+                sel2[i] = (sel2[i] + 1) % comp.k2
+            else:
+                sel1[i] = (sel1[i] + 1) % comp.k1
+        elif case == "every":
+            sel1 = (sel1 + 1) % comp.k1
+            sel2 = (sel2 + 1) % comp.k2
+        return sel1, sel2
+
+    @pytest.mark.parametrize("k2", [0, 1, 2])
+    def test_reused_build_equals_fresh_build(self, k2):
+        prob, comp = random_instance(40 + k2, N=50, k1=2, k2=k2)
+        rng = np.random.default_rng(40 + k2)
+        c = 0.7
+        st = mm.init_state(comp, rng.normal(size=prob.m))
+        sel1 = rng.integers(comp.k1, size=50)
+        sel2 = rng.integers(comp.k2, size=50)
+        sn_cfg = SNConfig(tol_grad=1e-10, max_iter=200)
+        sub = mm.build_subproblem(comp, st, sel1, sel2, c)
+        warm = sn_solve(sub, cfg=sn_cfg).x
+        for case in ("none", "one", "every", "one", "none", "every"):
+            st = mm.init_state(comp, st.theta + 0.1 * rng.normal(size=prob.m))
+            st.warm = warm
+            sel1, sel2 = self._next_selection(comp, sel1, sel2, case, rng)
+            fresh = mm.build_subproblem(comp, st, sel1, sel2, c)
+            reused = mm.build_subproblem(comp, st, sel1, sel2, c, reuse=sub)
+            assert reused is sub and reused.B.flags.f_contiguous
+            for name in ("B", "beta", "slack_nu"):
+                assert np.array_equal(getattr(reused, name), getattr(fresh, name)), \
+                    (case, name)
+            a = sn_solve(reused, warm=st.warm, cfg=sn_cfg)
+            b = sn_solve(fresh, warm=st.warm, cfg=sn_cfg)
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.theta, b.theta)
+            assert a.value == b.value and a.iterations == b.iterations
+            warm = a.x
+
+
 class TestMmIterate:
     def _cfg(self, **kw):
         base = dict(variant="full")
@@ -239,9 +286,9 @@ class TestMmIterate:
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         assert rep.reason == "tolerance"
         st = mm.init_state(comp, rep.theta)
-        nxt, rec = mm.mm_iterate(comp, st, cfg, cfg.resolve_c(comp),
-                                 SNConfig(tol_grad=1e-12, max_iter=200),
-                                 np.random.default_rng(0))
+        nxt, rec, _ = mm.mm_iterate(comp, st, cfg, cfg.resolve_c(comp),
+                                    SNConfig(tol_grad=1e-12, max_iter=200),
+                                    np.random.default_rng(0))
         assert rec.step_norm < 1e-6
         assert _state_close(st, nxt, tol=1e-6)
 
@@ -254,8 +301,8 @@ class TestMmIterate:
             rng = np.random.default_rng(seed)
             st = mm.init_state(comp, rng.normal(size=prob.m))
             old = comp.surrogate_value(st.theta, st.r, st.s)
-            nxt, rec = mm.mm_iterate(comp, st, cfg, c,
-                                     SNConfig(tol_grad=1e-10, max_iter=200), rng)
+            nxt, rec, _ = mm.mm_iterate(comp, st, cfg, c,
+                                        SNConfig(tol_grad=1e-10, max_iter=200), rng)
             assert rec.accepted
             new = comp.surrogate_value(nxt.theta, nxt.r, nxt.s)
             assert new + 0.5 * c * rec.step_norm ** 2 <= old + 1e-9
@@ -267,9 +314,9 @@ class TestMmIterate:
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         st = mm.init_state(comp, rep.theta)
         rcfg = self._cfg(variant="random")
-        nxt, rec = mm.mm_iterate(comp, st, rcfg, rcfg.resolve_c(comp),
-                                 SNConfig(tol_grad=1e-12, max_iter=200),
-                                 np.random.default_rng(1))
+        nxt, rec, _ = mm.mm_iterate(comp, st, rcfg, rcfg.resolve_c(comp),
+                                    SNConfig(tol_grad=1e-12, max_iter=200),
+                                    np.random.default_rng(1))
         if not rec.accepted:
             assert nxt is st
         # accepted or not, the recorded candidate step is tiny here

@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pwafit import mm
+from pwafit import mm, pwa
 from pwafit.funcs import DcRegularizer, MonotoneSplit
 from pwafit.snewton import SNConfig, _block_sum, _newton_direction, sn_solve
 from oracles import (dual_subproblem, enum_subproblem_solve, fd_grad,
@@ -94,6 +95,54 @@ class TestNewtonDirection:
                 gathered += 0 < np.sum((sub.l1 > 0) & (th == 0)) < sub.m
         # the dead-zone instances take the gathered-columns path
         assert gathered >= 18
+
+
+class TestWorkArrays:
+    """The MM step's hot path reuses its arrays: no Newton step and no reused
+    subproblem build allocates a block a quarter of B's size."""
+
+    @staticmethod
+    def _excess_bytes(fn):
+        """Traced peak minus current memory while fn runs, at a ufunc buffer
+        size of 1 024 elements.
+
+        A ufunc whose operands do not share one memory layout, or that
+        broadcasts one, iterates through buffers of up to numpy's buffer size
+        per operand, whatever the array sizes.  At the default of 8 192
+        elements those buffers alone reach 130 kB, above the bound at N = 1000,
+        so the bound holds at the shrunken size only, where the measure sees
+        the arrays the code itself allocates.
+        """
+        bufsize = np.setbufsize(1024)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+
+    def test_no_block_of_a_quarter_of_B(self):
+        # paper example 2 at N = 1000, k1 = k2 = 2: B is 4000 x 12
+        ds, _ = pwa.synth_example2(1000, 0)
+        comp = pwa.assemble(pwa.PWAProblem(ds, k1=2, k2=2))
+        cfg = mm.MMConfig()
+        c = cfg.resolve_c(comp)
+        rng = np.random.default_rng(0)
+        st = mm.init_state(comp, rng.normal(size=comp.m))
+        (sel1, sel2), = mm.select_pairs(comp, st.theta, cfg.eps, "random", rng=rng)[0]
+        sub = mm.build_subproblem(comp, st, sel1, sel2, c)
+        res = sn_solve(sub, cfg=SNConfig(tol_grad=1e-6, max_iter=3))
+        _, grad, _, jac = sub.value_grad(res.x)
+        limit = sub.B.nbytes / 4
+        _newton_direction(sub, jac, grad, 1e-4)
+        assert self._excess_bytes(lambda: _newton_direction(sub, jac, grad, 1e-4)) < limit
+        # the next MM iterate, with its own selection, rebuilt in place
+        nxt = mm.AugmentedIterate(res.theta, res.r, res.s, res.x)
+        (sel1, sel2), = mm.select_pairs(comp, nxt.theta, cfg.eps, "random", rng=rng)[0]
+        assert self._excess_bytes(lambda: mm.build_subproblem(
+            comp, nxt, sel1, sel2, c, reuse=sub)) < limit
 
 
 class TestDualValueGrad:

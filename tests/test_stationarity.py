@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pwafit import mm
+from pwafit import mm, stationarity
 from pwafit.funcs import CompositeProblem
+from pwafit.snewton import SNConfig
 from pwafit.stationarity import (
     classify_point,
     dstat_residual,
@@ -147,7 +148,7 @@ class TestDstatResidual:
         w, b, _ = ols_fit(prob.dataset)
         # gauge: put the OLS fit in the g atom, zero h atom
         theta = np.concatenate([w, [b], np.zeros(3)])
-        res, cov = dstat_residual(comp, theta, c=1.0)
+        res, cov, _ = dstat_residual(comp, theta, c=1.0)
         assert cov == 1.0
         assert res <= 1e-8
 
@@ -157,18 +158,32 @@ class TestDstatResidual:
         w, b, _ = ols_fit(prob.dataset)
         theta = np.concatenate([w, [b], np.zeros(3)])
         theta[0] += 0.1     # not a gauge direction: changes the fitted surface
-        res, _ = dstat_residual(comp, theta, c=1.0)
+        res, _, _ = dstat_residual(comp, theta, c=1.0)
         assert res > 1e-3
 
     def test_counterexample_pairs(self):
         comp = _counterexample_problem()
         theta = np.zeros(1)
         # the lexicographically-first pair certifies weak M-stationarity ...
-        assert weak_mstat_residual(comp, theta, ([0], [0]), c=1.0) <= 1e-9
+        assert weak_mstat_residual(comp, theta, ([0], [0]), c=1.0)[0] <= 1e-9
         # ... but the full pair enumeration exposes a descent selection
-        res, cov = dstat_residual(comp, theta, c=1.0)
+        res, cov, _ = dstat_residual(comp, theta, c=1.0)
         assert cov == 1.0
         assert res > 1e-3
+
+    def test_unconverged_solves_are_counted(self, monkeypatch):
+        # a residual from a solve that stopped short of its tolerance is no
+        # certificate, so the certificate counts such solves
+        comp = _counterexample_problem()
+        theta = np.zeros(1)
+        _, cov, unconverged = dstat_residual(comp, theta, c=1.0)
+        assert unconverged == 0
+        assert weak_mstat_residual(comp, theta, ([0], [0]), c=1.0)[1] == 0
+        monkeypatch.setattr(stationarity, "_TIGHT_SN",
+                            SNConfig(tol_grad=1e-12, max_iter=1))
+        _, cov1, unconverged = dstat_residual(comp, theta, c=1.0)
+        assert cov1 == cov and 0 < unconverged <= 4
+        assert weak_mstat_residual(comp, theta, ([1], [1]), c=1.0)[1] == 1
 
     def test_weak_residual_zero_at_dstat(self):
         prob, comp = random_instance(3, N=5, k1=2, k2=1)
@@ -176,14 +191,14 @@ class TestDstatResidual:
                           max_outer=1000)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         sels, _ = mm.select_pairs(comp, rep.theta, 1e-9, "one")
-        assert weak_mstat_residual(comp, rep.theta, sels[0], c=0.1) <= 1e-5
+        assert weak_mstat_residual(comp, rep.theta, sels[0], c=0.1)[0] <= 1e-5
 
     def test_mm_terminal_point_certified(self):
         prob, comp = random_instance(4, N=5, k1=2, k2=1)
         cfg = mm.MMConfig(variant="full", tol_step=1e-7, sn_tol_floor=1e-11,
                           max_outer=1000)
         rep = mm.run(comp, cfg, np.random.default_rng(4).normal(size=prob.m))
-        res, cov = dstat_residual(comp, rep.theta, c=cfg.resolve_c(comp))
+        res, cov, _ = dstat_residual(comp, rep.theta, c=cfg.resolve_c(comp))
         assert cov == 1.0
         assert res <= 1e-5
 
@@ -193,5 +208,5 @@ class TestDstatResidual:
         from pwafit.pwa import ols_fit
         w, b, _ = ols_fit(prob.dataset)
         theta = np.concatenate([w, [b]])
-        res, _ = dstat_residual(comp, theta, c=0.5)
+        res, _, _ = dstat_residual(comp, theta, c=0.5)
         assert res <= 1e-6
