@@ -399,9 +399,9 @@ def cmd_check(cfg: dict, out: str) -> int:
         cfg2 = {**cfg, "k1": model.k1, "k2": model.k2}
         problem = _problem(cfg2, dataset)
         comp = pwa.assemble(problem)
-        c = MMConfig(c=cfg["c"]).resolve_c(comp)
         res, cov, unconverged = stationarity.dstat_residual(
-            comp, model.flatten(), c, cfg["combo_cap"])
+            comp, model.flatten(), stationarity.certificate_c(comp, cfg["c"]),
+            cfg["combo_cap"])
         report.update({"dstat_residual": res, "coverage": cov,
                        "unconverged": unconverged,
                        "objective": comp.f_N(model.flatten())})

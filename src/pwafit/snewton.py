@@ -142,9 +142,12 @@ class DualSubproblem:
 
 
 # backtracking factor and Armijo's sufficient-increase constant; the Newton
-# system is regularized by eps = min(_EPS_FLOOR + ||grad||, _EPS_CAP)
+# system is regularized by eps = min(_EPS_FLOOR + _EPS_GRAD ||grad||, _EPS_CAP)
+# / c, proportional to the gradient norm (Li, Sun and Toh, SIAM J. Optim.
+# 2018) and measured in the 1/c units of the generalized Jacobian, so that it
+# weighs the same at every proximal weight
 _RHO, _SIGMA = 0.5, 1e-4
-_EPS_FLOOR, _EPS_CAP = 1e-8, 1e-2
+_EPS_FLOOR, _EPS_GRAD, _EPS_CAP = 1e-9, 0.1, 1e-3
 
 
 @dataclass
@@ -232,7 +235,7 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
             converged = True
             it -= 1
             break
-        eps = min(_EPS_FLOOR + gnorm, _EPS_CAP)
+        eps = min(_EPS_FLOOR + _EPS_GRAD * gnorm, _EPS_CAP) / sub.c
         for _ in range(3):
             try:
                 d = _newton_direction(sub, jac, grad, eps)

@@ -98,6 +98,18 @@ def classify_point(f: PiecewiseAffine1D, x: float) -> StationarityFlags:
 _TIGHT_SN = SNConfig(tol_grad=1e-12, max_iter=200)
 
 
+def certificate_c(problem: CompositeProblem, c: float | None) -> float:
+    """The certificate's proximal weight: `c` when set, else the data-scaled
+    1e-2 (1 + mean y^2).
+
+    The residual is a displacement max|theta - theta_bar|, whose size depends
+    on c, so the certificate keeps this weight whatever weight MM stepped
+    with (`mm.MMConfig.resolve_c`)."""
+    if c is not None:
+        return float(c)
+    return 1e-2 * (1.0 + float(np.mean(np.atleast_1d(problem.split.y) ** 2)))
+
+
 def _selection_residual(sub, warm=None):
     """(max|theta - theta_bar|, SNResult) of one tight solve of `sub`, whose
     anchor theta_bar is the certified point."""
@@ -145,7 +157,7 @@ def weak_mstat_residual(problem: CompositeProblem, theta_bar, selection,
 def certify(problem: CompositeProblem, report: mm.SolveReport,
             config: mm.MMConfig) -> mm.SolveReport:
     """Fill the report's residual fields at its final theta, with the
-    proximal weight `config` resolves.
+    proximal weight `certificate_c` gives for `config.c`.
 
     The `one` variant gets the weak M-stationarity residual of its own
     selection; the others get the d-stationarity residual over the first
@@ -153,7 +165,7 @@ def certify(problem: CompositeProblem, report: mm.SolveReport,
     report counts the certificate's unconverged solves.
     """
     theta = report.theta
-    c = config.resolve_c(problem)
+    c = certificate_c(problem, config.c)
     if config.variant == "one":
         sels, _ = mm.select_pairs(problem, theta, config.eps, "one")
         report.residual, report.residual_unconverged = weak_mstat_residual(

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 
@@ -185,19 +186,24 @@ class TestFit:
         for key in ("best_start", "best_objective", "iterations", "sn_total"):
             assert a[key] == b[key]
 
-    def test_inner_failures_reported(self, fit_dir, tmp_path):
+    def test_inner_failures_reported(self, tmp_path):
         # each step's SN health is in trace.csv, and report.json counts the
-        # steps whose solve did not converge
-        for out, cfg in ((fit_dir, None), (tmp_path, {**SMALL_FIT, "sn_max_iter": 1})):
-            if cfg is not None:
-                p = write_json(tmp_path / "c.json", cfg)
-                assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 0
-            header, rows = read_csv(out / "trace.csv")
+        # steps whose solve did not converge; solves capped at one Newton
+        # step are forced to fail
+        for variant, sn_max_iter in itertools.product(
+                ("full", "random"), (cli.MMConfig.sn_max_iter, 1)):
+            cfg = {**SMALL_FIT, "variant": variant, "sn_max_iter": sn_max_iter}
+            p = write_json(tmp_path / "c.json", cfg)
+            assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 0
+            header, rows = read_csv(tmp_path / "trace.csv")
             assert header[-2:] == ["sn_iterations", "sn_converged"]
-            with open(out / "report.json") as fh:
+            with open(tmp_path / "report.json") as fh:
                 rep = json.load(fh)
             assert rep["inner_failures"] == sum(r[-1] == "0" for r in rows)
-            assert rep["inner_failures"] == 0 if cfg is None else rep["inner_failures"] > 0
+            if sn_max_iter == 1:
+                assert rep["inner_failures"] > 0
+            else:
+                assert rep["inner_failures"] == 0
 
     def test_report_carries_certificate_coverage(self, tmp_path, monkeypatch):
         # a dstat residual only certifies d-stationarity at coverage 1, so the
@@ -241,6 +247,39 @@ class TestFit:
         with open(tmp_path / "report.json") as fh:
             rep = json.load(fh)
         assert rep["best_objective"] == pytest.approx(f_ols, rel=1e-6)
+
+
+class TestDefaultFit:
+    """Paper example 2 (k1 = k2 = 2) fitted with every solver default: the
+    default proximal weight converges, with no hand-tuned c."""
+
+    @staticmethod
+    def fit(tmp_path, N, starts, **extra):
+        ds, truth = pwa.synth_example2(N, seed=0)
+        ds.save_csv(tmp_path / "d.csv")
+        p = write_json(tmp_path / "c.json", {"dataset": str(tmp_path / "d.csv"),
+                                             "k1": 2, "k2": 2, "starts": starts,
+                                             **extra})
+        assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "report.json") as fh:
+            rep = json.load(fh)
+        return ds, truth, rep
+
+    def test_n400_stops_on_tolerance_near_the_noise_floor(self, tmp_path):
+        ds, truth, rep = self.fit(tmp_path, 400, 20)
+        header, rows = read_csv(tmp_path / "starts.csv")
+        reason, iterations = header.index("reason"), header.index("mm_iterations")
+        # every start stops on tolerance well before the 500-step cap
+        assert all(r[reason] == "tolerance" and int(r[iterations]) <= 200
+                   for r in rows)
+        # and the best fits the data about as well as the generating model
+        f_truth = 0.5 * float(np.mean((truth.eval(ds.X) - ds.y) ** 2))
+        assert rep["best_objective"] <= 1.05 * f_truth
+
+    def test_n4000_makes_no_unconverged_solve(self, tmp_path):
+        _, _, rep = self.fit(tmp_path, 4000, 1, compute_residual=False)
+        assert rep["inner_failures"] == 0
+        assert rep["reason"] == "tolerance"
 
 
 class TestFolds:
@@ -330,6 +369,26 @@ class TestCheck:
         assert 0.0 < rep["coverage"] <= 1.0
         assert rep["unconverged"] == 0
         assert rep["objective"] > 0.0
+
+    def test_check_reproduces_fit_residual(self, tmp_path):
+        # fit and check certify with one proximal weight: checking a fit's
+        # best model on its data reports the fit's own residual
+        ds, _ = pwa.synth_example2(200, seed=4)
+        ds.save_csv(tmp_path / "d.csv")
+        p = write_json(tmp_path / "fit.json", {"dataset": str(tmp_path / "d.csv"),
+                                               "k1": 2, "k2": 2, "starts": 2})
+        assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 0
+        p = write_json(tmp_path / "chk.json", {"model": str(tmp_path / "best_model.json"),
+                                               "dataset": str(tmp_path / "d.csv")})
+        assert main(["check", "--config", p, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "report.json") as fh:
+            fit = json.load(fh)
+        with open(tmp_path / "check.json") as fh:
+            check = json.load(fh)
+        assert fit["residual_kind"] == "dstat"
+        assert check["dstat_residual"] == fit["residual"]
+        assert check["coverage"] == fit["residual_coverage"]
+        assert check["unconverged"] == fit["residual_unconverged"]
 
     def test_neither_branch_rejected(self, tmp_path):
         p = write_json(tmp_path / "c.json", {"points": [0.0]})
