@@ -73,6 +73,10 @@ def _integer(lo):
     return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo
 
 
+def _numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_finite, v))
+
+
 # key -> (accepts the value, what it must be); checked wherever the key
 # occurs, in the nested `init` and `synth` objects too
 _DOMAINS = {
@@ -83,7 +87,6 @@ _DOMAINS = {
     "strategy": (lambda v: v in ("gaussian", "ols-perturb"), "gaussian or ols-perturb"),
     "eps": (_number(0), "a number >= 0"),
     "tol_rel": (_number(0), "a number >= 0"),
-    "tol_step": (_number(0), "a number >= 0"),
     "sn_tol_floor": (_number(0), "a number >= 0"),
     "scale": (_number(0), "a number >= 0"),
     "gamma": (lambda v: v == "cv" or _number(0)(v), 'a number >= 0, or "cv" in fit'),
@@ -103,6 +106,12 @@ _DOMAINS = {
     "simulations": (_integer(1), "an integer >= 1"),
     "folds": (_integer(2), "an integer >= 2"),
     "seed": (_integer(0), "an integer >= 0"),
+    "pwa1d": (lambda v: v is None or (
+        isinstance(v, dict) and set(v) <= {"breakpoints", "pieces"}
+        and _numbers(v.get("breakpoints", [])) and isinstance(v.get("pieces"), list)
+        and all(_numbers(p) and len(p) == 2 for p in v["pieces"])),
+        'null or {"breakpoints": [x, ...], "pieces": [[slope, intercept], ...]}'),
+    "points": (lambda v: v is None or _numbers(v), "null or a list of numbers"),
 }
 
 
@@ -374,9 +383,12 @@ def cmd_check(cfg: dict, out: str) -> int:
     report = {"command": "check", "config": cfg}
     if cfg.get("pwa1d") is not None:
         pw = cfg["pwa1d"]
-        f = stationarity.PiecewiseAffine1D(
-            tuple(float(v) for v in pw.get("breakpoints", [])),
-            tuple((float(a), float(b)) for a, b in pw["pieces"]))
+        try:
+            f = stationarity.PiecewiseAffine1D(
+                tuple(float(v) for v in pw.get("breakpoints", [])),
+                tuple((float(a), float(b)) for a, b in pw["pieces"]))
+        except ValueError as exc:
+            raise ConfigError(f"pwa1d: {exc}") from exc
         pts = []
         for x in (cfg.get("points") or [0.0]):
             flags = stationarity.classify_point(f, float(x))

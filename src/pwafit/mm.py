@@ -43,7 +43,6 @@ class MMConfig:
     c: float | None = None          # proximal weight; None -> _KAPPA * loss weight
     eps: float = 1e-4               # argmax expansion
     tol_rel: float = 1e-4           # relative objective-change stopping rule
-    tol_step: float = 0.0           # > 0: stop on ||dz|| <= tol_step instead of tol_rel
     max_outer: int = 500
     combo_cap: int = 64
     sn_tol_floor: float = 1e-6      # floor of the inner tolerance schedule
@@ -231,14 +230,10 @@ def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
         if best is None or res.value < best.value:
             best = res
 
-    accepted = True
-    if config.variant == "random" and not (best.value < old_surrogate):
-        accepted = False
-
-    # candidate displacement is recorded even on rejection: a tiny step for
-    # the drawn selection is the stationarity signal the stopping rule reads.
-    # The anchors it is measured from do not depend on the selection, so the
-    # last candidate's subproblem measures the best one's
+    accepted = config.variant != "random" or best.value < old_surrogate
+    # the candidate step goes to the trace, also on rejection; no stopping
+    # rule reads it.  Its anchors do not depend on the selection, so the last
+    # candidate's subproblem measures the best one's
     step = float(np.sqrt(sub.displacement_sq(best.theta, best.r, best.s, best.slack)))
     if accepted:
         nxt = AugmentedIterate(theta=best.theta, r=best.r, s=best.s, warm=best.x)
@@ -256,8 +251,9 @@ def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
 def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
     """Full solve from one starting point.
 
-    The report's residual fields stay unset; `stationarity.certify` fills
-    them.
+    Stops on "tolerance" once a step changes f_N by at most `tol_rel` *
+    max(1, |f_N|), so at once when a `random` step rejects its draw and keeps
+    theta.  The residual fields stay unset; `stationarity.certify` fills them.
     """
     t_start = time.perf_counter()
     c = config.resolve_c(problem)
@@ -268,7 +264,6 @@ def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
         raise ValueError("non-finite objective at the starting point")
 
     trace: list[Record] = []
-    sn_total = 0
     reason = "max_outer"
     sn_tol = config.sn_tol_floor
     sub = None
@@ -276,20 +271,15 @@ def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
         sn_cfg = SNConfig(tol_grad=sn_tol, max_iter=config.sn_max_iter)
         state, rec, sub = mm_iterate(problem, state, config, c, sn_cfg, rng, it, sub)
         trace.append(rec)
-        sn_total += rec.sn_iterations
         df = abs(rec.f_N - f_prev)
         if not config.sn_tol_fixed:
             sn_tol = max(config.sn_tol_floor, 1e-2 * df)
         rel = df / max(1.0, abs(f_prev))
         f_prev = rec.f_N
-        if config.tol_step > 0.0:
-            if rec.step_norm <= config.tol_step:
-                reason = "tolerance"
-                break
-        elif rel <= config.tol_rel:
+        if rel <= config.tol_rel:
             reason = "tolerance"
             break
 
     return SolveReport(theta=state.theta, f_N=f_prev, iterations=len(trace),
-                       sn_total=sn_total, reason=reason, trace=trace,
-                       wall_time=time.perf_counter() - t_start)
+                       sn_total=sum(r.sn_iterations for r in trace), reason=reason,
+                       trace=trace, wall_time=time.perf_counter() - t_start)

@@ -228,11 +228,9 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
     x = np.zeros(sub.dual_dim) if warm is None else warm
     val, grad, inner, jac = sub.value_grad(x)
     it = 0
-    converged = False
     for it in range(1, cfg.max_iter + 1):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= cfg.tol_grad:
-            converged = True
             it -= 1
             break
         eps = min(_EPS_FLOOR + _EPS_GRAD * gnorm, _EPS_CAP) / sub.c
@@ -264,10 +262,9 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
             if flat:
                 break
         x, val, grad, inner, jac = xn, vn, gn, innern, jacn
-    converged = converged or float(np.linalg.norm(grad)) <= cfg.tol_grad
+    kkt = float(np.linalg.norm(grad))
 
     th, r, s, sl = inner
     return SNResult(x=x, theta=th, r=r, s=s, slack=sl,
                     value=sub.primal_value(th, r, s, sl), dual_value=val,
-                    kkt_residual=float(np.linalg.norm(grad)),
-                    iterations=it, converged=converged)
+                    kkt_residual=kkt, iterations=it, converged=kkt <= cfg.tol_grad)

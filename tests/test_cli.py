@@ -100,6 +100,17 @@ class TestConfig:
         ("cv", {"grid": [[1.5, 1]]}), ("cv", {"gamma": "cv"}),
         ("synth", {"example": 3}), ("synth", {"N": 0}), ("synth", {"seed": -1}),
         ("synth", {"N": 60.0}), ("check", {"k1": 2}), ("check", {"gamma": "cv"}),
+        # pwa1d and points are config input too: a malformed one is exit 2
+        ("check", {"pwa1d": {"breakpoints": [0.0]}}),
+        ("check", {"pwa1d": {"breakpoints": [0.0], "pieces": [[-1.0], [1.0, 0.0]]}}),
+        ("check", {"pwa1d": {"pieces": [[0.0, "a"]]}}),
+        ("check", {"pwa1d": {"pieces": [[0.0, 0.0]], "knots": []}}),
+        ("check", {"pwa1d": [[0.0, 0.0]]}),
+        ("check", {"points": "abc"}), ("check", {"points": [0.0, None]}),
+        ("check", {"pwa1d": {"breakpoints": [0.0], "pieces": [[-1.0, 0.0], [1.0, 1.0]]}}),
+        ("check", {"pwa1d": {"breakpoints": [1.0, 0.0],
+                             "pieces": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}}),
+        ("check", {"pwa1d": {"breakpoints": [0.0], "pieces": [[0.0, 0.0]]}}),
     ], ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={x}" for k, x in v.items()))
     def test_out_of_domain_value_exits_2_in_other_commands(self, tmp_path, command, bad):
         # each base config runs to exit 0 as it is; check's k1/k2 come from
@@ -237,7 +248,7 @@ class TestFit:
         cfg = {"synth": {"example": 1, "N": 50, "seed": 2},
                "k1": 1, "k2": 1, "starts": 1, "seed": 0,
                "init": {"strategy": "ols-perturb", "scale": 0.0},
-               "variant": "full", "tol_step": 1e-8, "max_outer": 2000,
+               "variant": "full", "tol_rel": 1e-15, "max_outer": 2000,
                "sn_tol_floor": 1e-12, "compute_residual": False}
         p = write_json(tmp_path / "c.json", cfg)
         assert main(["fit", "--config", str(p), "--out", str(tmp_path)]) == 0
@@ -332,7 +343,7 @@ class TestCv:
         cfg = {"synth": {"example": 1, "N": 60, "seed": 4},
                "grid": [[1, 0]], "folds": 5, "starts": 1, "seed": 0,
                "init": {"strategy": "ols-perturb", "scale": 0.0},
-               "variant": "full", "tol_step": 1e-8, "max_outer": 1500,
+               "variant": "full", "tol_rel": 1e-15, "max_outer": 1500,
                "sn_tol_floor": 1e-12, "compute_residual": False}
         p = write_json(tmp_path / "c.json", cfg)
         assert main(["cv", "--config", str(p), "--out", str(tmp_path)]) == 0

@@ -282,7 +282,7 @@ class TestMmIterate:
     def test_fixed_point_stays(self):
         # run to near-stationarity, then one more iterate moves by ~nothing
         prob, comp = random_instance(3, N=5, k1=2, k2=1)
-        cfg = self._cfg(tol_step=1e-9, sn_tol_floor=1e-12, max_outer=2000)
+        cfg = self._cfg(tol_rel=1e-15, sn_tol_floor=1e-12, max_outer=2000)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         assert rep.reason == "tolerance"
         st = mm.init_state(comp, rep.theta)
@@ -310,7 +310,7 @@ class TestMmIterate:
     def test_random_variant_rejection_keeps_state(self):
         # at a stationary point the drawn candidate cannot strictly improve
         prob, comp = random_instance(3, N=5, k1=2, k2=1)
-        cfg = self._cfg(tol_step=1e-10, sn_tol_floor=1e-12, max_outer=3000)
+        cfg = self._cfg(tol_rel=1e-15, sn_tol_floor=1e-12, max_outer=3000)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         st = mm.init_state(comp, rep.theta)
         rcfg = self._cfg(variant="random")
@@ -330,7 +330,7 @@ class TestRun:
         w, b, _ = pwa.ols_fit(prob.dataset)
         res = prob.dataset.y - (prob.dataset.X @ w + b)
         f_ols = 0.5 * float(np.mean(res ** 2))
-        cfg = mm.MMConfig(variant="full", tol_step=1e-9, max_outer=2000,
+        cfg = mm.MMConfig(variant="full", tol_rel=1e-15, max_outer=2000,
                           sn_tol_floor=1e-12)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         assert rep.f_N == pytest.approx(f_ols, rel=1e-6)
@@ -341,16 +341,28 @@ class TestRun:
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         assert rep.iterations == 1 and rep.reason == "tolerance"
 
-    def test_tol_step_replaces_tol_rel(self):
-        # tol_rel = 1 stops any fit after one step, unless tol_step > 0 puts
-        # the step-norm test in its place
-        prob, comp = random_instance(5, N=6, k1=2, k2=2)
-        th0 = np.random.default_rng(5).normal(size=prob.m)
-        rep = mm.run(comp, mm.MMConfig(variant="full", tol_rel=1.0, max_outer=5), th0)
-        assert rep.iterations == 1 and rep.reason == "tolerance"
-        rep = mm.run(comp, mm.MMConfig(variant="full", tol_rel=1.0, tol_step=1e-12,
-                                       max_outer=5), th0)
-        assert rep.iterations > 1 and rep.trace[0].step_norm > 1e-12
+    def test_random_rejection_stops_the_run(self, monkeypatch):
+        # a rejected draw keeps theta, so f_N does not change and the run
+        # stops on tolerance there, even at tol_rel = 0.  The third solve's
+        # value is raised to +inf so that its draw cannot decrease the
+        # surrogate
+        calls = []
+
+        def solve(*args, **kwargs):
+            res = sn_solve(*args, **kwargs)
+            calls.append(res.theta)
+            if len(calls) >= 3:
+                res.value = np.inf
+            return res
+
+        monkeypatch.setattr(mm, "sn_solve", solve)
+        prob, comp = random_instance(6, N=8, k1=2, k2=2)
+        cfg = mm.MMConfig(variant="random", tol_rel=0.0, max_outer=50, seed=3)
+        rep = mm.run(comp, cfg, np.random.default_rng(6).normal(size=prob.m))
+        assert rep.reason == "tolerance" and rep.iterations == 3
+        assert [r.accepted for r in rep.trace] == [True, True, False]
+        assert rep.trace[2].f_N == rep.trace[1].f_N
+        assert np.array_equal(rep.theta, calls[1])
 
     def test_trace_invariants(self):
         for variant in ("full", "one", "random"):

@@ -187,7 +187,7 @@ class TestDstatResidual:
 
     def test_weak_residual_zero_at_dstat(self):
         prob, comp = random_instance(3, N=5, k1=2, k2=1)
-        cfg = mm.MMConfig(variant="full", tol_step=1e-8, sn_tol_floor=1e-12,
+        cfg = mm.MMConfig(variant="full", tol_rel=1e-15, sn_tol_floor=1e-12,
                           max_outer=1000)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         sels, _ = mm.select_pairs(comp, rep.theta, 1e-9, "one")
@@ -195,12 +195,14 @@ class TestDstatResidual:
 
     def test_mm_terminal_point_certified(self):
         prob, comp = random_instance(4, N=5, k1=2, k2=1)
-        cfg = mm.MMConfig(variant="full", tol_step=1e-7, sn_tol_floor=1e-11,
+        cfg = mm.MMConfig(variant="full", tol_rel=1e-15, sn_tol_floor=1e-11,
                           max_outer=1000)
         rep = mm.run(comp, cfg, np.random.default_rng(4).normal(size=prob.m))
-        res, cov, _ = dstat_residual(comp, rep.theta, c=cfg.resolve_c(comp))
-        assert cov == 1.0
-        assert res <= 1e-5
+        # at MM's weight and at the one `certify` and `pwafit check` use
+        for c in (cfg.resolve_c(comp), stationarity.certificate_c(comp, None)):
+            res, cov, _ = dstat_residual(comp, rep.theta, c=c)
+            assert cov == 1.0
+            assert res <= 1e-5
 
     def test_convex_instance_matches_oracle_minimizer(self):
         # h trivial (one zero atom), k1 = 1: plain convex least squares
