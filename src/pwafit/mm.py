@@ -230,14 +230,21 @@ def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
         if best is None or res.value < best.value:
             best = res
 
-    accepted = config.variant != "random" or best.value < old_surrogate
+    # an inexact solve can leave r below psi or s above it; lifted to
+    # r >= psi >= s, the candidate's surrogate majorizes f_N and it is a
+    # feasible anchor for the next subproblem
+    psi = problem.psi(best.theta)[2]
+    r, s = np.maximum(best.r, psi), np.minimum(best.s, psi)
+    lifted = problem.surrogate_value(best.theta, r, s)
+    accepted = (config.variant != "random"
+                or max(best.value, lifted) < old_surrogate)
     # the candidate step goes to the trace, also on rejection; no stopping
     # rule reads it.  Its anchors do not depend on the selection, so the last
     # candidate's subproblem measures the best one's
     step = float(np.sqrt(sub.displacement_sq(best.theta, best.r, best.s, best.slack)))
     if accepted:
-        nxt = AugmentedIterate(theta=best.theta, r=best.r, s=best.s, warm=best.x)
-        surrogate = problem.surrogate_value(best.theta, best.r, best.s)
+        nxt = AugmentedIterate(theta=best.theta, r=r, s=s, warm=best.x)
+        surrogate = lifted
     else:
         nxt = state
         surrogate = old_surrogate

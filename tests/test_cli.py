@@ -292,6 +292,17 @@ class TestDefaultFit:
         assert rep["inner_failures"] == 0
         assert rep["reason"] == "tolerance"
 
+    def test_quantile_fit_takes_more_than_one_step(self, tmp_path):
+        # the cold first solve of these starts ends at sn_max_iter; if it
+        # returned its last nonmonotone iterate rather than its best, start 3
+        # would get a worse first point, reject its second draw and stop
+        # after one step at f = 0.80
+        self.fit(tmp_path, 1000, 4, loss="quantile", tau=0.3,
+                 compute_residual=False)
+        header, rows = read_csv(tmp_path / "starts.csv")
+        iterations = header.index("mm_iterations")
+        assert all(int(r[iterations]) > 1 for r in rows)
+
 
 class TestFolds:
     def test_partition(self):

@@ -378,9 +378,26 @@ class TestRun:
             for r in rep.trace:
                 assert r.surrogate >= r.f_N - 1e-5
 
+    def test_inexact_solves_keep_a_majorant(self):
+        # at a loose inner tolerance a solve's r and s miss psi; lifted to
+        # r >= psi >= s, every trace row's surrogate majorizes f_N exactly
+        # and no accepted step raises it
+        ds, _ = pwa.synth_example2(400, 0)
+        prob = pwa.PWAProblem(ds, k1=2, k2=2)
+        comp = pwa.assemble(prob)
+        for start in range(10):
+            th0 = pwa.init_sampler(prob, "gaussian", np.random.default_rng([0, start]))
+            cfg = mm.MMConfig(sn_tol_floor=1e-4, tol_rel=1e-6, seed=start)
+            rep = mm.run(comp, cfg, th0)
+            prev = comp.f_N(th0)
+            for r in rep.trace:
+                assert r.f_N <= r.surrogate
+                if r.accepted:
+                    assert r.surrogate <= prev
+                prev = r.surrogate
+
     def test_iterate_feasibility(self):
-        # r >= psi >= s need not hold, but the surrogate always dominates the
-        # objective along the accepted path and f_N stays finite
+        # f_N stays finite along the accepted path and ends below its start
         prob, comp = random_instance(7, N=8, k1=3, k2=2)
         cfg = mm.MMConfig(variant="full", tol_rel=1e-6, max_outer=60)
         rep = mm.run(comp, cfg, np.zeros(prob.m))

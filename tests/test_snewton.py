@@ -413,3 +413,21 @@ class TestSnSolve:
         v0 = sub.value_grad(np.zeros(sub.dual_dim))[0]
         res = sn_solve(sub, cfg=TIGHT)
         assert res.dual_value >= v0 - 1e-12
+
+    def test_unconverged_solve_returns_its_best_iterate(self):
+        # the nonmonotone test lets the dual value fall between iterates of
+        # this cold solve (about 30 steps to converge), so only a solve that
+        # returns its best iterate gives a dual value that never decreases
+        # with max_iter
+        ds, _ = pwa.synth_example2(400, 0)
+        prob = pwa.PWAProblem(ds, k1=2, k2=2)
+        comp = pwa.assemble(prob)
+        cfg = mm.MMConfig()
+        th0 = pwa.init_sampler(prob, "gaussian", np.random.default_rng([0, 0]))
+        (sel1, sel2), = mm.select_pairs(comp, th0, cfg.eps, cfg.variant,
+                                        rng=np.random.default_rng(0))[0]
+        sub = mm.build_subproblem(comp, mm.init_state(comp, th0), sel1, sel2,
+                                  cfg.resolve_c(comp))
+        vals = [sn_solve(sub, cfg=SNConfig(max_iter=k)).dual_value
+                for k in range(1, 16)]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
