@@ -10,7 +10,7 @@ the one composite dc program of pointwise-max type the solvers work on.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -183,39 +183,55 @@ class CompositeProblem:
     """Stacked data of (1/N) sum_s phi_s(psi_s(theta)) + gamma [P1 - P2](theta)
     with affine atoms.
 
-    U holds the N*k1 g-atom gradients (row-major by sample), e their constant
-    offsets; W/f likewise for the k2 h-atoms.  An empty second max is encoded
-    as a single all-zero atom so every code path sees k2 >= 1.
+    Atom a's gradient at sample s is X[s] @ L[a]: X holds the N per-sample
+    feature vectors (N, p), L the lifts (k1 + k2, p, m) of the k1 g atoms
+    and then the k2 h atoms.  e holds the N*k1 g-atom offsets (row-major by
+    sample), f likewise the N*k2 h-atom ones.  An empty second max is
+    encoded as a single atom with a zero lift and offset, so every code path
+    sees k2 >= 1.
+
+    U (N*k1, m) and W (N*k2, m) stack the atom gradients row-major by sample;
+    `outer` holds each sample's x x^T, flattened to (N, p*p), from which the
+    Newton step forms its matrix.  All three are computed once, here.
     """
 
-    U: np.ndarray
+    X: np.ndarray
+    L: np.ndarray
+    k1: int
     e: np.ndarray
-    W: np.ndarray
     f: np.ndarray
     split: MonotoneSplit
-    n_samples: int
     weight: float
     reg: DcRegularizer | None = None
+    U: np.ndarray = field(init=False, repr=False)
+    W: np.ndarray = field(init=False, repr=False)
+    outer: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=float)
-        self.W = np.asarray(self.W, dtype=float)
+        self.X = np.asarray(self.X, dtype=float)
+        self.L = np.asarray(self.L, dtype=float)
         self.e = np.asarray(self.e, dtype=float)
         self.f = np.asarray(self.f, dtype=float)
-        if self.U.shape[0] % self.n_samples or self.W.shape[0] % self.n_samples:
-            raise ValueError("stacked atom rows must be a multiple of the sample count")
+        N, p = self.X.shape
+        if (self.L.ndim != 3 or self.L.shape[1] != p or not 1 <= self.k1 < len(self.L)
+                or self.e.size != N * self.k1 or self.f.size != N * self.k2):
+            raise ValueError("need lifts (k1 + k2, p, m) with k1, k2 >= 1 over "
+                             "(N, p) features, and N*k1 g and N*k2 h offsets")
+        self.U, self.W = (np.tensordot(self.X, lifts, axes=(1, 1)).reshape(-1, self.m)
+                          for lifts in (self.L[:self.k1], self.L[self.k1:]))
+        self.outer = (self.X[:, :, None] * self.X[:, None, :]).reshape(N, p * p)
+
+    @property
+    def n_samples(self) -> int:
+        return self.X.shape[0]
 
     @property
     def m(self) -> int:
-        return self.U.shape[1]
-
-    @property
-    def k1(self) -> int:
-        return self.U.shape[0] // self.n_samples
+        return self.L.shape[2]
 
     @property
     def k2(self) -> int:
-        return self.W.shape[0] // self.n_samples
+        return len(self.L) - self.k1
 
     def atom_values(self, theta):
         """(g atom values (N,k1), h atom values (N,k2))."""

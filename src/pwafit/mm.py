@@ -153,8 +153,8 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
     """Dual subproblem data for one per-sample atom-pair selection.
 
     With `reuse`, a subproblem built earlier from the same problem, that
-    subproblem is overwritten in place and returned: B, beta and the anchors
-    are rewritten, and its Newton work arrays are kept.
+    subproblem is overwritten in place and returned: B, beta, the selections
+    and the anchors are rewritten, and its work arrays are kept.
     """
     theta = state.theta
     N, k1, k2, m = problem.n_samples, problem.k1, problem.k2, problem.m
@@ -175,20 +175,22 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
         n = N * (k1 + k2)
         sub = DualSubproblem(
             B=np.empty((n, m), order="F"), beta=np.empty(n), k1=k1,
-            split=problem.split, n_samples=N, weight=problem.weight, c=c,
-            theta_nu=theta, r_nu=state.r, s_nu=state.s, slack_nu=np.empty(n),
+            problem=problem, sel1=sel1, sel2=sel2, split=problem.split,
+            n_samples=N, weight=problem.weight, c=c, theta_nu=theta,
+            r_nu=state.r, s_nu=state.s, slack_nu=np.empty(n),
             l1=l1, lin=lin, reg_const=reg_const)
     else:
         sub = reuse
         sub.c, sub.theta_nu, sub.r_nu, sub.s_nu = c, theta, state.r, state.s
+        sub.sel1, sub.sel2 = sel1, sel2
         sub.l1, sub.lin, sub.reg_const = l1, lin, reg_const
 
     # lambda rows U - (chosen h grad) over mu rows W - (chosen g grad); the
     # per-sample reshapes of B's rows are views (splitting an axis never
-    # copies).  The chosen gradients are gathered into the memory of the
-    # Newton work array Z, which is free between Newton steps, as a row-major
-    # (N, m) array, whose row sums round as a fresh array's would
-    chosen = sub.work_Z.ravel(order="F")[:N * m].reshape(N, m)
+    # copies).  The chosen gradients are gathered into the subproblem's
+    # row-major (N, m) work array, whose row sums round as a fresh array's
+    # would
+    chosen = sub.work_chosen
     halves = ((slice(0, n1), k1, problem.U, problem.e, problem.W, sel2, h),
               (slice(n1, None), k2, problem.W, problem.f, problem.U, sel1, g))
     for rows, k, atoms, offsets, other, sel, top in halves:

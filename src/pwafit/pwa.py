@@ -151,29 +151,26 @@ class PWAProblem:
 def assemble(problem: PWAProblem) -> CompositeProblem:
     """Stacked composite objective data for the MM/Newton solvers.
 
-    Each atom occupies one (d+1)-block of theta; the per-sample gradient of
-    atom i is the sample's [x, 1] placed in block i.  An empty second max
-    (k2 = 0) becomes a single all-zero atom outside theta.
+    Each atom occupies one (d+1)-block of theta: the features are each
+    sample's [x, 1], and atom i's lift embeds them in block i.  An empty
+    second max (k2 = 0) becomes a single atom with a zero lift, outside theta.
     """
     ds, k1, k2, d = problem.dataset, problem.k1, problem.k2, problem.dataset.d
     N, m = ds.N, problem.m
     X1 = np.hstack([ds.X, np.ones((N, 1))])         # (N, d+1)
-
-    U = np.zeros((N * k1, m))
-    for i in range(k1):
-        U[i::k1, i * (d + 1):(i + 1) * (d + 1)] = X1
     k2_eff = max(k2, 1)
-    W = np.zeros((N * k2_eff, m))
-    for j in range(k2):
-        W[j::k2, (k1 + j) * (d + 1):(k1 + j + 1) * (d + 1)] = X1
+    L = np.zeros((k1 + k2_eff, d + 1, m))
+    for i in range(k1 + k2):
+        L[i, :, i * (d + 1):(i + 1) * (d + 1)] = np.eye(d + 1)
 
     split = MonotoneSplit(problem.loss, y=ds.y, tau=problem.tau)
     reg = None
     if problem.gamma > 0:
         reg = DcRegularizer(weights=np.ones(m), gamma=problem.gamma,
                             smooth=problem.reg_smooth)
-    return CompositeProblem(U=U, e=np.zeros(N * k1), W=W, f=np.zeros(N * k2_eff),
-                            split=split, n_samples=N, weight=1.0 / N, reg=reg)
+    return CompositeProblem(X=X1, L=L, k1=k1, e=np.zeros(N * k1),
+                            f=np.zeros(N * k2_eff), split=split, weight=1.0 / N,
+                            reg=reg)
 
 
 def ols_fit(dataset: Dataset):

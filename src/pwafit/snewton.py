@@ -16,6 +16,12 @@ the N*k2 mu rows, and so does the multiplier x = (lambda, mu).  The dual
 function xi(x) is concave and SC^1; its gradient is the constraint residual
 at the unique inner minimizers (Danskin), and a Newton direction is obtained
 from one element of the generalized Jacobian.
+
+Every B row is the difference of two atom gradients of one sample, and each
+atom gradient is the sample's features x_s times the atom's lift L_a
+(`funcs.CompositeProblem`).  The Newton step's m x m matrix is therefore
+formed from per-sample K x K atom couplings (K = k1 + k2) and the samples'
+x_s x_s^T, not from an array of B's size.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcs import MonotoneSplit
+from .funcs import CompositeProblem, MonotoneSplit
 
 
 def _block_sum(X, k, out=None):
@@ -48,15 +54,23 @@ class DualSubproblem:
     """Stacked affine constraint data plus prox oracles and anchors.
 
     B stacks the N*k1 lambda rows over the N*k2 mu rows; beta and slack_nu
-    follow the same row order.  Each subproblem also owns the work arrays
-    `_newton_direction` overwrites on every call, so no Newton step allocates
-    an array of B's size; `mm.build_subproblem(..., reuse=sub)` overwrites B,
-    beta and the anchors in place and keeps the work arrays.
+    follow the same row order.  Lambda row j of sample s is g atom j's
+    gradient minus that of h atom sel2[s]; mu row j is h atom j's minus that
+    of g atom sel1[s], the atoms of `problem`.  Each subproblem also owns the
+    work arrays `value_grad`, `_newton_direction` and `mm.build_subproblem`
+    overwrite on every call, so none of them allocates an array of B's size;
+    `mm.build_subproblem(..., reuse=sub)` overwrites B, beta, the selections
+    and the anchors in place and keeps the work arrays.
     """
 
     B: np.ndarray                 # (N*(k1+k2), m), column-major
     beta: np.ndarray
     k1: int
+    # the atoms and per-sample selections B was built from, which the Newton
+    # step reads; None only for a B of no atom structure, with no Newton step
+    problem: CompositeProblem | None
+    sel1: np.ndarray | None
+    sel2: np.ndarray | None
     split: MonotoneSplit          # per-sample loss split (array parameters)
     n_samples: int
     weight: float                 # loss scale w (typically 1/N)
@@ -76,20 +90,22 @@ class DualSubproblem:
         if self.k1 < 1 or self.k2 < 1 or rem:
             raise ValueError("constraint rows are not n_samples * (k1 + k2) "
                              "with k1, k2 >= 1")
-        # B is column-major: the Woodbury product B^T (Delta^{-1} B) in
-        # _newton_direction then loses fewer digits than with row-major B,
-        # with which the tight certificate solves stalled above their
-        # tolerance about a quarter more often
+        # B is column-major, so that B theta and B^T x both run over its
+        # contiguous columns
         self.B = np.asfortranarray(self.B, dtype=float)
-        # Newton work arrays: Z = Delta^{-1} B, the diagonal of Delta with
-        # its per-row Sherman-Morrison factors, and two (N, m) block
-        # temporaries, all column-major like B, so that no ufunc on them
-        # mixes memory orders
-        self.work_Z = np.empty_like(self.B, order="F")
-        self.work_diag = np.empty(self.dual_dim)
-        self.work_f = np.empty(self.dual_dim)
-        self.work_S = np.empty((N, self.m), order="F")
-        self.work_T = np.empty((N, self.m), order="F")
+        # 0/1 matrices that sum the other rows of a sample block
+        self.others = {k: 1.0 - np.eye(k) for k in {self.k1, self.k2}}
+        # work arrays: value_grad's dual-dimension temporary; the sample
+        # blocks of Delta^{-1} (v, m, vn) with two temporaries of
+        # `_delta_solve`; the Newton matrix's atom couplings (K, K, N) and the
+        # selections one-hot (K, N); and the build's chosen atom gradients
+        n, K = self.dual_dim, self.k1 + self.k2
+        self.work_x, self.work_v = np.empty(n), np.empty(n)
+        self.work_m, self.work_vn = np.empty(n), np.empty(n)
+        self.work_vx, self.work_rest = np.empty(n), np.empty(n)
+        self.work_C = np.empty((K, K, N))
+        self.work_E = np.empty((K, N))
+        self.work_chosen = np.empty((N, self.m))
 
     @property
     def m(self) -> int:
@@ -112,10 +128,14 @@ class DualSubproblem:
         a, b = _block_sum(x[:n1], self.k1), _block_sum(x[n1:], self.k2)
         r = self.split.prox_up(a, self.r_nu, c, w)
         s = self.split.prox_down(b, self.s_nu, c, w)
-        sl = np.maximum(self.slack_nu - x / c, 0.0)
+        # the dual-dimension temporaries go through one work array; sl is
+        # returned, so it is a fresh array
+        tmp = np.divide(x, c, out=self.work_x)
+        sl = np.maximum(np.subtract(self.slack_nu, tmp, out=tmp), 0.0)
+        slack_pull = x @ np.subtract(sl, self.beta, out=tmp)
+        dsl = np.subtract(sl, self.slack_nu, out=tmp)
         dth, dr, ds = th - self.theta_nu, r - self.r_nu, s - self.s_nu
-        dsl = sl - self.slack_nu
-        v = (self.reg_const + x @ (sl - self.beta) + agg @ th + self.l1 @ np.abs(th)
+        v = (self.reg_const + slack_pull + agg @ th + self.l1 @ np.abs(th)
              + w * float(np.sum(self.split.up(r)) + np.sum(self.split.down(s)))
              - a @ r + b @ s + 0.5 * c * (dth @ dth + dr @ dr + ds @ ds + dsl @ dsl))
         g = self.B @ th
@@ -175,55 +195,143 @@ class SNResult:
     converged: bool
 
 
+def _newton_matrix(sub: DualSubproblem, diag, rho, sig, act):
+    """Delta^{-1}'s sample blocks, left in the subproblem's work arrays for
+    `_delta_solve`, and S_th = cI + [B^T Delta^{-1} B]_act.
+
+    Delta = diag(diag) + each sample's rho (sig) 11^T over its k1 lambda (k2
+    mu) rows; v = 1 / diag goes to work_v, which diag may be.  With v over
+    one sample's rows and D = 1 + rho sum(v), Sherman-Morrison gives its
+    lambda block as diag(v) - (rho/D) v v^T.  Its diagonal
+    v_i (1 + rho sum_{j != i} v_j) / D is formed from the other rows' v, free
+    of the cancellation of v_i - (rho/D) v_i^2 when v_i is large, and kept in
+    work_m; -(rho/D) v goes to work_vn.  Likewise for mu with sig.
+
+    B's rows of sample s are P_s A_s, where A_s stacks the sample's K = k1 +
+    k2 atom gradients x_s L_a and P_s turns them into the lambda rows (g atom
+    j minus h atom sel2) and mu rows (h atom j minus g atom sel1), so
+
+        B^T Delta^{-1} B = sum_s A_s^T C_s A_s = sum_{a,b} L_a^T G_ab L_b,
+
+    with C_s = P_s^T Delta_s^{-1} P_s and G_ab = sum_s C_s[a, b] x_s x_s^T.
+    C_s has the closed form
+
+        g-g: Delta_lam^{-1} + (sum v_mu / D_mu) e_sel1 e_sel1^T
+        g-h: -(v / D) e_sel2^T - e_sel1 (v_mu / D_mu)^T
+        h-h: Delta_mu^{-1} + (sum v / D) e_sel2 e_sel2^T,
+
+    held as K x K N-vectors in `sub.work_C`; one GEMM against the samples'
+    x_s x_s^T gives every G_ab.
+    """
+    N, k1, k2, n1 = sub.n_samples, sub.k1, sub.k2, sub.n1
+    K = k1 + k2
+    v, m, vn = np.divide(1.0, diag, out=sub.work_v), sub.work_m, sub.work_vn
+    # each row's t and D, those of its sample, in two work arrays that
+    # `_delta_solve` overwrites later; the second then holds q = v / D
+    t_row, q = sub.work_vx, sub.work_rest
+    halves = ((slice(0, n1), k1, rho, 0), (slice(n1, None), k2, sig, k1))
+    vsum_D = []
+    for rows, k, t, _ in halves:
+        # the sum of the other rows' v, for each row: an exact 0/1 product
+        v_others = np.matmul(v[rows].reshape(N, k), sub.others[k],
+                             out=m[rows].reshape(N, k))
+        vsum = v[rows][0::k] + v_others[:, 0]
+        D = 1.0 + t * vsum
+        for j in range(k):
+            t_row[rows][j::k] = t
+            q[rows][j::k] = D
+        vsum_D.append(vsum / D)
+    m *= t_row
+    m += 1.0
+    m *= v
+    m /= q
+    np.multiply(v, t_row, out=vn)
+    vn /= q
+    np.negative(vn, out=vn)
+    q = np.divide(v, q, out=q)
+    # the atom couplings, an N-vector over the samples for each atom pair;
+    # first Delta_s^{-1}'s blocks: -(t/D) v_i v_j, with m on the diagonal
+    C = sub.work_C
+    diagonal = C.reshape(K * K, N)[::K + 1]
+    for rows, k, _, first in halves:
+        for i in range(k):
+            np.multiply(v[rows].reshape(N, k).T, vn[rows][i::k],
+                        out=C[first + i, first:first + k])
+        diagonal[first:first + k] = m[rows].reshape(N, k).T
+    # then the selection terms, each in the samples that chose the atom
+    # (E1, E2 one-hot)
+    E1, E2 = sub.work_E[:k1], sub.work_E[k1:]
+    E1[...] = np.arange(k1)[:, None] == sub.sel1
+    E2[...] = np.arange(k2)[:, None] == sub.sel2
+    diagonal[:k1] += E1 * vsum_D[1]
+    diagonal[k1:] += E2 * vsum_D[0]
+    q1, q2 = q[:n1].reshape(N, k1).T, q[n1:].reshape(N, k2).T
+    gh = C[:k1, k1:]
+    for a in range(k1):
+        np.multiply(E2, q1[a], out=gh[a])
+        gh[a] += q2 * E1[a]
+    np.negative(gh, out=gh)
+    C[k1:, :k1] = gh.transpose(1, 0, 2)
+    L = sub.problem.L
+    p = L.shape[1]
+    G = (C.reshape(K * K, N) @ sub.problem.outer).reshape(K, K, p, p)
+    La = L[:, :, act].reshape(K * p, act.size)
+    S = La.T @ G.transpose(0, 2, 1, 3).reshape(K * p, K * p) @ La
+    S.flat[::act.size + 1] += sub.c
+    return S
+
+
+def _delta_solve(sub: DualSubproblem, x, out=None):
+    """Delta^{-1} x from the sample blocks `_newton_matrix` left in the
+    subproblem's work arrays, written to `out` when given: row i of a sample
+    block gets m_i x_i - (rho/D) v_i sum_{j != i} v_j x_j."""
+    N, n1 = sub.n_samples, sub.n1
+    vx, rest = sub.work_vx, sub.work_rest
+    np.multiply(sub.work_v, x, out=vx)
+    for rows, k in ((slice(0, n1), sub.k1), (slice(n1, None), sub.k2)):
+        np.matmul(vx[rows].reshape(N, k), sub.others[k],
+                  out=rest[rows].reshape(N, k))
+    rest *= sub.work_vn
+    y = np.multiply(sub.work_m, x, out=out)
+    y += rest
+    return y
+
+
 def _newton_direction(sub: DualSubproblem, jac, grad, eps):
     """Solve (V + eps I) d = grad via block Sherman-Morrison + Woodbury.
 
     V = (1/c) B D B^T + blockdiag(rank-one loss blocks) + (1/c) diag(slack
-    masks); the diagonal-plus-rank-one sample blocks invert in closed form,
-    after which the theta coupling is an m-dimensional correction.  jac is
-    the Jacobian data `value_grad` returned at the current multipliers; the
-    masks and loss sensitivities below follow from it.  Intermediates go to
-    the subproblem's work arrays; only vectors of the dual dimension are
+    masks).  The sample blocks of Delta = V + eps I - (1/c) B D B^T invert
+    in closed form, after which the theta coupling is an m-dimensional
+    correction with the matrix `_newton_matrix` forms.  jac is the Jacobian
+    data `value_grad` returned at the current multipliers; the masks and loss
+    sensitivities below follow from it.  Intermediates go to the
+    subproblem's work arrays; only vectors of the dual dimension are
     allocated.
     """
     u, a, b, sl = jac
-    c, w, n1 = sub.c, sub.weight, sub.n1
-    diag, f, S, T = sub.work_diag, sub.work_f, sub.work_S, sub.work_T
+    c, w = sub.c, sub.weight
     d_th = np.where(sub.l1 > 0.0, np.abs(u) > sub.l1 / c, 1.0)
     rho = sub.split.prox_up_sens(a, sub.r_nu, c, w)
     sig = sub.split.prox_down_sens(b, sub.s_nu, c, w)
-    np.divide(sl > 0, c, out=diag)
+    diag = np.divide(sl > 0, c, out=sub.work_v)
     diag += eps
-    # Delta = diag + each sample's rho (sig) 11^T over its k1 (k2) rows; by
-    # Sherman-Morrison, Delta^{-1} x = x / diag - f (per-sample block sum of
-    # x / diag) with f = inv * rho / (1 + rho * block sum of inv), inv = 1 / diag
-    blocks = ((slice(0, n1), sub.k1, rho), (slice(n1, None), sub.k2, sig))
-    np.divide(1.0, diag, out=f)
-    for rows, k, t in blocks:
-        inv_k = f[rows].reshape(-1, k)
-        inv_k *= (t / (1.0 + t * _block_sum(f[rows], k)))[:, None]
-
-    def delta_solve(X, Y):
-        """Y = Delta^{-1} X, column by column."""
-        np.divide(X, diag[:, None], out=Y)
-        s, fs = S[:, :X.shape[1]], T[:, :X.shape[1]]
-        for rows, k, _ in blocks:
-            Yk, fk = Y[rows], f[rows, None]
-            _block_sum(Yk, k, out=s)
-            # one atom row of every sample at a time, through the work arrays
-            for j in range(k):
-                Yk[j::k] -= np.multiply(fk[j::k], s, out=fs)
-        return Y
-
     act = np.flatnonzero(d_th)
-    y = delta_solve(grad[:, None], np.empty((sub.dual_dim, 1)))
+    S_th = _newton_matrix(sub, diag, rho, sig, act)
+    d = _delta_solve(sub, grad)
     if act.size:
-        B = sub.B if act.size == sub.m else sub.B[:, act]
-        Z = delta_solve(B, sub.work_Z[:, :act.size])
-        S_th = c * np.eye(act.size) + B.T @ Z
-        # f is read by delta_solve only, so it can hold the correction
-        y -= np.matmul(Z, np.linalg.solve(S_th, B.T @ y), out=f.reshape(-1, 1))
-    return y.ravel()
+        # d = Delta^{-1} (grad - B sol), where the theta correction sol solves
+        # S_th sol = B_act^T Delta^{-1} grad, so that c sol = B_act^T d.
+        # S_th is ill-conditioned once Delta has tiny entries, so a second
+        # pass solves S_th once more for what c sol still misses of B_act^T d
+        # (one step of iterative refinement)
+        sol, step = np.zeros(act.size), np.zeros(sub.m)
+        for _ in range(2):
+            step[act] = np.linalg.solve(S_th, (sub.B.T @ d)[act] - c * sol)
+            sol += step[act]
+            correction = np.matmul(sub.B, step, out=sub.work_x)
+            d -= _delta_solve(sub, correction, out=correction)
+    return d
 
 
 def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNResult:

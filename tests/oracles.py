@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from pwafit.funcs import MonotoneSplit
+from pwafit.funcs import CompositeProblem, MonotoneSplit
 from pwafit.stationarity import PiecewiseAffine1D
 
 
@@ -283,6 +283,13 @@ def max_dir(A, b, theta, v, tol: float = 1e-9) -> float:
     return float((A @ v)[vals >= vals.max() - tol].max())
 
 
+def one_sample_problem(U, e, W, f, split):
+    """One-sample `CompositeProblem` with g atoms (U_i, e_i) and h atoms
+    (W_j, f_j): its single feature is 1 and the atom rows are the lifts."""
+    return CompositeProblem(X=np.ones((1, 1)), L=np.vstack([U, W])[:, None, :],
+                            k1=len(U), e=e, f=f, split=split, weight=1.0)
+
+
 def diffmax_dir(comp, theta, v) -> float:
     """psi'(theta; v) of a one-sample `CompositeProblem`."""
     return max_dir(comp.U, comp.e, theta, v) - max_dir(comp.W, comp.f, theta, v)
@@ -320,12 +327,15 @@ def majorant(comp, pair, theta, theta_bar) -> float:
 def dual_subproblem(*, B1, beta1, B2, beta2, rhat_nu, shat_nu, n_samples,
                     l1=None, lin=None, reg_const=0.0, **rest):
     """`DualSubproblem` from separate lambda (B1, beta1, rhat_nu) and mu
-    (B2, beta2, shat_nu) blocks; l1 and lin default to zeros."""
+    (B2, beta2, shat_nu) blocks; l1 and lin default to zeros.  The blocks
+    need not come from atoms, so the instance has no Newton step: only its
+    dual value, gradient and inner minimizers are defined."""
     from pwafit.snewton import DualSubproblem
     zeros = np.zeros(B1.shape[1])
     return DualSubproblem(
         B=np.vstack([B1, B2]), beta=np.concatenate([beta1, beta2]),
-        k1=B1.shape[0] // n_samples, n_samples=n_samples,
+        k1=B1.shape[0] // n_samples, problem=None, sel1=None, sel2=None,
+        n_samples=n_samples,
         slack_nu=np.concatenate([rhat_nu, shat_nu]),
         l1=zeros if l1 is None else l1, lin=zeros if lin is None else lin,
         reg_const=reg_const, **rest)
@@ -337,11 +347,10 @@ def blocks(sub):
     return sub.B[:n1], sub.B[n1:], sub.slack_nu[:n1], sub.slack_nu[n1:]
 
 
-def gen_jacobian(sub, x) -> np.ndarray:
-    """Dense element of the generalized Jacobian of -grad xi (symmetric PSD)
-    at the stacked multipliers x = (lambda, mu), from its definition.  The
-    solver applies the same matrix implicitly through a Woodbury
-    factorization."""
+def jacobian_parts(sub, x):
+    """(d_th, rho, sig, slack) of the generalized Jacobian element at the
+    stacked multipliers x = (lambda, mu), from their definitions: the theta
+    mask, the per-sample loss sensitivities and the slack masks."""
     x = np.asarray(x, dtype=float)
     B, c, w, N, n1 = sub.B, sub.c, sub.weight, sub.n_samples, sub.n1
     lam, mu = x[:n1], x[n1:]
@@ -349,14 +358,37 @@ def gen_jacobian(sub, x) -> np.ndarray:
     d_th = np.where(sub.l1 > 0.0, np.abs(u) > sub.l1 / c, 1.0)
     rho = sub.split.prox_up_sens(lam.reshape(N, sub.k1).sum(axis=1), sub.r_nu, c, w)
     sig = sub.split.prox_down_sens(mu.reshape(N, sub.k2).sum(axis=1), sub.s_nu, c, w)
-    V = (B * d_th) @ B.T / c
-    for s in range(N):
+    return d_th, rho, sig, sub.slack_nu - x / c > 0
+
+
+def _add_delta(sub, M, rho, sig, slack):
+    """M plus the rank-one loss blocks and the slack masks / c, in place."""
+    for s in range(sub.n_samples):
         i0 = s * sub.k1
-        V[i0:i0 + sub.k1, i0:i0 + sub.k1] += rho[s]
-        j0 = n1 + s * sub.k2
-        V[j0:j0 + sub.k2, j0:j0 + sub.k2] += sig[s]
-    V[np.diag_indices_from(V)] += (sub.slack_nu - x / c > 0) / c
-    return V
+        M[i0:i0 + sub.k1, i0:i0 + sub.k1] += rho[s]
+        j0 = sub.n1 + s * sub.k2
+        M[j0:j0 + sub.k2, j0:j0 + sub.k2] += sig[s]
+    M[np.diag_indices_from(M)] += slack / sub.c
+    return M
+
+
+def gen_jacobian(sub, x) -> np.ndarray:
+    """Dense element of the generalized Jacobian of -grad xi (symmetric PSD)
+    at the stacked multipliers x = (lambda, mu), from its definition.  The
+    solver applies the same matrix implicitly through a Woodbury
+    factorization."""
+    d_th, rho, sig, slack = jacobian_parts(sub, x)
+    return _add_delta(sub, (sub.B * d_th) @ sub.B.T / sub.c, rho, sig, slack)
+
+
+def newton_matrix(sub, x, eps):
+    """cI + B_act^T Delta^{-1} B_act formed densely, with Delta the
+    Jacobian element at x minus its theta part (1/c) B_act B_act^T, plus
+    eps I; act are the theta coordinates outside the l1 dead zone."""
+    d_th, rho, sig, slack = jacobian_parts(sub, x)
+    delta = _add_delta(sub, eps * np.eye(sub.dual_dim), rho, sig, slack)
+    B = sub.B[:, d_th > 0]
+    return sub.c * np.eye(B.shape[1]) + B.T @ np.linalg.solve(delta, B)
 
 
 def feasibility(sub, th, r, s, slack) -> float:

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from pwafit import cli, mm, pwa, stationarity
-from pwafit.funcs import CompositeProblem, MonotoneSplit
+from pwafit.funcs import MonotoneSplit
 from pwafit.snewton import SNConfig, sn_solve
 from oracles import PA1D as PA
 from oracles import (dc_critical_check, enum_subproblem_solve, majorant,
-                     model_rmse, random_instance)
+                     model_rmse, one_sample_problem, random_instance)
 
 SEED = 20260823
 
@@ -148,9 +148,8 @@ def test_criterion_2_majorization_sandwich(capsys):
         h_rows = slice(sidx * comp.k2, (sidx + 1) * comp.k2)
         sp = MonotoneSplit(comp.split.kind, y=float(comp.split.y[sidx]),
                            tau=comp.split.tau)
-        one = CompositeProblem(U=comp.U[g_rows], e=comp.e[g_rows],
-                               W=comp.W[h_rows], f=comp.f[h_rows], split=sp,
-                               n_samples=1, weight=1.0)
+        one = one_sample_problem(comp.U[g_rows], comp.e[g_rows],
+                                 comp.W[h_rows], comp.f[h_rows], sp)
         th_bar = rng.normal(size=prob.m)
         gv, hv = one.atom_values(th_bar)
         i1, i2 = int(np.argmax(gv[0])), int(np.argmax(hv[0]))

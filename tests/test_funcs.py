@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pwafit import cli, mm
-from pwafit.funcs import TIE_TOL, CompositeProblem, DcRegularizer, MonotoneSplit
+from pwafit.funcs import TIE_TOL, DcRegularizer, MonotoneSplit
 from oracles import (LinearSplit, composite_dir, diffmax_dir, down_direct, fd_dir,
-                     fd_grad, loss_value, majorant, prox_bisect, prox_down_direct,
-                     prox_down_sens_direct, prox_oracle)
+                     fd_grad, loss_value, majorant, one_sample_problem, prox_bisect,
+                     prox_down_direct, prox_down_sens_direct, prox_oracle)
 
 
 def diffmax(g_atoms, h_atoms=None, split=None):
@@ -17,11 +17,11 @@ def diffmax(g_atoms, h_atoms=None, split=None):
     U = np.array([np.atleast_1d(w) for w, _ in g_atoms], dtype=float)
     if h_atoms is None:
         h_atoms = [(np.zeros(U.shape[1]), 0.0)]
-    return CompositeProblem(
-        U=U, e=np.array([b for _, b in g_atoms], dtype=float),
-        W=np.array([np.atleast_1d(w) for w, _ in h_atoms], dtype=float),
-        f=np.array([b for _, b in h_atoms], dtype=float),
-        split=split or MonotoneSplit("squared", y=0.0), n_samples=1, weight=1.0)
+    return one_sample_problem(
+        U, np.array([b for _, b in g_atoms], dtype=float),
+        np.array([np.atleast_1d(w) for w, _ in h_atoms], dtype=float),
+        np.array([b for _, b in h_atoms], dtype=float),
+        split or MonotoneSplit("squared", y=0.0))
 
 
 def psi_value(comp, theta) -> float:

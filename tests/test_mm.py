@@ -183,9 +183,8 @@ class TestBuildSubproblem:
     def test_no_regularizer_terms_are_zero(self):
         prob, comp = random_instance(11, N=5, k1=2, k2=1)
         th = np.random.default_rng(11).normal(size=prob.m)
-        comp0 = CompositeProblem(U=comp.U, e=comp.e, W=comp.W, f=comp.f,
-                                 split=comp.split, n_samples=comp.n_samples,
-                                 weight=comp.weight,
+        comp0 = CompositeProblem(X=comp.X, L=comp.L, k1=comp.k1, e=comp.e,
+                                 f=comp.f, split=comp.split, weight=comp.weight,
                                  reg=DcRegularizer(weights=np.ones(prob.m),
                                                    gamma=0.0))
         for problem in (comp, comp0):

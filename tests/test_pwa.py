@@ -120,6 +120,26 @@ class TestAssemble:
         _, _, psi = comp.psi(th)
         assert np.allclose(psi, mdl.eval(ds.X))
 
+    @pytest.mark.parametrize("k1, k2", [(1, 0), (2, 2), (4, 0), (3, 1)])
+    def test_atom_gradients_from_lifts_are_the_block_embedding(self, k1, k2):
+        # U and W, derived from the features [x, 1] and the atoms' lifts,
+        # equal the block embedding of [x, 1] bit for bit, signed zeros too
+        ds, _ = synth_example2(50, seed=k1 + k2)
+        ds = Dataset(np.vstack([ds.X, -ds.X, np.zeros((1, 2))]),
+                     np.concatenate([ds.y, ds.y, [0.0]]))
+        prob = PWAProblem(dataset=ds, k1=k1, k2=k2)
+        comp = assemble(prob)
+        N, b = ds.N, ds.d + 1
+        X1 = np.hstack([ds.X, np.ones((N, 1))])
+        U, W = np.zeros((N * k1, prob.m)), np.zeros((N * max(k2, 1), prob.m))
+        for i in range(k1):
+            U[i::k1, i * b:(i + 1) * b] = X1
+        for j in range(k2):
+            W[j::k2, (k1 + j) * b:(k1 + j + 1) * b] = X1
+        for got, ref in ((comp.U, U), (comp.W, W)):
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
     def test_gamma_adds_regularizer(self):
         ds, _ = synth_example1(5, seed=1)
         comp0 = assemble(PWAProblem(dataset=ds, k1=2, k2=1))

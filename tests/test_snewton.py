@@ -6,10 +6,12 @@ import pytest
 
 from pwafit import mm, pwa
 from pwafit.funcs import DcRegularizer, MonotoneSplit
-from pwafit.snewton import SNConfig, _block_sum, _newton_direction, sn_solve
+from pwafit.snewton import (SNConfig, _block_sum, _newton_direction,
+                            _newton_matrix, sn_solve)
 from oracles import (dual_subproblem, enum_subproblem_solve, fd_grad,
                      blocks, feasibility, four_matvec_value_grad,
-                     gen_jacobian, golden_min, random_instance)
+                     gen_jacobian, golden_min, jacobian_parts, newton_matrix,
+                     one_sample_problem, random_instance)
 
 TIGHT = SNConfig(tol_grad=1e-12, max_iter=300)
 
@@ -46,6 +48,17 @@ def varied_subproblems():
             # at zero, so only the other columns of B enter the Newton step
             l1 = np.where(np.arange(m) % 2 == 0, 50.0, 0.0)
             yield f"{k1},{k2} l1", replace(sub, l1=l1, theta_nu=np.zeros(m))
+
+
+def lifted_subproblem(seed=70, k1=3, k2=2, m=5, c=0.7):
+    """Subproblem of a one-sample problem whose atom rows are its lifts,
+    with atoms other than the first selected."""
+    rng = np.random.default_rng(seed)
+    comp = one_sample_problem(rng.normal(size=(k1, m)), rng.normal(size=k1),
+                              rng.normal(size=(k2, m)), rng.normal(size=k2),
+                              MonotoneSplit("squared", y=rng.normal()))
+    state = mm.init_state(comp, rng.normal(size=m))
+    return mm.build_subproblem(comp, state, np.array([k1 - 1]), np.array([1]), c)
 
 
 class TestSubproblemValidation:
@@ -97,23 +110,47 @@ class TestNewtonDirection:
         assert gathered >= 18
 
 
+class TestNewtonMatrix:
+    # the dense reference solves with Delta, whose rounding error grows like
+    # 1 / eps (about 1e-9 of S at eps = 1e-7), so eps stays where it is far
+    # below the bound; TestNewtonDirection covers the small eps
+    @pytest.mark.parametrize("eps", [1e-3, 1e-1])
+    def test_matches_dense_woodbury_matrix(self, eps):
+        # S_th from the per-sample atom couplings equals cI + B_act^T
+        # Delta^{-1} B_act formed densely, on every varied instance and a
+        # lifted one-sample problem
+        rng = np.random.default_rng(11)
+        for label, sub in [*varied_subproblems(), ("lifted", lifted_subproblem())]:
+            for _ in range(3):
+                x = rand_duals(sub, rng)
+                d_th, rho, sig, slack = jacobian_parts(sub, x)
+                act = np.flatnonzero(d_th)
+                S = _newton_matrix(sub, slack / sub.c + eps, rho, sig, act)
+                ref = newton_matrix(sub, x, eps)
+                assert S.shape == ref.shape, label
+                assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max(), label
+
+
 class TestWorkArrays:
     """The MM step's hot path reuses its arrays: no Newton step and no reused
     subproblem build allocates a block a quarter of B's size."""
 
     @staticmethod
-    def _excess_bytes(fn):
-        """Traced peak minus current memory while fn runs, at a ufunc buffer
-        size of 1 024 elements.
+    def _excess_bytes(fn, bufsize=None):
+        """Traced peak minus current memory while fn runs, at numpy's ufunc
+        buffer size or at `bufsize` elements.
 
         A ufunc whose operands do not share one memory layout, or that
-        broadcasts one, iterates through buffers of up to numpy's buffer size
-        per operand, whatever the array sizes.  At the default of 8 192
-        elements those buffers alone reach 130 kB, above the bound at N = 1000,
-        so the bound holds at the shrunken size only, where the measure sees
-        the arrays the code itself allocates.
+        broadcasts one, iterates through buffers of up to the buffer size per
+        operand, whatever the array sizes.  The Newton step is measured at
+        numpy's default of 8 192 elements.  The reused build is measured at
+        1 024: it subtracts each sample's chosen gradient from its rows in one
+        broadcast ufunc into column-major B, whose buffers alone reach 100 kB
+        at the default, above the bound at N = 1000, so its bound holds at the
+        shrunken size only, where the measure sees the arrays the code itself
+        allocates.
         """
-        bufsize = np.setbufsize(1024)
+        bufsize = np.setbufsize(np.getbufsize() if bufsize is None else bufsize)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -142,7 +179,7 @@ class TestWorkArrays:
         nxt = mm.AugmentedIterate(res.theta, res.r, res.s, res.x)
         (sel1, sel2), = mm.select_pairs(comp, nxt.theta, cfg.eps, "random", rng=rng)[0]
         assert self._excess_bytes(lambda: mm.build_subproblem(
-            comp, nxt, sel1, sel2, c, reuse=sub)) < limit
+            comp, nxt, sel1, sel2, c, reuse=sub), bufsize=1024) < limit
 
 
 class TestDualValueGrad:

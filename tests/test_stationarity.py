@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pwafit import mm, stationarity
-from pwafit.funcs import CompositeProblem
 from pwafit.snewton import SNConfig
 from pwafit.stationarity import (
     classify_point,
@@ -11,7 +10,8 @@ from pwafit.stationarity import (
     weak_mstat_residual,
 )
 from oracles import PA1D as PA
-from oracles import LinearSplit, dc_critical_check, random_instance, random_pa1d
+from oracles import (LinearSplit, dc_critical_check, one_sample_problem,
+                     random_instance, random_pa1d)
 
 ABS = PA.maximum((1, 0), (-1, 0))                       # |x|
 NEG_ABS = ABS.scale(-1.0)                               # -|x|
@@ -132,11 +132,9 @@ class TestDcCritical:
 
 def _counterexample_problem():
     """phi(t) = t (split 2t + (-t)), psi = max(2t, 1.5t) - max(t, 0.5t)."""
-    return CompositeProblem(
-        U=np.array([[2.0], [1.5]]), e=np.zeros(2),
-        W=np.array([[1.0], [0.5]]), f=np.zeros(2),
-        split=LinearSplit(up_slope=2.0, down_slope=-1.0),
-        n_samples=1, weight=1.0)
+    return one_sample_problem(
+        np.array([[2.0], [1.5]]), np.zeros(2), np.array([[1.0], [0.5]]),
+        np.zeros(2), LinearSplit(up_slope=2.0, down_slope=-1.0))
 
 
 class TestDstatResidual:
