@@ -40,8 +40,8 @@ def _defaults(cls, skip=()) -> dict:
             if f.default is not MISSING and f.name not in skip}
 
 
-# an MMConfig's seed is drawn per start, and sn_tol_fixed is a library-only switch
-_MM_FIELDS = _defaults(MMConfig, skip=("seed", "sn_tol_fixed"))
+# an MMConfig's seed is drawn per start
+_MM_FIELDS = _defaults(MMConfig, skip=("seed",))
 _MM_KEYS = {**_MM_FIELDS, "compute_residual": True}
 _PROBLEM_KEYS = _defaults(pwa.PWAProblem)
 _OBJECTIVE_KEYS = _defaults(pwa.PWAProblem, skip=("k1", "k2"))
@@ -408,6 +408,8 @@ def cmd_check(cfg: dict, out: str) -> int:
         except (OSError, json.JSONDecodeError, KeyError) as exc:
             raise ConfigError(f"model: {exc}") from exc
         dataset = _load_dataset(cfg)
+        if model.d != dataset.d:
+            raise ConfigError(f"model has {model.d} features, dataset {dataset.d}")
         cfg2 = {**cfg, "k1": model.k1, "k2": model.k2}
         problem = _problem(cfg2, dataset)
         comp = pwa.assemble(problem)

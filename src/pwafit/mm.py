@@ -49,7 +49,6 @@ class MMConfig:
     sn_max_iter: int = 100
     variant: str = "random"         # full | one | random
     seed: int = 0
-    sn_tol_fixed: bool = False      # True: always solve to sn_tol_floor
 
     def resolve_c(self, problem: CompositeProblem) -> float:
         if self.c is not None:
@@ -281,8 +280,7 @@ def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
         state, rec, sub = mm_iterate(problem, state, config, c, sn_cfg, rng, it, sub)
         trace.append(rec)
         df = abs(rec.f_N - f_prev)
-        if not config.sn_tol_fixed:
-            sn_tol = max(config.sn_tol_floor, 1e-2 * df)
+        sn_tol = max(config.sn_tol_floor, 1e-2 * df)
         rel = df / max(1.0, abs(f_prev))
         f_prev = rec.f_N
         if rel <= config.tol_rel:

@@ -111,14 +111,15 @@ class Dataset:
     @classmethod
     def load_csv(cls, path) -> "Dataset":
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            rows = [row for row in csv.reader(fh) if row]
+        if rows:
+            try:
+                [float(v) for v in rows[0]]
+            except ValueError:
+                del rows[0]
         if not rows:
-            raise ValueError(f"empty dataset file {path}")
-        try:
-            [float(v) for v in rows[0]]
-        except ValueError:
-            rows = rows[1:]
-        data = np.array([[float(v) for v in row] for row in rows if row])
+            raise ValueError(f"no data rows in dataset file {path}")
+        data = np.array([[float(v) for v in row] for row in rows])
         if data.shape[1] < 2:
             raise ValueError("dataset needs at least one feature column and a response")
         return cls(X=data[:, :-1], y=data[:, -1])

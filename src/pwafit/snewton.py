@@ -162,16 +162,18 @@ class DualSubproblem:
                 + np.sum(dsl[:self.n1] ** 2) + np.sum(dsl[self.n1:] ** 2))
 
 
-# backtracking factor, Armijo's sufficient-increase constant, and how many
+# backtracking factor, Armijo's sufficient-increase constant, how many
 # accepted dual values the nonmonotone Armijo test looks back over (Grippo,
-# Lampariello and Lucidi, SIAM J. Numer. Anal. 1986): testing against the
-# smallest of the last 5 takes full Newton steps far more often than the
-# monotone test (memory 1), which backtracked on almost half the steps of a
-# default fit.  The Newton system is regularized by eps = min(_EPS_FLOOR +
-# _EPS_GRAD ||grad||, _EPS_CAP) / c, proportional to the gradient norm (Li,
-# Sun and Toh, SIAM J. Optim. 2018) and measured in the 1/c units of the
-# generalized Jacobian, so that it weighs the same at every proximal weight
-_RHO, _SIGMA, _NM_MEMORY = 0.5, 1e-4, 5
+# Lampariello and Lucidi, SIAM J. Numer. Anal. 1986), and how many step
+# lengths one search tries: testing against the smallest of the last 5 takes
+# full Newton steps far more often than the monotone test (memory 1), which
+# backtracked on almost half the steps of a default fit.  The Newton system
+# is regularized by eps = min(_EPS_FLOOR + _EPS_GRAD ||grad||, _EPS_CAP) / c,
+# proportional to the gradient norm (Li, Sun and Toh, SIAM J. Optim. 2018)
+# and in the 1/c units of the generalized Jacobian, so that it weighs the
+# same at every proximal weight; it makes the system positive definite, so
+# the Newton direction ascends, and a `LinAlgError` (rounding, NaN) propagates
+_RHO, _SIGMA, _NM_MEMORY, _TRIALS = 0.5, 1e-4, 5, 20
 _EPS_FLOOR, _EPS_GRAD, _EPS_CAP = 1e-9, 0.1, 1e-3
 
 
@@ -337,9 +339,10 @@ def _newton_direction(sub: DualSubproblem, jac, grad, eps):
 def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNResult:
     """Maximize the dual by semismooth Newton with nonmonotone Armijo
     backtracking, from the stacked multipliers `warm` (a previous
-    `SNResult.x`) or zero.  A solve that stops unconverged returns the
-    iterate with the highest dual value it reached, which under the
-    nonmonotone test need not be the last one."""
+    `SNResult.x`) or zero.  A solve that stops unconverged (at `max_iter`, or
+    when no step length passes its line search) returns the iterate with the
+    highest dual value it reached, which under the nonmonotone test need not
+    be the last one.  A `LinAlgError` of the Newton system propagates."""
     cfg = cfg or SNConfig()
     x = np.zeros(sub.dual_dim) if warm is None else warm
     val, grad, inner, jac = sub.value_grad(x)
@@ -352,26 +355,15 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
             it -= 1
             break
         eps = min(_EPS_FLOOR + _EPS_GRAD * gnorm, _EPS_CAP) / sub.c
-        for _ in range(3):
-            try:
-                d = _newton_direction(sub, jac, grad, eps)
-                break
-            except np.linalg.LinAlgError:
-                eps *= 100.0
-        else:
-            d = grad.copy()
+        d = _newton_direction(sub, jac, grad, eps)
         slope = float(grad @ d)
-        if slope <= 0:  # numerical safeguard: fall back to gradient ascent
-            d = grad.copy()
-            slope = float(grad @ grad)
-        # one backtracking loop: nonmonotone Armijo on the dual value (60
-        # trials, the last taken if none passes) or, once value changes drown
-        # in rounding, a decrease of ||grad|| (20 trials; if none passes, the
-        # solve stops)
+        # one backtracking loop: nonmonotone Armijo on the dual value or, once
+        # the slope is at rounding level (or not positive), a decrease of
+        # ||grad||; if no trial passes, the solve stops
         flat = slope <= 1e-12 * (1.0 + abs(val))
         ref = min(recent)
         alpha = 1.0
-        for _ in range(20 if flat else 60):
+        for _ in range(_TRIALS):
             xn = x + alpha * d
             vn, gn, innern, jacn = sub.value_grad(xn)
             if (float(np.linalg.norm(gn)) < gnorm if flat
@@ -379,8 +371,7 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
                 break
             alpha *= _RHO
         else:
-            if flat:
-                break
+            break
         x, val, grad, inner, jac = xn, vn, gn, innern, jacn
         recent.append(val)
         if val > best[1]:

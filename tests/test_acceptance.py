@@ -175,7 +175,29 @@ def test_criterion_2_majorization_sandwich(capsys):
             f"max sandwich violation {worst_slack:.1e}, touch error {worst_touch:.1e}")
 
 
+def _run_fixed_sn_tol(comp, cfg, theta0, sn_cfg):
+    """`mm.run`'s loop and stopping rule, with every inner solve held to
+    `sn_cfg` rather than to run's |df|-driven tolerance schedule.
+    Returns (trace, stop reason)."""
+    c = cfg.resolve_c(comp)
+    rng = np.random.default_rng(cfg.seed)
+    state = mm.init_state(comp, theta0)
+    f_prev = comp.f_N(state.theta)
+    trace, sub = [], None
+    for it in range(cfg.max_outer):
+        state, rec, sub = mm.mm_iterate(comp, state, cfg, c, sn_cfg, rng, it, sub)
+        trace.append(rec)
+        rel = abs(rec.f_N - f_prev) / max(1.0, abs(f_prev))
+        f_prev = rec.f_N
+        if rel <= cfg.tol_rel:
+            return trace, "tolerance"
+    return trace, "max_outer"
+
+
 def test_criterion_3_surrogate_monotone_vanishing_steps(capsys):
+    # every subproblem is solved to 1e-12, not to `mm.run`'s tolerance
+    # max(sn_tol_floor, 1e-2 |df|): the surrogate descends monotonically to
+    # 1e-10 only under near-exact solves
     t0 = time.perf_counter()
     fails = 0
     viol = 0.0
@@ -183,14 +205,15 @@ def test_criterion_3_surrogate_monotone_vanishing_steps(capsys):
     for seed in range(50):
         rng = np.random.default_rng(seed + 300)
         prob, comp = _random_problem(rng, gamma=1e-2)
-        cfg = mm.MMConfig(variant="full", tol_rel=1e-15, max_outer=500,
-                          sn_tol_floor=1e-12, sn_tol_fixed=True, seed=seed)
-        rep = mm.run(comp, cfg, rng.normal(size=prob.m))
-        surr = [r.surrogate for r in rep.trace if r.accepted]
+        cfg = mm.MMConfig(variant="full", tol_rel=1e-15, max_outer=500, seed=seed)
+        trace, reason = _run_fixed_sn_tol(
+            comp, cfg, rng.normal(size=prob.m),
+            SNConfig(tol_grad=1e-12, max_iter=cfg.sn_max_iter))
+        surr = [r.surrogate for r in trace if r.accepted]
         for a, b in zip(surr, surr[1:]):
             viol = max(viol, b - a)
-        worst_step = max(worst_step, rep.trace[-1].step_norm)
-        fails += rep.reason != "tolerance"
+        worst_step = max(worst_step, trace[-1].step_norm)
+        fails += reason != "tolerance"
     dt = time.perf_counter() - t0
     ok = fails == 0 and viol <= 1e-10 and worst_step <= 1e-6 and dt < 120
     verdict(capsys, 3, ok,

@@ -68,6 +68,14 @@ class TestConfig:
         p = write_json(tmp_path / "c.json", cfg)
         assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 2
 
+    def test_header_only_dataset(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text("x1,x2,y\n")
+        cfg = {**SMALL_FIT, "dataset": str(tmp_path / "d.csv")}
+        del cfg["synth"]
+        p = write_json(tmp_path / "c.json", cfg)
+        assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 2
+        assert "no data rows" in capsys.readouterr().err
+
     def test_seed_override(self, tmp_path):
         p = write_json(tmp_path / "c.json", SMALL_FIT)
         cfg = load_config(p, "fit", seed_override=42)
@@ -244,6 +252,32 @@ class TestFit:
         assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 0
         assert calls == ["dstat", "dstat"]
 
+    def test_singular_newton_system_fails_its_start(self, tmp_path, monkeypatch):
+        # a LinAlgError of SN's Newton system is not retried: it fails the
+        # start it occurs in, which starts.csv and report.json name, and the
+        # other starts still fit
+        from pwafit import snewton
+        direction = snewton._newton_direction
+        calls = []
+
+        def singular_once(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return direction(*args)
+
+        monkeypatch.setattr(snewton, "_newton_direction", singular_once)
+        p = write_json(tmp_path / "c.json", {**SMALL_FIT, "starts": 2})
+        assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "report.json") as fh:
+            rep = json.load(fh)
+        assert rep["failed_starts"] == [0] and rep["best_start"] == 1
+        header, rows = read_csv(tmp_path / "starts.csv")
+        reason, error = header.index("reason"), header.index("error")
+        assert rows[0][reason] == "failed"
+        assert rows[0][error] == "LinAlgError: Singular matrix"
+        assert rows[1][reason] in ("tolerance", "max_outer") and rows[1][error] == ""
+
     def test_convex_case_matches_ols(self, tmp_path):
         cfg = {"synth": {"example": 1, "N": 50, "seed": 2},
                "k1": 1, "k2": 1, "starts": 1, "seed": 0,
@@ -411,6 +445,17 @@ class TestCheck:
         assert check["dstat_residual"] == fit["residual"]
         assert check["coverage"] == fit["residual_coverage"]
         assert check["unconverged"] == fit["residual_unconverged"]
+
+    def test_dimension_mismatch_rejected(self, tmp_path, capsys):
+        # a model of d = 2 against a one-feature dataset is a config error
+        _, mdl = pwa.synth_example2(20, seed=6)
+        write_json(tmp_path / "m.json", mdl.to_json())
+        pwa.Dataset(np.linspace(-1.0, 1.0, 20)[:, None], np.zeros(20)).save_csv(
+            tmp_path / "d.csv")
+        p = write_json(tmp_path / "c.json", {"model": str(tmp_path / "m.json"),
+                                             "dataset": str(tmp_path / "d.csv")})
+        assert main(["check", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "model has 2 features, dataset 1" in capsys.readouterr().err
 
     def test_neither_branch_rejected(self, tmp_path):
         p = write_json(tmp_path / "c.json", {"points": [0.0]})

@@ -251,11 +251,10 @@ def test_readme_exit2_keys_have_domains():
 def test_cli_defaults_are_the_library_defaults():
     # a CLI default that differs from MMConfig's or PWAProblem's makes
     # `pwafit fit` and a library call with the same options solve different
-    # problems; the CLI draws MMConfig's seed per start, and sn_tol_fixed is
-    # no config key
+    # problems; the CLI draws MMConfig's seed per start
     from pwafit import cli, mm, pwa
     mm_fields = {f.name: f.default for f in dataclasses.fields(mm.MMConfig)
-                 if f.name not in ("seed", "sn_tol_fixed")}
+                 if f.name != "seed"}
     model_fields = {f.name: f.default for f in dataclasses.fields(pwa.PWAProblem)
                     if f.name != "dataset"}
     for command in ("fit", "cv", "check"):

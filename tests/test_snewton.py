@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pwafit import mm, pwa
+from pwafit import mm, pwa, snewton
 from pwafit.funcs import DcRegularizer, MonotoneSplit
 from pwafit.snewton import (SNConfig, _block_sum, _newton_direction,
                             _newton_matrix, sn_solve)
@@ -443,6 +443,18 @@ class TestSnSolve:
         res = sn_solve(sub, cfg=SNConfig(tol_grad=0.0, max_iter=50))
         assert not res.converged and res.iterations < 50
         assert res.kkt_residual == np.linalg.norm(sub.value_grad(res.x)[1])
+
+    def test_descent_direction_stops_the_solve(self, monkeypatch):
+        # were a rounded Newton system to return a descent direction, the
+        # gradient-norm search would find no step length that lowers ||grad||
+        # along -grad: the solve stops at once, unconverged, at its start
+        monkeypatch.setattr(snewton, "_newton_direction",
+                            lambda sub, jac, grad, eps: -grad)
+        comp, sub = make_sub(43)
+        v0 = sub.value_grad(np.zeros(sub.dual_dim))[0]
+        res = sn_solve(sub, cfg=TIGHT)
+        assert not res.converged and res.iterations <= 2
+        assert res.dual_value >= v0
 
     def test_armijo_progress(self):
         # the dual value of the returned point is at least the start value
