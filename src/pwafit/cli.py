@@ -405,7 +405,7 @@ def cmd_check(cfg: dict, out: str) -> int:
         try:
             with open(cfg["model"]) as fh:
                 model = pwa.PWAModel.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, KeyError, ValueError) as exc:
             raise ConfigError(f"model: {exc}") from exc
         dataset = _load_dataset(cfg)
         if model.d != dataset.d:

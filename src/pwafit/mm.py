@@ -106,16 +106,14 @@ def select_pairs(problem: CompositeProblem, theta, eps: float, variant: str,
                  combo_cap: int = MMConfig.combo_cap):
     """Per-sample pair selections (0-based index arrays (sel1, sel2)).
 
-    A sample's eps-argmax pairs are ranked lexicographically, (g atom, h atom)
-    in index order; every variant picks a rank per sample and decodes it,
-    `random` by drawing it from `rng`.
+    A sample's eps-argmax pairs (its exact-argmax ones, at TIE_TOL, for
+    `one`) are ranked lexicographically, (g atom, h atom) in index order;
+    every variant picks a rank per sample and decodes it: `one` rank 0,
+    `random` a draw from `rng`, `full` each combination up to `combo_cap`.
     Returns (selections, coverage) where coverage is the enumerated fraction
     of the full eps-argmax product (always 1.0 for one/random).
     """
-    if variant == "one":
-        m1, m2 = problem.argmax_masks(theta, TIE_TOL)
-        return [(m1.argmax(axis=1), m2.argmax(axis=1))], 1.0
-    m1, m2 = problem.argmax_masks(theta, eps)
+    m1, m2 = problem.argmax_masks(theta, TIE_TOL if variant == "one" else eps)
     n1, n2 = m1.sum(axis=1), m2.sum(axis=1)
     counts = n1 * n2
 
@@ -123,6 +121,8 @@ def select_pairs(problem: CompositeProblem, theta, eps: float, variant: str,
         # rank k is the (k // n2)-th tied g atom and the (k % n2)-th tied h atom
         return _nth_set(m1, rank // n2), _nth_set(m2, rank % n2)
 
+    if variant == "one":
+        return [decode(np.zeros_like(counts))], 1.0
     if variant == "random":
         return [decode(rng.integers(counts))], 1.0
     if variant != "full":
@@ -151,9 +151,10 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
                      reuse: DualSubproblem | None = None) -> DualSubproblem:
     """Dual subproblem data for one per-sample atom-pair selection.
 
-    With `reuse`, a subproblem built earlier from the same problem, that
-    subproblem is overwritten in place and returned: B, beta, the selections
-    and the anchors are rewritten, and its work arrays are kept.
+    The selection's data (B, beta, the selections, c, the anchors and the
+    regularizer majorant) is written into `reuse`, a subproblem built earlier
+    from the same problem, or into a new `DualSubproblem(problem)`, which is
+    returned; a reused subproblem keeps its work arrays.
     """
     theta = state.theta
     N, k1, k2, m = problem.n_samples, problem.k1, problem.k2, problem.m
@@ -170,19 +171,10 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
         l1 = lin = np.zeros_like(theta)
         reg_const = 0.0
 
-    if reuse is None:
-        n = N * (k1 + k2)
-        sub = DualSubproblem(
-            B=np.empty((n, m), order="F"), beta=np.empty(n), k1=k1,
-            problem=problem, sel1=sel1, sel2=sel2, split=problem.split,
-            n_samples=N, weight=problem.weight, c=c, theta_nu=theta,
-            r_nu=state.r, s_nu=state.s, slack_nu=np.empty(n),
-            l1=l1, lin=lin, reg_const=reg_const)
-    else:
-        sub = reuse
-        sub.c, sub.theta_nu, sub.r_nu, sub.s_nu = c, theta, state.r, state.s
-        sub.sel1, sub.sel2 = sel1, sel2
-        sub.l1, sub.lin, sub.reg_const = l1, lin, reg_const
+    sub = DualSubproblem(problem) if reuse is None else reuse
+    sub.c, sub.theta_nu, sub.r_nu, sub.s_nu = c, theta, state.r, state.s
+    sub.sel1, sub.sel2 = sel1, sel2
+    sub.l1, sub.lin, sub.reg_const = l1, lin, reg_const
 
     # lambda rows U - (chosen h grad) over mu rows W - (chosen g grad); the
     # per-sample reshapes of B's rows are views (splitting an axis never

@@ -30,6 +30,10 @@ class PWAModel:
             B = np.zeros((0, self.A.shape[1]))
         object.__setattr__(self, "B", np.atleast_2d(B) if B.size else B)
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).ravel())
+        if (self.alpha.size != self.k1 or self.beta.size != self.k2
+                or self.B.shape[1] != self.d):
+            raise ValueError(f"need alpha of k1 = {self.k1} entries, beta of "
+                             f"k2 = {self.k2} and B of d = {self.d} columns")
 
     @property
     def d(self) -> int:

@@ -22,6 +22,9 @@ atom gradient is the sample's features x_s times the atom's lift L_a
 (`funcs.CompositeProblem`).  The Newton step's m x m matrix is therefore
 formed from per-sample K x K atom couplings (K = k1 + k2) and the samples'
 x_s x_s^T, not from an array of B's size.
+
+A `DualSubproblem` is allocated from its problem, which fixes its shape,
+loss and weight; `mm.build_subproblem` refills it in place per selection.
 """
 
 from __future__ import annotations
@@ -31,81 +34,72 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcs import CompositeProblem, MonotoneSplit
+from .funcs import CompositeProblem
 
 
-def _block_sum(X, k, out=None):
-    """Sum of each sample's k consecutive entries (rows, for 2-D X), written
-    to `out` when given.
+def _block_sum(X, k):
+    """Sum of each sample's k consecutive entries (rows, for 2-D X).
 
     Adds the k strided slices X[j::k] in index order.  The sums are the ones
     numpy's ``X.reshape(N, k, -1).sum(axis=1)`` gives, bit for bit (for 1-D X
     while k < 8, where numpy's pairwise summation starts), at a fraction of
     its per-call cost.  The ``+ 0.0`` turns -0.0 into 0.0, as numpy's sum does.
     """
-    out = np.add(X[0::k], 0.0, out=out)
+    out = X[0::k] + 0.0
     for j in range(1, k):
         out += X[j::k]
     return out
 
 
-@dataclass
 class DualSubproblem:
-    """Stacked affine constraint data plus prox oracles and anchors.
+    """Dual subproblem of one atom-pair selection of `problem`: stacked
+    affine constraint data plus prox oracles and anchors.
 
-    B stacks the N*k1 lambda rows over the N*k2 mu rows; beta and slack_nu
-    follow the same row order.  Lambda row j of sample s is g atom j's
-    gradient minus that of h atom sel2[s]; mu row j is h atom j's minus that
-    of g atom sel1[s], the atoms of `problem`.  Each subproblem also owns the
-    work arrays `value_grad`, `_newton_direction` and `mm.build_subproblem`
-    overwrite on every call, so none of them allocates an array of B's size;
-    `mm.build_subproblem(..., reuse=sub)` overwrites B, beta, the selections
-    and the anchors in place and keeps the work arrays.
+    The problem fixes the shape (k1, k2, N), the loss split and its weight.
+    `mm.build_subproblem` writes each selection's B, beta and slack_nu into
+    the arrays allocated here, and sets the data annotated below.  B stacks the N*k1 lambda rows
+    over the N*k2 mu rows; beta and slack_nu follow the same row order.
+    Lambda row j of sample s is g atom j's gradient minus that of h atom
+    sel2[s]; mu row j is h atom j's minus that of g atom sel1[s].  Each
+    subproblem also owns the work arrays `value_grad`, `_newton_direction`
+    and `mm.build_subproblem` overwrite on every call, so none of them
+    allocates an array of B's size.
     """
 
-    B: np.ndarray                 # (N*(k1+k2), m), column-major
-    beta: np.ndarray
-    k1: int
-    # the atoms and per-sample selections B was built from, which the Newton
-    # step reads; None only for a B of no atom structure, with no Newton step
-    problem: CompositeProblem | None
-    sel1: np.ndarray | None
-    sel2: np.ndarray | None
-    split: MonotoneSplit          # per-sample loss split (array parameters)
-    n_samples: int
-    weight: float                 # loss scale w (typically 1/N)
+    sel1: np.ndarray              # per-sample g atom of the selection
+    sel2: np.ndarray              # per-sample h atom of the selection
     c: float                      # proximal weight
     theta_nu: np.ndarray
     r_nu: np.ndarray
     s_nu: np.ndarray
-    slack_nu: np.ndarray          # slack anchors, lambda rows then mu rows
     l1: np.ndarray                # l1 weights t_i of the regularizer majorant
     lin: np.ndarray               # linear part of the regularizer majorant
     reg_const: float              # constant part of the regularizer majorant
 
-    def __post_init__(self):
-        N = self.n_samples
-        self.n1 = N * self.k1
-        self.k2, rem = divmod(self.B.shape[0] - self.n1, N)
-        if self.k1 < 1 or self.k2 < 1 or rem:
-            raise ValueError("constraint rows are not n_samples * (k1 + k2) "
-                             "with k1, k2 >= 1")
+    def __init__(self, problem: CompositeProblem):
+        self.problem = problem
+        self.k1, self.k2, self.n_samples = problem.k1, problem.k2, problem.n_samples
+        self.split = problem.split      # per-sample loss split (array parameters)
+        self.weight = problem.weight    # loss scale w (typically 1/N)
+        N, K, m = self.n_samples, self.k1 + self.k2, problem.m
+        self.n1, n = N * self.k1, N * K
         # B is column-major, so that B theta and B^T x both run over its
-        # contiguous columns
-        self.B = np.asfortranarray(self.B, dtype=float)
+        # contiguous columns; slack_nu holds the slack anchors, lambda rows
+        # then mu rows
+        self.B = np.empty((n, m), order="F")
+        self.beta, self.slack_nu = np.empty(n), np.empty(n)
         # 0/1 matrices that sum the other rows of a sample block
         self.others = {k: 1.0 - np.eye(k) for k in {self.k1, self.k2}}
         # work arrays: value_grad's dual-dimension temporary; the sample
         # blocks of Delta^{-1} (v, m, vn) with two temporaries of
         # `_delta_solve`; the Newton matrix's atom couplings (K, K, N) and the
         # selections one-hot (K, N); and the build's chosen atom gradients
-        n, K = self.dual_dim, self.k1 + self.k2
         self.work_x, self.work_v = np.empty(n), np.empty(n)
         self.work_m, self.work_vn = np.empty(n), np.empty(n)
         self.work_vx, self.work_rest = np.empty(n), np.empty(n)
         self.work_C = np.empty((K, K, N))
         self.work_E = np.empty((K, N))
-        self.work_chosen = np.empty((N, self.m))
+        self.work_chosen = np.empty((N, m))
 
     @property
     def m(self) -> int:

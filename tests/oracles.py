@@ -325,20 +325,31 @@ def majorant(comp, pair, theta, theta_bar) -> float:
 # feasibility and the unstacked dual value
 
 def dual_subproblem(*, B1, beta1, B2, beta2, rhat_nu, shat_nu, n_samples,
-                    l1=None, lin=None, reg_const=0.0, **rest):
+                    split, weight, c, theta_nu, r_nu, s_nu, l1=None, lin=None,
+                    reg_const=0.0):
     """`DualSubproblem` from separate lambda (B1, beta1, rhat_nu) and mu
-    (B2, beta2, shat_nu) blocks; l1 and lin default to zeros.  The blocks
-    need not come from atoms, so the instance has no Newton step: only its
-    dual value, gradient and inner minimizers are defined."""
+    (B2, beta2, shat_nu) blocks; l1 and lin default to zeros.
+
+    It is allocated over a problem of the blocks' shape whose atoms all have
+    zero lifts, and B, beta and the anchors are then overwritten.  The blocks
+    need not come from atoms, and the problem's zero lifts do not describe
+    them, so the instance has no Newton step: only its dual value, gradient
+    and inner minimizers are defined."""
     from pwafit.snewton import DualSubproblem
-    zeros = np.zeros(B1.shape[1])
-    return DualSubproblem(
-        B=np.vstack([B1, B2]), beta=np.concatenate([beta1, beta2]),
-        k1=B1.shape[0] // n_samples, problem=None, sel1=None, sel2=None,
-        n_samples=n_samples,
-        slack_nu=np.concatenate([rhat_nu, shat_nu]),
-        l1=zeros if l1 is None else l1, lin=zeros if lin is None else lin,
-        reg_const=reg_const, **rest)
+    N, m = n_samples, B1.shape[1]
+    k1, k2 = B1.shape[0] // N, B2.shape[0] // N
+    sub = DualSubproblem(CompositeProblem(
+        X=np.ones((N, 1)), L=np.zeros((k1 + k2, 1, m)), k1=k1,
+        e=np.zeros(N * k1), f=np.zeros(N * k2), split=split, weight=weight))
+    sub.B[...] = np.vstack([B1, B2])
+    sub.beta[...] = np.concatenate([beta1, beta2])
+    sub.slack_nu[...] = np.concatenate([rhat_nu, shat_nu])
+    sub.sel1 = sub.sel2 = np.zeros(N, dtype=int)
+    sub.c, sub.theta_nu, sub.r_nu, sub.s_nu = c, theta_nu, r_nu, s_nu
+    sub.l1 = np.zeros(m) if l1 is None else l1
+    sub.lin = np.zeros(m) if lin is None else lin
+    sub.reg_const = reg_const
+    return sub
 
 
 def blocks(sub):

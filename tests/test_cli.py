@@ -457,6 +457,22 @@ class TestCheck:
         assert main(["check", "--config", str(p), "--out", str(tmp_path)]) == 2
         assert "model has 2 features, dataset 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, message", [
+        ({"A": [[1.0, 2.0], [3.0, 4.0]], "alpha": [0.0]}, "alpha of k1 = 2"),
+        ({"k2": 2, "B": [[1.0, 2.0, 3.0]]}, "cannot reshape"),
+    ], ids=["alpha-size", "B-shape"])
+    def test_malformed_model_rejected(self, tmp_path, capsys, change, message):
+        # a model whose arrays do not fit its k1, k2 and d is a config error,
+        # not a solver error (exit 3) raised where the arrays are first used
+        ds, mdl = pwa.synth_example2(20, seed=6)
+        ds.save_csv(tmp_path / "d.csv")
+        write_json(tmp_path / "m.json", {**mdl.to_json(), **change})
+        p = write_json(tmp_path / "c.json", {"model": str(tmp_path / "m.json"),
+                                             "dataset": str(tmp_path / "d.csv")})
+        assert main(["check", "--config", str(p), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model:") and message in err
+
     def test_neither_branch_rejected(self, tmp_path):
         p = write_json(tmp_path / "c.json", {"points": [0.0]})
         assert main(["check", "--config", str(p), "--out", str(tmp_path)]) == 2

@@ -2,9 +2,10 @@
 the package's modules import one another without a cycle, every definition
 is used by the package itself (code that only tests call belongs in the
 tests), every package function the benchmark's tracer wraps or its other
-scripts read exists, every CLI config key has its value domain checked,
-every checked domain belongs to a config key, every key README's exit-2 list
-names has a domain, and the CLI's MM and model defaults are the library's."""
+scripts read exists, a tiny fit and check run clean under that tracer,
+every CLI config key has its value domain checked, every checked domain
+belongs to a config key, every key README's exit-2 list names has a domain,
+and the CLI's MM and model defaults are the library's."""
 
 import ast
 import dataclasses
@@ -166,18 +167,63 @@ def test_no_import_cycles():
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
 
 
-def test_benchmark_tracer_hooks_resolve(monkeypatch):
-    # perfbench/tracer.py swaps its TARGETS for timing wrappers by name, so a
-    # package refactor that renames one breaks traced benchmark runs
+def _bench_tracer(monkeypatch):
+    """perfbench/tracer.py, loaded with perfbench on the import path."""
     monkeypatch.syspath_prepend(str(BENCH))
     spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_hooks_resolve(monkeypatch):
+    # perfbench/tracer.py swaps its TARGETS for timing wrappers by name, so a
+    # package refactor that renames one breaks traced benchmark runs
+    tracer = _bench_tracer(monkeypatch)
     targets = [(owner, attr) for owner, attr, _ in tracer.TARGETS]
     before = [getattr(*t) for t in targets]
     with tracer.Tracer().active():
         assert all(getattr(*t) is not f for t, f in zip(targets, before))
     assert all(getattr(*t) is f for t, f in zip(targets, before))
+
+
+def test_traced_benchmark_operations_run(monkeypatch, tmp_path):
+    # beyond the names it wraps, the tracer binds build_subproblem's arguments
+    # by name and reads the problem's atoms and each SNResult, so one tiny
+    # fit and one tiny check must run clean under it and count their
+    # subproblems, as a traced benchmark run does
+    import numpy as np
+
+    from pwafit import cli
+    tracer = _bench_tracer(monkeypatch)
+    workloads = importlib.import_module("workloads")
+
+    def operation(command, G, H, gen, **config):
+        X, y = gen(G, H, 60, np.random.default_rng(0))
+        csv_path = str(tmp_path / f"{command}.csv")
+        workloads.write_csv(csv_path, X, y)
+        config = {"dataset": csv_path, "seed": 0, **config}
+        config_path = str(tmp_path / f"{command}.json")
+        workloads.write_json(config_path, config)
+        return workloads.Operation(command, config, config_path,
+                                   str(tmp_path / command),
+                                   workloads.Dataset(X, y, csv_path))
+
+    model = str(tmp_path / "model.json")
+    workloads.write_json(model, workloads.model_json(workloads.EX1_G, workloads.EX1_H))
+    t = tracer.Tracer()
+    for op in (operation("fit", workloads.EX2_G, workloads.EX2_H,
+                         workloads.uniform_data, k1=2, k2=2, starts=1),
+               operation("check", workloads.EX1_G, workloads.EX1_H,
+                         workloads.lattice_data, model=model)):
+        t.begin_op(op)
+        with t.active():
+            assert cli.main(op.argv) == 0
+        t.end_op()
+    assert t.problems == []
+    metrics = t.metrics([1.0], [1.0])
+    assert metrics["mm.build_subproblem_calls"]["value"] > 0
+    assert metrics["stationarity.selections"]["value"] > 0
 
 
 def benchmark_package_reads(source: str) -> set:
