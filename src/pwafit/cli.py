@@ -10,7 +10,6 @@ fully-resolved config embedded, tables and traces are CSV.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -252,13 +251,6 @@ def _fold_indices(N: int, folds: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # commands
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def cmd_fit(cfg: dict, out: str) -> int:
     dataset = _load_dataset(cfg)
     if cfg["gamma"] == "cv":
@@ -281,20 +273,20 @@ def cmd_fit(cfg: dict, out: str) -> int:
             rows.append([i, repr(rep.f_N), rep.iterations, rep.sn_total,
                          rep.reason, "" if rep.residual is None else repr(rep.residual),
                          ""])
-    _write_csv(os.path.join(out, "starts.csv"),
-               ["start", "f_N", "mm_iterations", "sn_total", "reason",
-                "residual", "error"], rows)
+    pwa.write_csv(os.path.join(out, "starts.csv"),
+                  ["start", "f_N", "mm_iterations", "sn_total", "reason",
+                   "residual", "error"], rows)
 
-    _write_csv(os.path.join(out, "trace.csv"),
-               ["iteration", "f_N", "surrogate", "step_norm", "accepted",
-                "sn_iterations", "sn_converged"],
-               [[r.iteration, repr(r.f_N), repr(r.surrogate), repr(r.step_norm),
-                 int(r.accepted), r.sn_iterations, int(r.sn_converged)]
-                for r in best.trace])
+    pwa.write_csv(os.path.join(out, "trace.csv"),
+                  ["iteration", "f_N", "surrogate", "step_norm", "accepted",
+                   "sn_iterations", "sn_converged"],
+                  [[r.iteration, repr(r.f_N), repr(r.surrogate), repr(r.step_norm),
+                    int(r.accepted), r.sn_iterations, int(r.sn_converged)]
+                   for r in best.trace])
 
     values = sorted(round(r.f_N, 6) for _, r, e in results if r is not None)
-    _write_csv(os.path.join(out, "histogram.csv"), ["objective", "count"],
-               [[repr(v), values.count(v)] for v in dict.fromkeys(values)])
+    pwa.write_csv(os.path.join(out, "histogram.csv"), ["objective", "count"],
+                  [[repr(v), values.count(v)] for v in dict.fromkeys(values)])
 
     report = {
         "command": "fit",
@@ -336,7 +328,7 @@ def cmd_cv(cfg: dict, out: str) -> int:
                     tr, te = idx != f, idx == f
                     e_pa += _heldout_sse({**cfg, "k1": k1, "k2": k2}, dataset, te,
                                          cfg["starts"])
-                    w, b, _ = pwa.ols_fit(pwa.Dataset(dataset.X[tr], dataset.y[tr]))
+                    w, b = pwa.ols_fit(pwa.Dataset(dataset.X[tr], dataset.y[tr]))
                     pred = dataset.X[te] @ w + b
                     e_ls += float(np.sum((dataset.y[te] - pred) ** 2))
                 ratios.append(e_pa / e_ls)
@@ -361,8 +353,8 @@ def cmd_cv(cfg: dict, out: str) -> int:
             row.append("" if cell is None or cell["ratio"] is None
                        else repr(cell["ratio"]))
         rows.append(row)
-    _write_csv(os.path.join(out, "ratio_grid.csv"),
-               ["k1\\k2"] + [str(b) for b in k2s], rows)
+    pwa.write_csv(os.path.join(out, "ratio_grid.csv"),
+                  ["k1\\k2"] + [str(b) for b in k2s], rows)
     with open(os.path.join(out, "cv_report.json"), "w") as fh:
         json.dump({"command": "cv", "config": cfg,
                    "cells": cells}, fh, indent=1)

@@ -3,8 +3,9 @@ stationarity certificate.
 
 The loss phi enters through its monotone split (non-decreasing +
 non-increasing parts, with proxes and prox sensitivities); the regularizer is
-a dc function; and `CompositeProblem` stacks every sample's affine atoms into
-the one composite dc program of pointwise-max type the solvers work on.
+a dc function, weighted l1 minus a smooth part computed with its gradient;
+and `CompositeProblem` stacks every sample's affine atoms into the one
+composite dc program of pointwise-max type the solvers work on.
 """
 
 from __future__ import annotations
@@ -109,19 +110,14 @@ class MonotoneSplit:
 SCAD_A = 3.7        # SCAD shape parameter (Fan and Li's choice); must exceed 2
 
 
-def _scad_smooth_value(t, lam):
-    """Smooth part p with lam*|t| - p(t) equal to the SCAD penalty."""
+def _scad_smooth(t, lam):
+    """Smooth part p, with lam*|t| - p(t) equal to the SCAD penalty, and p'."""
     at = np.abs(t)
-    mid = (at - lam) ** 2 / (2.0 * (SCAD_A - 1.0))
-    outer = lam * at - 0.5 * (SCAD_A + 1.0) * lam**2
-    return np.where(at <= lam, 0.0, np.where(at <= SCAD_A * lam, mid, outer))
-
-
-def _scad_smooth_grad(t, lam):
-    at = np.abs(t)
-    mid = (at - lam) / (SCAD_A - 1.0)
-    mag = np.where(at <= lam, 0.0, np.where(at <= SCAD_A * lam, mid, lam))
-    return np.sign(t) * mag
+    inner, mid = at <= lam, at <= SCAD_A * lam
+    p = np.where(inner, 0.0, np.where(mid, (at - lam) ** 2 / (2.0 * (SCAD_A - 1.0)),
+                                      lam * at - 0.5 * (SCAD_A + 1.0) * lam**2))
+    slope = np.where(inner, 0.0, np.where(mid, (at - lam) / (SCAD_A - 1.0), lam))
+    return p, np.sign(t) * slope
 
 
 @dataclass(frozen=True)
@@ -144,22 +140,19 @@ class DcRegularizer:
         if self.smooth not in ("none", "scad"):
             raise ValueError(f"unsupported smooth part {self.smooth!r}")
 
-    def p_value(self, theta):
+    def smooth_part(self, theta):
+        """(p(theta), grad p(theta)), per coordinate, of the smooth part p
+        that P subtracts; one evaluation serves P's value and its majorant."""
         theta = np.asarray(theta, dtype=float)
         if self.smooth == "none":
-            return np.zeros_like(theta)
-        return _scad_smooth_value(theta, self.weights)
-
-    def p_grad(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if self.smooth == "none":
-            return np.zeros_like(theta)
-        return _scad_smooth_grad(theta, self.weights)
+            return np.zeros_like(theta), np.zeros_like(theta)
+        return _scad_smooth(theta, self.weights)
 
     def value(self, theta) -> float:
         """gamma * P(theta)."""
         theta = np.asarray(theta, dtype=float)
-        return self.gamma * float(self.weights @ np.abs(theta) - self.p_value(theta).sum())
+        return self.gamma * float(self.weights @ np.abs(theta)
+                                  - self.smooth_part(theta)[0].sum())
 
     def majorant_data(self, theta_bar):
         """(l1 weights, linear part, constant) of gamma * P-hat(., theta_bar).
@@ -169,8 +162,9 @@ class DcRegularizer:
         """
         theta_bar = np.asarray(theta_bar, dtype=float)
         t = self.gamma * self.weights
-        lin = self.gamma * self.p_grad(theta_bar)
-        const = float(lin @ theta_bar) - self.gamma * float(self.p_value(theta_bar).sum())
+        p, grad = self.smooth_part(theta_bar)
+        lin = self.gamma * grad
+        const = float(lin @ theta_bar) - self.gamma * float(p.sum())
         return t, lin, const
 
 

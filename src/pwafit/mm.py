@@ -111,11 +111,14 @@ def select_pairs(problem: CompositeProblem, theta, eps: float, variant: str,
     every variant picks a rank per sample and decodes it: `one` rank 0,
     `random` a draw from `rng`, `full` each combination up to `combo_cap`.
     Returns (selections, coverage) where coverage is the enumerated fraction
-    of the full eps-argmax product (always 1.0 for one/random).
+    of the full eps-argmax product (always 1.0 for one/random).  Raises
+    ValueError if a sample has no argmax atom (a non-finite atom value).
     """
     m1, m2 = problem.argmax_masks(theta, TIE_TOL if variant == "one" else eps)
     n1, n2 = m1.sum(axis=1), m2.sum(axis=1)
     counts = n1 * n2
+    if not counts.all():
+        raise ValueError("a sample has no argmax atom: non-finite atom values")
 
     def decode(rank):
         # rank k is the (k // n2)-th tied g atom and the (k % n2)-th tied h atom
@@ -137,7 +140,7 @@ def select_pairs(problem: CompositeProblem, theta, eps: float, variant: str,
     sel1, sel2 = decode(ranks)
     # exact integer product: a float one overflows to inf on many ties
     total = math.prod(counts[tied].tolist())
-    coverage = min(len(combos) / total, 1.0) if total > 0 else 1.0
+    coverage = min(len(combos) / total, 1.0)
     return list(zip(sel1, sel2)), coverage
 
 

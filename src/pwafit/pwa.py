@@ -1,7 +1,8 @@
 """Continuous piecewise affine regression problems.
 
 Model psi(x) = max_i(a_i.x + alpha_i) - max_j(b_j.x + beta_j), fitted by
-least squares (or quantile loss) through the MM solver.  Includes the OLS
+least squares (or quantile loss) through the MM solver.  Includes the JSON
+form of models, the CSV form of datasets and tables, the minimum-norm OLS
 baseline, two synthetic data generators and starting-point samplers.
 """
 
@@ -28,8 +29,10 @@ class PWAModel:
         B = np.asarray(self.B, dtype=float)
         if B.size == 0:
             B = np.zeros((0, self.A.shape[1]))
-        object.__setattr__(self, "B", np.atleast_2d(B) if B.size else B)
+        object.__setattr__(self, "B", np.atleast_2d(B))
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).ravel())
+        if not all(np.all(np.isfinite(a)) for a in (self.A, self.alpha, self.B, self.beta)):
+            raise ValueError("model contains non-finite entries")
         if (self.alpha.size != self.k1 or self.beta.size != self.k2
                 or self.B.shape[1] != self.d):
             raise ValueError(f"need alpha of k1 = {self.k1} entries, beta of "
@@ -77,11 +80,12 @@ class PWAModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PWAModel":
-        return cls(A=np.array(obj["A"], dtype=float),
-                   alpha=np.array(obj["alpha"], dtype=float),
-                   B=np.array(obj["B"], dtype=float).reshape(obj["k2"], -1)
-                   if obj["k2"] else np.zeros((0, len(obj["A"][0]))),
-                   beta=np.array(obj["beta"], dtype=float))
+        """The inverse of `to_json`; the declared k1 and k2 must fit the arrays."""
+        model = cls(A=obj["A"], alpha=obj["alpha"], B=obj["B"], beta=obj["beta"])
+        if (model.k1, model.k2) != (obj["k1"], obj["k2"]):
+            raise ValueError(f"declared k1 = {obj['k1']}, k2 = {obj['k2']}, but the "
+                             f"arrays hold k1 = {model.k1}, k2 = {model.k2}")
+        return model
 
 
 @dataclass(frozen=True)
@@ -106,11 +110,9 @@ class Dataset:
         return self.X.shape[1]
 
     def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow([f"x{i + 1}" for i in range(self.d)] + ["y"])
-            for row, yv in zip(self.X, self.y):
-                w.writerow([repr(float(v)) for v in row] + [repr(float(yv))])
+        write_csv(path, [f"x{i + 1}" for i in range(self.d)] + ["y"],
+                  ([repr(float(v)) for v in row] + [repr(float(yv))]
+                   for row, yv in zip(self.X, self.y)))
 
     @classmethod
     def load_csv(cls, path) -> "Dataset":
@@ -127,6 +129,14 @@ class Dataset:
         if data.shape[1] < 2:
             raise ValueError("dataset needs at least one feature column and a response")
         return cls(X=data[:, :-1], y=data[:, -1])
+
+
+def write_csv(path, header, rows):
+    """Write a header row, then the rows, with newline line ends."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 @dataclass
@@ -179,14 +189,11 @@ def assemble(problem: PWAProblem) -> CompositeProblem:
 
 
 def ols_fit(dataset: Dataset):
-    """Least-squares affine fit.  Returns (weights, intercept, rank_deficient)."""
+    """Least-squares affine fit (weights, intercept): the minimum-norm
+    solution, so rank-deficient data get one too."""
     A = np.hstack([dataset.X, np.ones((dataset.N, 1))])
-    coef, _, rank, _ = np.linalg.lstsq(A, dataset.y, rcond=None)
-    deficient = rank < A.shape[1]
-    if deficient:
-        G = A.T @ A + 1e-8 * np.eye(A.shape[1])
-        coef = np.linalg.solve(G, A.T @ dataset.y)
-    return coef[:-1], float(coef[-1]), deficient
+    coef = np.linalg.lstsq(A, dataset.y, rcond=None)[0]
+    return coef[:-1], float(coef[-1])
 
 
 EXAMPLE1_MODEL = PWAModel(A=np.array([[1.0, 1.0], [1.0, -1.0], [-2.0, 1.0], [-2.0, -1.0]]),
@@ -220,7 +227,7 @@ def init_sampler(problem: PWAProblem, strategy: str, rng: np.random.Generator,
     if strategy == "gaussian":
         return rng.normal(size=m) * scale
     if strategy == "ols-perturb":
-        w, b, _ = ols_fit(problem.dataset)
+        w, b = ols_fit(problem.dataset)
         theta = rng.normal(size=m) * scale
         d = problem.dataset.d
         theta[:d] += w

@@ -336,7 +336,7 @@ def test_criterion_5_newton_oracle_equivalence(capsys):
 def test_criterion_6_convex_reduction(capsys):
     # objective match against the normal-equation oracle
     prob, comp = random_instance(SEED, N=40, d=2, k1=1, k2=1)
-    w, b, _ = pwa.ols_fit(prob.dataset)
+    w, b = pwa.ols_fit(prob.dataset)
     f_ols = 0.5 * float(np.mean((prob.dataset.y - prob.dataset.X @ w - b) ** 2))
     cfg = mm.MMConfig(variant="full", tol_rel=1e-15, max_outer=3000,
                       sn_tol_floor=1e-12)
@@ -352,7 +352,7 @@ def test_criterion_6_convex_reduction(capsys):
         dtr = pwa.Dataset(ds.X[tr], ds.y[tr])
         p = pwa.PWAProblem(dataset=dtr, k1=1, k2=1)
         c = pwa.assemble(p)
-        w, b, _ = pwa.ols_fit(dtr)
+        w, b = pwa.ols_fit(dtr)
         th0 = np.concatenate([w, [b], np.zeros(3)])
         r = mm.run(c, mm.MMConfig(variant="full", tol_rel=1e-15,
                                   max_outer=3000, sn_tol_floor=1e-12), th0)
@@ -432,7 +432,7 @@ def _cv_ratio(ds, k1, k2, folds, starts, c, tol_rel, seed):
         best = min(reps, key=lambda r: r.f_N)
         mdl = prob.model(best.theta)
         e_pa += float(np.sum((ds.y[te] - mdl.eval(ds.X[te])) ** 2))
-        w, b, _ = pwa.ols_fit(dtr)
+        w, b = pwa.ols_fit(dtr)
         e_ls += float(np.sum((ds.y[te] - (ds.X[te] @ w + b)) ** 2))
     return e_pa / e_ls
 

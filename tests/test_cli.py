@@ -287,7 +287,7 @@ class TestFit:
         p = write_json(tmp_path / "c.json", cfg)
         assert main(["fit", "--config", str(p), "--out", str(tmp_path)]) == 0
         ds, _ = pwa.synth_example1(50, seed=2)
-        w, b, _ = pwa.ols_fit(ds)
+        w, b = pwa.ols_fit(ds)
         f_ols = 0.5 * float(np.mean((ds.y - ds.X @ w - b) ** 2))
         with open(tmp_path / "report.json") as fh:
             rep = json.load(fh)
@@ -459,11 +459,16 @@ class TestCheck:
 
     @pytest.mark.parametrize("change, message", [
         ({"A": [[1.0, 2.0], [3.0, 4.0]], "alpha": [0.0]}, "alpha of k1 = 2"),
-        ({"k2": 2, "B": [[1.0, 2.0, 3.0]]}, "cannot reshape"),
-    ], ids=["alpha-size", "B-shape"])
+        ({"k2": 2, "B": [[1.0, 2.0, 3.0]]}, "B of d = 2 columns"),
+        ({"k1": 3}, "declared k1 = 3"),
+        ({"k2": 0, "B": [[5.0, 6.0]], "beta": []}, "beta of k2 = 1"),
+        ({"alpha": [float("nan"), 1.0]}, "non-finite"),
+    ], ids=["alpha-size", "B-shape", "k1-mismatch", "B-with-k2-0", "nan"])
     def test_malformed_model_rejected(self, tmp_path, capsys, change, message):
-        # a model whose arrays do not fit its k1, k2 and d is a config error,
-        # not a solver error (exit 3) raised where the arrays are first used
+        # a model whose arrays do not fit its declared k1, k2 and its d, or
+        # hold a non-finite entry, is a config error: not a solver error
+        # (exit 3) raised where the arrays are first used, nor a certificate
+        # of some other model
         ds, mdl = pwa.synth_example2(20, seed=6)
         ds.save_csv(tmp_path / "d.csv")
         write_json(tmp_path / "m.json", {**mdl.to_json(), **change})

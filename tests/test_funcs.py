@@ -293,8 +293,8 @@ class TestGradients:
             # keep away from the (measure-zero) junction points
             x = np.where(np.isclose(np.abs(x), 0.7, atol=1e-3), x + 0.01, x)
             x = np.where(np.isclose(np.abs(x), 3.7 * 0.7, atol=1e-3), x + 0.01, x)
-            num = fd_grad(lambda t: float(reg.p_value(t).sum()), x)
-            assert np.allclose(reg.p_grad(x), num, rtol=1e-5, atol=1e-6)
+            num = fd_grad(lambda t: float(reg.smooth_part(t)[0].sum()), x)
+            assert np.allclose(reg.smooth_part(x)[1], num, rtol=1e-5, atol=1e-6)
 
 
 def majorant_value(reg, theta, theta_bar) -> float:
@@ -331,7 +331,7 @@ class TestRegularizerMajorant:
     def test_scad_smooth_part_convex_on_grid(self):
         reg = DcRegularizer(weights=np.array([1.0]), gamma=1.0, smooth="scad")
         t = np.linspace(-8, 8, 3001)
-        p = reg.p_value(t)
+        p, _ = reg.smooth_part(t)
         second = np.diff(p, 2)
         assert second.min() >= -1e-9
 

@@ -326,7 +326,7 @@ class TestRun:
     def test_convex_case_matches_ols(self):
         # k1 = k2 = 1 without regularization is smooth least squares
         prob, comp = random_instance(4, N=20, k1=1, k2=1)
-        w, b, _ = pwa.ols_fit(prob.dataset)
+        w, b = pwa.ols_fit(prob.dataset)
         res = prob.dataset.y - (prob.dataset.X @ w + b)
         f_ols = 0.5 * float(np.mean(res ** 2))
         cfg = mm.MMConfig(variant="full", tol_rel=1e-15, max_outer=2000,

@@ -154,28 +154,29 @@ class TestOlsFit:
         rng = np.random.default_rng(3)
         X = rng.uniform(-1, 1, size=(30, 3))
         w_true, b_true = np.array([1.5, -2.0, 0.25]), 0.7
-        w, b, deficient = ols_fit(Dataset(X, X @ w_true + b_true))
-        assert not deficient
+        w, b = ols_fit(Dataset(X, X @ w_true + b_true))
         assert np.allclose(w, w_true, atol=1e-10) and b == pytest.approx(b_true)
 
     def test_interpolates_square_system(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         y = np.array([1.0, 3.0, -2.0])
-        w, b, _ = ols_fit(Dataset(X, y))
+        w, b = ols_fit(Dataset(X, y))
         assert np.allclose(X @ w + b, y, atol=1e-10)
 
     def test_normal_equations_orthogonality(self):
         ds, _ = synth_example2(40, seed=4)
-        w, b, _ = ols_fit(ds)
+        w, b = ols_fit(ds)
         res = ds.y - (ds.X @ w + b)
         A = np.hstack([ds.X, np.ones((ds.N, 1))])
         assert np.abs(A.T @ res).max() <= 1e-8
 
-    def test_rank_deficient_flagged(self):
+    def test_rank_deficient_gives_minimum_norm(self):
         X = np.zeros((5, 2))            # constant features: column rank 1
-        w, b, deficient = ols_fit(Dataset(X, np.arange(5.0)))
-        assert deficient
-        assert np.isfinite(w).all() and np.isfinite(b)
+        w, b = ols_fit(Dataset(X, np.arange(5.0)))
+        # the minimum-norm least-squares solution: no weight on the zero
+        # features, the intercept at the mean response
+        assert np.array_equal(w, np.zeros(2))
+        assert b == pytest.approx(2.0, rel=1e-12)
 
 
 class TestGenerators:
@@ -227,7 +228,7 @@ class TestInitSampler:
         ds, _ = synth_example1(30, seed=8)
         prob = PWAProblem(dataset=ds, k1=1, k2=1)
         th = init_sampler(prob, "ols-perturb", np.random.default_rng(0), scale=0.0)
-        w, b, _ = ols_fit(ds)
+        w, b = ols_fit(ds)
         assert np.allclose(th[:2], w) and th[2] == pytest.approx(b)
         assert np.all(th[3:] == 0.0)
 

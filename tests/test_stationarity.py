@@ -143,7 +143,7 @@ class TestDstatResidual:
         # fixed point of the subproblem map
         prob, comp = random_instance(0, N=8, k1=1, k2=1)
         from pwafit.pwa import ols_fit
-        w, b, _ = ols_fit(prob.dataset)
+        w, b = ols_fit(prob.dataset)
         # gauge: put the OLS fit in the g atom, zero h atom
         theta = np.concatenate([w, [b], np.zeros(3)])
         res, cov, _ = dstat_residual(comp, theta, c=1.0)
@@ -153,11 +153,20 @@ class TestDstatResidual:
     def test_perturbed_point_moves(self):
         prob, comp = random_instance(0, N=8, k1=1, k2=1)
         from pwafit.pwa import ols_fit
-        w, b, _ = ols_fit(prob.dataset)
+        w, b = ols_fit(prob.dataset)
         theta = np.concatenate([w, [b], np.zeros(3)])
         theta[0] += 0.1     # not a gauge direction: changes the fitted surface
         res, _, _ = dstat_residual(comp, theta, c=1.0)
         assert res > 1e-3
+
+    def test_non_finite_point_rejected(self):
+        # a NaN atom value is in no argmax set, so no selection exists: a
+        # residual of 0 at coverage 1 would certify nothing
+        _, comp = random_instance(0, N=8, k1=2, k2=1)
+        theta = np.zeros(comp.m)
+        theta[0] = np.nan
+        with pytest.raises(ValueError, match="no argmax atom"):
+            dstat_residual(comp, theta, c=1.0)
 
     def test_counterexample_pairs(self):
         comp = _counterexample_problem()
@@ -206,7 +215,7 @@ class TestDstatResidual:
         # h trivial (one zero atom), k1 = 1: plain convex least squares
         prob, comp = random_instance(5, N=10, k1=1, k2=0)
         from pwafit.pwa import ols_fit
-        w, b, _ = ols_fit(prob.dataset)
+        w, b = ols_fit(prob.dataset)
         theta = np.concatenate([w, [b]])
         res, _, _ = dstat_residual(comp, theta, c=0.5)
         assert res <= 1e-6
