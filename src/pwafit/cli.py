@@ -196,7 +196,7 @@ def multi_start(problem, comp, cfg, starts: int):
     for i in range(starts):
         try:
             results.append((i, _one_start(problem, comp, cfg, i), None))
-        except Exception as exc:  # per-start isolation
+        except (ValueError, np.linalg.LinAlgError) as exc:  # a solver failure
             results.append((i, None, f"{type(exc).__name__}: {exc}"))
     return results
 
@@ -241,6 +241,8 @@ def select_gamma(cfg: dict, dataset: pwa.Dataset, folds: int = 5) -> float:
 
 
 def _fold_indices(N: int, folds: int, seed: int) -> np.ndarray:
+    if N < folds:   # a fold would have no test rows
+        raise ConfigError(f"{folds} folds need at least {folds} data rows, got {N}")
     order = np.random.default_rng([seed, 999]).permutation(N)
     idx = np.empty(N, dtype=int)
     for f in range(folds):
@@ -383,8 +385,8 @@ def cmd_check(cfg: dict, out: str) -> int:
             raise ConfigError(f"pwa1d: {exc}") from exc
         pts = []
         for x in (cfg.get("points") or [0.0]):
-            flags = stationarity.classify_point(f, float(x))
             rep = stationarity.subdifferentials(f, float(x))
+            flags = stationarity.classify_point(f, float(x), rep)
             pts.append({"x": float(x),
                         "C_stationary": flags.c_stationary,
                         "l_stationary": flags.l_stationary,

@@ -177,12 +177,12 @@ class CompositeProblem:
     """Stacked data of (1/N) sum_s phi_s(psi_s(theta)) + gamma [P1 - P2](theta)
     with affine atoms.
 
-    Atom a's gradient at sample s is X[s] @ L[a]: X holds the N per-sample
-    feature vectors (N, p), L the lifts (k1 + k2, p, m) of the k1 g atoms
-    and then the k2 h atoms.  e holds the N*k1 g-atom offsets (row-major by
-    sample), f likewise the N*k2 h-atom ones.  An empty second max is
-    encoded as a single atom with a zero lift and offset, so every code path
-    sees k2 >= 1.
+    Atom a's value at sample s is X[s] @ L[a] @ theta: X holds the N
+    per-sample feature vectors (N, p), L the lifts (k1 + k2, p, m) of the k1
+    g atoms and then the k2 h atoms; an atom's intercept is a coordinate of
+    theta, read through a constant feature.  An empty second max is encoded
+    as a single atom with a zero lift, so every code path sees k2 >= 1.  The
+    loss weight is 1/N, and reg=None is the zero regularizer (gamma = 0).
 
     U (N*k1, m) and W (N*k2, m) stack the atom gradients row-major by sample;
     `outer` holds each sample's x x^T, flattened to (N, p*p), from which the
@@ -192,10 +192,7 @@ class CompositeProblem:
     X: np.ndarray
     L: np.ndarray
     k1: int
-    e: np.ndarray
-    f: np.ndarray
     split: MonotoneSplit
-    weight: float
     reg: DcRegularizer | None = None
     U: np.ndarray = field(init=False, repr=False)
     W: np.ndarray = field(init=False, repr=False)
@@ -204,13 +201,12 @@ class CompositeProblem:
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
         self.L = np.asarray(self.L, dtype=float)
-        self.e = np.asarray(self.e, dtype=float)
-        self.f = np.asarray(self.f, dtype=float)
         N, p = self.X.shape
-        if (self.L.ndim != 3 or self.L.shape[1] != p or not 1 <= self.k1 < len(self.L)
-                or self.e.size != N * self.k1 or self.f.size != N * self.k2):
+        if self.L.ndim != 3 or self.L.shape[1] != p or not 1 <= self.k1 < len(self.L):
             raise ValueError("need lifts (k1 + k2, p, m) with k1, k2 >= 1 over "
-                             "(N, p) features, and N*k1 g and N*k2 h offsets")
+                             "(N, p) features")
+        if self.reg is None:
+            self.reg = DcRegularizer(weights=np.ones(self.m), gamma=0.0)
         self.U, self.W = (np.tensordot(self.X, lifts, axes=(1, 1)).reshape(-1, self.m)
                           for lifts in (self.L[:self.k1], self.L[self.k1:]))
         self.outer = (self.X[:, :, None] * self.X[:, None, :]).reshape(N, p * p)
@@ -218,6 +214,10 @@ class CompositeProblem:
     @property
     def n_samples(self) -> int:
         return self.X.shape[0]
+
+    @property
+    def weight(self) -> float:
+        return 1.0 / self.n_samples
 
     @property
     def m(self) -> int:
@@ -231,9 +231,7 @@ class CompositeProblem:
         """(g atom values (N,k1), h atom values (N,k2))."""
         theta = np.asarray(theta, dtype=float)
         N = self.n_samples
-        gv = (self.U @ theta + self.e).reshape(N, self.k1)
-        hv = (self.W @ theta + self.f).reshape(N, self.k2)
-        return gv, hv
+        return (self.U @ theta).reshape(N, self.k1), (self.W @ theta).reshape(N, self.k2)
 
     def psi(self, theta):
         """(g (N,), h (N,), psi (N,)) per-sample max values."""
@@ -254,14 +252,9 @@ class CompositeProblem:
         return self.weight * float(np.sum(self.split.phi(psi)))
 
     def f_N(self, theta) -> float:
-        v = self.loss_value(theta)
-        if self.reg is not None:
-            v += self.reg.value(theta)
-        return v
+        return self.loss_value(theta) + self.reg.value(theta)
 
     def surrogate_value(self, theta, r, s) -> float:
         """sum_s w [phi_up(r_s) + phi_down(s_s)] + gamma P(theta)."""
-        v = self.weight * float(np.sum(self.split.up(r) + self.split.down(s)))
-        if self.reg is not None:
-            v += self.reg.value(theta)
-        return v
+        return (self.weight * float(np.sum(self.split.up(r) + self.split.down(s)))
+                + self.reg.value(theta))

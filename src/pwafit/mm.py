@@ -168,34 +168,28 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
     gv, hv = problem.atom_values(theta)
     g, h = gv.max(axis=1), hv.max(axis=1)
 
-    if problem.reg is not None and problem.reg.gamma > 0:
-        l1, lin, reg_const = problem.reg.majorant_data(theta)
-    else:
-        l1 = lin = np.zeros_like(theta)
-        reg_const = 0.0
-
     sub = DualSubproblem(problem) if reuse is None else reuse
     sub.c, sub.theta_nu, sub.r_nu, sub.s_nu = c, theta, state.r, state.s
     sub.sel1, sub.sel2 = sel1, sel2
-    sub.l1, sub.lin, sub.reg_const = l1, lin, reg_const
+    sub.l1, sub.lin, sub.reg_const = problem.reg.majorant_data(theta)
 
-    # lambda rows U - (chosen h grad) over mu rows W - (chosen g grad); the
-    # per-sample reshapes of B's rows are views (splitting an axis never
-    # copies).  The chosen gradients are gathered into the subproblem's
-    # row-major (N, m) work array, whose row sums round as a fresh array's
-    # would
+    # lambda rows U - (chosen h grad) over mu rows W - (chosen g grad), each
+    # with beta = (other max) - (chosen grad) . theta; the per-sample reshapes
+    # of B's and beta's rows are views (splitting an axis never copies).  The
+    # chosen gradients are gathered into the subproblem's row-major (N, m)
+    # work array, whose row sums round as a fresh array's would
     chosen = sub.work_chosen
-    halves = ((slice(0, n1), k1, problem.U, problem.e, problem.W, sel2, h),
-              (slice(n1, None), k2, problem.W, problem.f, problem.U, sel1, g))
-    for rows, k, atoms, offsets, other, sel, top in halves:
+    halves = ((slice(0, n1), k1, problem.U, problem.W, sel2, h),
+              (slice(n1, None), k2, problem.W, problem.U, sel1, g))
+    for rows, k, atoms, other, sel, top in halves:
         # mode "clip" writes straight into `chosen`, where "raise" would
         # buffer a copy (the range is checked above)
         np.take(other, np.arange(N) * (len(other) // N) + sel, axis=0, out=chosen,
                 mode="clip")
         np.subtract(atoms.reshape(N, k, m), chosen[:, None, :],
                     out=sub.B[rows].reshape(N, k, m))
-        np.subtract((top - np.multiply(chosen, theta, out=chosen).sum(axis=1))[:, None],
-                    offsets.reshape(N, k), out=sub.beta[rows].reshape(N, k))
+        sub.beta[rows].reshape(N, k)[...] = (
+            top - np.multiply(chosen, theta, out=chosen).sum(axis=1))[:, None]
 
     # slack anchors: the point (theta, r, s, slack) is feasible for this
     # selection's constraints and carries the current surrogate value exactly;

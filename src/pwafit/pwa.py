@@ -173,19 +173,15 @@ def assemble(problem: PWAProblem) -> CompositeProblem:
     ds, k1, k2, d = problem.dataset, problem.k1, problem.k2, problem.dataset.d
     N, m = ds.N, problem.m
     X1 = np.hstack([ds.X, np.ones((N, 1))])         # (N, d+1)
-    k2_eff = max(k2, 1)
-    L = np.zeros((k1 + k2_eff, d + 1, m))
+    L = np.zeros((k1 + max(k2, 1), d + 1, m))
     for i in range(k1 + k2):
         L[i, :, i * (d + 1):(i + 1) * (d + 1)] = np.eye(d + 1)
 
     split = MonotoneSplit(problem.loss, y=ds.y, tau=problem.tau)
-    reg = None
-    if problem.gamma > 0:
-        reg = DcRegularizer(weights=np.ones(m), gamma=problem.gamma,
-                            smooth=problem.reg_smooth)
-    return CompositeProblem(X=X1, L=L, k1=k1, e=np.zeros(N * k1),
-                            f=np.zeros(N * k2_eff), split=split, weight=1.0 / N,
-                            reg=reg)
+    # gamma = 0 keeps the problem's zero regularizer, whatever `reg_smooth` says
+    reg = (DcRegularizer(weights=np.ones(m), gamma=problem.gamma, smooth=problem.reg_smooth)
+           if problem.gamma > 0 else None)
+    return CompositeProblem(X=X1, L=L, k1=k1, split=split, reg=reg)
 
 
 def ols_fit(dataset: Dataset):

@@ -185,7 +185,6 @@ class SNResult:
     s: np.ndarray
     slack: np.ndarray             # stacked slack, same row order as x
     value: float
-    dual_value: float
     kkt_residual: float
     iterations: int
     converged: bool
@@ -373,10 +372,10 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
     kkt = float(np.linalg.norm(grad))
     converged = kkt <= cfg.tol_grad
     if not converged and best[1] > val:
-        x, val, grad, inner = best
+        x, _, grad, inner = best
         kkt = float(np.linalg.norm(grad))
 
     th, r, s, sl = inner
     return SNResult(x=x, theta=th, r=r, s=s, slack=sl,
-                    value=sub.primal_value(th, r, s, sl), dual_value=val,
+                    value=sub.primal_value(th, r, s, sl),
                     kkt_residual=kkt, iterations=it, converged=converged)

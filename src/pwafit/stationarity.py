@@ -82,14 +82,16 @@ class StationarityFlags:
     local_min: bool
 
 
-def classify_point(f: PiecewiseAffine1D, x: float) -> StationarityFlags:
-    rep = subdifferentials(f, x)
+def classify_point(f: PiecewiseAffine1D, x: float,
+                   rep: SubdifferentialReport | None = None) -> StationarityFlags:
+    """Flags of f at x; `rep` is f's `subdifferentials` at x, if at hand."""
+    rep = subdifferentials(f, x) if rep is None else rep
     a, b = f.slopes_at(x)
-    c_flag = rep.clarke_sub[0] <= 0.0 <= rep.clarke_sub[1]
-    l_flag = rep.limiting_contains(0.0)
-    d_flag = a <= 0.0 <= b       # f'(x; -1) = -a >= 0 and f'(x; 1) = b >= 0
-    local = a <= 0.0 <= b        # one dimension: nonnegative one-sided slopes
-    return StationarityFlags(c_flag, l_flag, d_flag, local)
+    # f'(x; -1) = -a >= 0 and f'(x; 1) = b >= 0.  f is affine on each side of
+    # x near it, so in one dimension these make x a local minimum, and only they
+    d_flag = a <= 0.0 <= b
+    return StationarityFlags(rep.clarke_sub[0] <= 0.0 <= rep.clarke_sub[1],
+                             rep.limiting_contains(0.0), d_flag, d_flag)
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,7 @@ def loop_select_pairs(problem, theta, eps: float, variant: str,
 
 
 # ---------------------------------------------------------------------------
-# one sample's phi(psi(theta)), psi = max_i (U_i theta + e_i) - max_j (W_j theta + f_j)
+# one sample's phi(psi(theta)), psi = max_i U_i theta - max_j W_j theta
 
 def loss_value(kind: str, t: float, y: float, tau: float | None = None) -> float:
     """Squared or quantile loss phi(t), written out from its definition."""
@@ -276,23 +276,23 @@ def loss_value(kind: str, t: float, y: float, tau: float | None = None) -> float
     return 0.5 * d * d if kind == "squared" else max(tau * d, (tau - 1.0) * d)
 
 
-def max_dir(A, b, theta, v, tol: float = 1e-9) -> float:
-    """(max_i A_i theta + b_i)'(theta; v): the largest slope along v among the
+def max_dir(A, theta, v, tol: float = 1e-9) -> float:
+    """(max_i A_i theta)'(theta; v): the largest slope along v among the
     atoms tied for the max."""
-    vals = A @ theta + b
+    vals = A @ theta
     return float((A @ v)[vals >= vals.max() - tol].max())
 
 
-def one_sample_problem(U, e, W, f, split):
-    """One-sample `CompositeProblem` with g atoms (U_i, e_i) and h atoms
-    (W_j, f_j): its single feature is 1 and the atom rows are the lifts."""
+def one_sample_problem(U, W, split):
+    """One-sample `CompositeProblem` with g atoms U_i . theta and h atoms
+    W_j . theta: its single feature is 1 and the atom rows are the lifts."""
     return CompositeProblem(X=np.ones((1, 1)), L=np.vstack([U, W])[:, None, :],
-                            k1=len(U), e=e, f=f, split=split, weight=1.0)
+                            k1=len(U), split=split)
 
 
 def diffmax_dir(comp, theta, v) -> float:
     """psi'(theta; v) of a one-sample `CompositeProblem`."""
-    return max_dir(comp.U, comp.e, theta, v) - max_dir(comp.W, comp.f, theta, v)
+    return max_dir(comp.U, theta, v) - max_dir(comp.W, theta, v)
 
 
 def composite_dir(comp, theta, v) -> float:
@@ -325,7 +325,7 @@ def majorant(comp, pair, theta, theta_bar) -> float:
 # feasibility and the unstacked dual value
 
 def dual_subproblem(*, B1, beta1, B2, beta2, rhat_nu, shat_nu, n_samples,
-                    split, weight, c, theta_nu, r_nu, s_nu, l1=None, lin=None,
+                    split, c, theta_nu, r_nu, s_nu, l1=None, lin=None,
                     reg_const=0.0):
     """`DualSubproblem` from separate lambda (B1, beta1, rhat_nu) and mu
     (B2, beta2, shat_nu) blocks; l1 and lin default to zeros.
@@ -339,8 +339,7 @@ def dual_subproblem(*, B1, beta1, B2, beta2, rhat_nu, shat_nu, n_samples,
     N, m = n_samples, B1.shape[1]
     k1, k2 = B1.shape[0] // N, B2.shape[0] // N
     sub = DualSubproblem(CompositeProblem(
-        X=np.ones((N, 1)), L=np.zeros((k1 + k2, 1, m)), k1=k1,
-        e=np.zeros(N * k1), f=np.zeros(N * k2), split=split, weight=weight))
+        X=np.ones((N, 1)), L=np.zeros((k1 + k2, 1, m)), k1=k1, split=split))
     sub.B[...] = np.vstack([B1, B2])
     sub.beta[...] = np.concatenate([beta1, beta2])
     sub.slack_nu[...] = np.concatenate([rhat_nu, shat_nu])

@@ -278,6 +278,29 @@ class TestFit:
         assert rows[0][error] == "LinAlgError: Singular matrix"
         assert rows[1][reason] in ("tolerance", "max_outer") and rows[1][error] == ""
 
+    def test_programming_error_in_a_start_propagates(self, tmp_path, monkeypatch):
+        # only a solver failure fails a start; any other exception raised in
+        # one is a fault of the program, so it is raised, not recorded
+        from pwafit import mm
+
+        def broken(*args):
+            raise TypeError("broken start")
+
+        monkeypatch.setattr(mm, "run", broken)
+        p = write_json(tmp_path / "c.json", {**SMALL_FIT, "starts": 2})
+        with pytest.raises(TypeError, match="broken start"):
+            main(["fit", "--config", p, "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("N", [1, 4])
+    def test_gamma_cv_needs_a_row_per_fold(self, tmp_path, capsys, N):
+        # select_gamma's 5 folds each need a test row and a nonempty training
+        # set
+        cfg = {**SMALL_FIT, "synth": {"example": 2, "N": N, "seed": 1},
+               "gamma": "cv"}
+        p = write_json(tmp_path / "c.json", cfg)
+        assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 2
+        assert "5 folds need at least 5 data rows" in capsys.readouterr().err
+
     def test_convex_case_matches_ols(self, tmp_path):
         cfg = {"synth": {"example": 1, "N": 50, "seed": 2},
                "k1": 1, "k2": 1, "starts": 1, "seed": 0,
@@ -381,6 +404,18 @@ class TestCv:
             p = write_json(tmp_path / "c.json", {**cfg, "variant": variant})
             assert main(["cv", "--config", str(p), "--out", str(tmp_path)]) == 0
         assert calls == []
+
+    @pytest.mark.parametrize("N, folds", [(1, 2), (3, 5)])
+    def test_fewer_rows_than_folds_rejected(self, tmp_path, capsys, N, folds):
+        # a fold with no rows would be fitted on an empty training set (N = 1)
+        # or scored on no test rows, and still counted in "folds"
+        cfg = {"synth": {"example": 2, "N": N, "seed": 3}, "grid": [[1, 1]],
+               "folds": folds, "starts": 1, "max_outer": 5}
+        p = write_json(tmp_path / "c.json", cfg)
+        assert main(["cv", "--config", p, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{folds} folds need at least {folds} data rows" in err
+        assert not (tmp_path / "cv_report.json").exists()
 
     def test_affine_cell_ratio_one(self, tmp_path):
         # (k1, k2) = (1, 0) initialized at the OLS fit reproduces OLS: the

@@ -12,16 +12,13 @@ from oracles import (LinearSplit, composite_dir, diffmax_dir, down_direct, fd_di
 
 
 def diffmax(g_atoms, h_atoms=None, split=None):
-    """One-sample problem psi = max_i (w_i . theta + b_i) - max_j (...) from
-    (w, b) atom pairs; no h atoms is the all-zero atom of an empty max."""
-    U = np.array([np.atleast_1d(w) for w, _ in g_atoms], dtype=float)
-    if h_atoms is None:
-        h_atoms = [(np.zeros(U.shape[1]), 0.0)]
-    return one_sample_problem(
-        U, np.array([b for _, b in g_atoms], dtype=float),
-        np.array([np.atleast_1d(w) for w, _ in h_atoms], dtype=float),
-        np.array([b for _, b in h_atoms], dtype=float),
-        split or MonotoneSplit("squared", y=0.0))
+    """One-sample problem psi = max_i w_i . theta - max_j v_j . theta from the
+    atom gradients w_i and v_j; no h atoms is the all-zero atom of an empty
+    max."""
+    U = np.array(g_atoms, dtype=float).reshape(len(g_atoms), -1)
+    W = (np.zeros((1, U.shape[1])) if h_atoms is None
+         else np.array(h_atoms, dtype=float).reshape(len(h_atoms), -1))
+    return one_sample_problem(U, W, split or MonotoneSplit("squared", y=0.0))
 
 
 def psi_value(comp, theta) -> float:
@@ -39,9 +36,9 @@ def first_argmax_pair(comp, theta):
     return int(m1[0].argmax()), int(m2[0].argmax())
 
 
-TWO_LINES = diffmax([(2.0, 0.0), (1.5, 0.0)])
+TWO_LINES = diffmax([2.0, 1.5])
 
-EXAMPLE1_ATOMS = diffmax([(w, 0.0) for w in [[1, 1], [1, -1], [-2, 1], [-2, -1]]])
+EXAMPLE1_ATOMS = diffmax([[1, 1], [1, -1], [-2, 1], [-2, -1]])
 
 
 class TestMaxEval:
@@ -50,9 +47,9 @@ class TestMaxEval:
         assert val == 0.0 and arg == [1, 2]
 
     def test_single_atom(self):
-        f = diffmax([([3.0], 1.0)])
+        f = diffmax([3.0])
         val, arg = g_max(f, np.array([2.0]))
-        assert val == 7.0 and arg == [1]
+        assert val == 6.0 and arg == [1]
 
     def test_example1_coefficients(self):
         # max{2, 0, -1, -3} at x = (1, 1)
@@ -84,8 +81,7 @@ class TestEpsArgmax:
 
 
 def random_diffmax(rng, d=2, k1=2, k2=2):
-    return diffmax([(rng.normal(size=d), rng.normal()) for _ in range(k1)],
-                   [(rng.normal(size=d), rng.normal()) for _ in range(k2)])
+    return diffmax(rng.normal(size=(k1, d)), rng.normal(size=(k2, d)))
 
 
 def with_loss(comp, kind="squared", y=0.0, tau=None):
@@ -94,11 +90,11 @@ def with_loss(comp, kind="squared", y=0.0, tau=None):
 
 class TestDiffmaxDir:
     def test_absolute_value(self):
-        psi = diffmax([([1], 0), ([-1], 0)])
+        psi = diffmax([1, -1])
         assert diffmax_dir(psi, np.array([0.0]), np.array([1.0])) == 1.0
 
     def test_t_minus_relu(self):
-        psi = diffmax([([1], 0)], [([0], 0), ([2], 0)])
+        psi = diffmax([1], [0, 2])
         assert diffmax_dir(psi, np.array([0.0]), np.array([1.0])) == -1.0
         assert diffmax_dir(psi, np.array([0.0]), np.array([-1.0])) == -1.0
 
@@ -184,10 +180,10 @@ class TestMonotoneSplit:
 
 class TestCompositeDir:
     def _abs(self, **loss):
-        return with_loss(diffmax([([1], 0), ([-1], 0)]), **loss)
+        return with_loss(diffmax([1, -1]), **loss)
 
     def test_smooth_chain_rule(self):
-        psi = diffmax([([1], 0)])
+        psi = diffmax([1])
         assert composite_dir(psi, np.array([3.0]), np.array([1.0])) == 3.0
 
     def test_kink_with_flat_loss(self):
@@ -273,12 +269,11 @@ class TestMajorant:
 class TestGradients:
     def test_atom_gradients_match_fd(self):
         # the U/W rows the subproblems linearize with are the atoms' gradients;
-        # one g atom (w, b) and the rows of Qh as three h atoms
+        # one g atom and the rows of Qh as three h atoms
         rng = np.random.default_rng(5)
         for _ in range(20):
             Qh = rng.normal(size=(3, 3))
-            comp = diffmax([(rng.normal(size=3), rng.normal())],
-                           [(row, 0.0) for row in Qh])
+            comp = diffmax(rng.normal(size=(1, 3)), Qh)
             for _ in range(5):
                 x = rng.normal(size=3)
                 for i, ref in enumerate(np.vstack([comp.U, comp.W])):

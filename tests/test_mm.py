@@ -183,8 +183,7 @@ class TestBuildSubproblem:
     def test_no_regularizer_terms_are_zero(self):
         prob, comp = random_instance(11, N=5, k1=2, k2=1)
         th = np.random.default_rng(11).normal(size=prob.m)
-        comp0 = CompositeProblem(X=comp.X, L=comp.L, k1=comp.k1, e=comp.e,
-                                 f=comp.f, split=comp.split, weight=comp.weight,
+        comp0 = CompositeProblem(X=comp.X, L=comp.L, k1=comp.k1, split=comp.split,
                                  reg=DcRegularizer(weights=np.ones(prob.m),
                                                    gamma=0.0))
         for problem in (comp, comp0):
@@ -219,8 +218,8 @@ class TestBuildSubproblem:
         assert sub.B.flags.f_contiguous and np.array_equal(sub.B, np.vstack(
             [comp.U - np.repeat(v, 3, axis=0), comp.W - np.repeat(u, 2, axis=0)]))
         assert np.array_equal(sub.beta, np.concatenate(
-            [np.repeat(h - (v * th).sum(axis=1), 3) - comp.e,
-             np.repeat(g - (u * th).sum(axis=1), 2) - comp.f]))
+            [np.repeat(h - (v * th).sum(axis=1), 3),
+             np.repeat(g - (u * th).sum(axis=1), 2)]))
         assert np.array_equal(sub.slack_nu, np.maximum(np.concatenate(
             [((st.r + h)[:, None] - gv).ravel(), ((g - st.s)[:, None] - hv).ravel()]), 0.0))
 

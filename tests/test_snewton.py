@@ -63,8 +63,7 @@ def lifted_subproblem(seed=70, k1=3, k2=2, m=5, c=0.7):
     """Subproblem of a one-sample problem whose atom rows are its lifts,
     with atoms other than the first selected."""
     rng = np.random.default_rng(seed)
-    comp = one_sample_problem(rng.normal(size=(k1, m)), rng.normal(size=k1),
-                              rng.normal(size=(k2, m)), rng.normal(size=k2),
+    comp = one_sample_problem(rng.normal(size=(k1, m)), rng.normal(size=(k2, m)),
                               MonotoneSplit("squared", y=rng.normal()))
     state = mm.init_state(comp, rng.normal(size=m))
     return mm.build_subproblem(comp, state, np.array([k1 - 1]), np.array([1]), c)
@@ -221,7 +220,7 @@ class TestDualValueGrad:
         sub = dual_subproblem(
             B1=np.array([[2.0, -1.0]]), beta1=np.array([0.3]),
             B2=np.array([[-1.0, 2.0]]), beta2=np.array([-0.2]),
-            split=MonotoneSplit("squared", y=split_y), n_samples=1, weight=1.0,
+            split=MonotoneSplit("squared", y=split_y), n_samples=1,
             c=2.0, theta_nu=np.array([0.1, -0.2]),
             r_nu=np.array([0.0]), s_nu=np.array([0.0]),
             rhat_nu=np.array([0.5]), shat_nu=np.array([0.25]))
@@ -263,7 +262,7 @@ class TestInnerTheta:
         sub = dual_subproblem(
             B1=np.array([[1.0]]), beta1=np.array([0.0]),
             B2=np.array([[0.0]]), beta2=np.array([0.0]),
-            split=MonotoneSplit("squared", y=0.0), n_samples=1, weight=1.0,
+            split=MonotoneSplit("squared", y=0.0), n_samples=1,
             c=1.0, theta_nu=np.array([0.0]),
             r_nu=np.zeros(1), s_nu=np.zeros(1),
             rhat_nu=np.zeros(1), shat_nu=np.zeros(1),
@@ -296,7 +295,7 @@ def slack_minimizer(anchor, mult, c):
     sub = dual_subproblem(
         B1=np.zeros((n - 1, 1)), beta1=np.zeros(n - 1),
         B2=np.zeros((1, 1)), beta2=np.zeros(1),
-        split=MonotoneSplit("squared", y=0.0), n_samples=1, weight=1.0,
+        split=MonotoneSplit("squared", y=0.0), n_samples=1,
         c=c, theta_nu=np.zeros(1), r_nu=np.zeros(1), s_nu=np.zeros(1),
         rhat_nu=anchor[:-1], shat_nu=anchor[-1:])
     return sub.value_grad(mult)[2][3]
@@ -349,7 +348,7 @@ class TestGenJacobian:
         sub = dual_subproblem(
             B1=np.array([[1.0]]), beta1=np.array([0.0]),
             B2=np.array([[1.0]]), beta2=np.array([0.0]),
-            split=MonotoneSplit("squared", y=0.0), n_samples=1, weight=1.0,
+            split=MonotoneSplit("squared", y=0.0), n_samples=1,
             c=1.0, theta_nu=np.array([0.0]),
             r_nu=np.zeros(1), s_nu=np.zeros(1),
             rhat_nu=np.zeros(1), shat_nu=np.zeros(1),
@@ -364,7 +363,7 @@ class TestGenJacobian:
         sub = dual_subproblem(
             B1=np.array([[1.0, 0.0]]), beta1=np.array([0.0]),
             B2=np.array([[0.0, 1.0]]), beta2=np.array([0.0]),
-            split=MonotoneSplit("squared", y=10.0), n_samples=1, weight=1.0,
+            split=MonotoneSplit("squared", y=10.0), n_samples=1,
             c=c, theta_nu=np.zeros(2),
             r_nu=np.zeros(1), s_nu=np.zeros(1),
             rhat_nu=np.ones(1), shat_nu=np.ones(1))
@@ -402,7 +401,7 @@ class TestSnSolve:
             comp, sub = make_sub(seed + 30)
             res = sn_solve(sub, cfg=TIGHT)
             assert res.converged
-            assert abs(res.value - res.dual_value) <= 1e-8
+            assert abs(res.value - sub.value_grad(res.x)[0]) <= 1e-8
             assert feasibility(sub, res.theta, res.r, res.s, res.slack) <= 1e-8
             assert res.slack.min(initial=0.0) >= 0
 
@@ -449,14 +448,14 @@ class TestSnSolve:
         v0 = sub.value_grad(np.zeros(sub.dual_dim))[0]
         res = sn_solve(sub, cfg=TIGHT)
         assert not res.converged and res.iterations <= 2
-        assert res.dual_value >= v0
+        assert sub.value_grad(res.x)[0] >= v0
 
     def test_armijo_progress(self):
         # the dual value of the returned point is at least the start value
         comp, sub = make_sub(43)
         v0 = sub.value_grad(np.zeros(sub.dual_dim))[0]
         res = sn_solve(sub, cfg=TIGHT)
-        assert res.dual_value >= v0 - 1e-12
+        assert sub.value_grad(res.x)[0] >= v0 - 1e-12
 
     def test_unconverged_solve_returns_its_best_iterate(self):
         # the nonmonotone test lets the dual value fall between iterates of
@@ -472,6 +471,6 @@ class TestSnSolve:
                                         rng=np.random.default_rng(0))[0]
         sub = mm.build_subproblem(comp, mm.init_state(comp, th0), sel1, sel2,
                                   cfg.resolve_c(comp))
-        vals = [sn_solve(sub, cfg=SNConfig(max_iter=k)).dual_value
+        vals = [sub.value_grad(sn_solve(sub, cfg=SNConfig(max_iter=k)).x)[0]
                 for k in range(1, 16)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))

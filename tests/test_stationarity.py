@@ -132,9 +132,8 @@ class TestDcCritical:
 
 def _counterexample_problem():
     """phi(t) = t (split 2t + (-t)), psi = max(2t, 1.5t) - max(t, 0.5t)."""
-    return one_sample_problem(
-        np.array([[2.0], [1.5]]), np.zeros(2), np.array([[1.0], [0.5]]),
-        np.zeros(2), LinearSplit(up_slope=2.0, down_slope=-1.0))
+    return one_sample_problem(np.array([[2.0], [1.5]]), np.array([[1.0], [0.5]]),
+                              LinearSplit(up_slope=2.0, down_slope=-1.0))
 
 
 class TestDstatResidual:
