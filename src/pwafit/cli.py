@@ -185,24 +185,25 @@ def _one_start(problem, comp, cfg, start: int):
     mc = MMConfig(**{k: cfg[k] for k in _MM_FIELDS}, seed=int(
         np.random.default_rng([cfg["seed"], start, 1]).integers(2 ** 31)))
     report = mm.run(comp, mc, theta0)
-    if cfg["compute_residual"]:
-        stationarity.certify(comp, report, mc)
-    return report
+    cert = stationarity.certify(comp, report.theta, mc) if cfg["compute_residual"] else None
+    return report, cert
 
 
 def multi_start(problem, comp, cfg, starts: int):
-    """Returns list of (start, report-or-None, error-string-or-None)."""
+    """Returns list of (start, report, certificate, error-string); a failed
+    start has only its error, one without `compute_residual` no certificate."""
     results = []
     for i in range(starts):
         try:
-            results.append((i, _one_start(problem, comp, cfg, i), None))
+            results.append((i, *_one_start(problem, comp, cfg, i), None))
         except (ValueError, np.linalg.LinAlgError) as exc:  # a solver failure
-            results.append((i, None, f"{type(exc).__name__}: {exc}"))
+            results.append((i, None, None, f"{type(exc).__name__}: {exc}"))
     return results
 
 
 def _best(results):
-    ok = [(i, r) for i, r, e in results if r is not None]
+    """(start, report, certificate) of the start with the least objective."""
+    ok = [t[:3] for t in results if t[1] is not None]
     if not ok:
         raise SolverError("all starts failed")
     return min(ok, key=lambda t: t[1].f_N)
@@ -215,7 +216,7 @@ def _heldout_sse(cfg: dict, dataset: pwa.Dataset, test, starts: int) -> float:
     train = pwa.Dataset(dataset.X[~test], dataset.y[~test])
     prob = _problem(cfg, train)
     comp = pwa.assemble(prob)
-    _, rep = _best(multi_start(prob, comp, cfg, starts))
+    _, rep, _ = _best(multi_start(prob, comp, cfg, starts))
     model = prob.model(rep.theta)
     return float(np.sum((dataset.y[test] - model.eval(dataset.X[test])) ** 2))
 
@@ -260,7 +261,7 @@ def cmd_fit(cfg: dict, out: str) -> int:
     problem = _problem(cfg, dataset)
     comp = pwa.assemble(problem)
     results = multi_start(problem, comp, cfg, cfg["starts"])
-    best_i, best = _best(results)
+    best_i, best, best_cert = _best(results)
 
     os.makedirs(out, exist_ok=True)
     model = problem.model(best.theta)
@@ -268,13 +269,12 @@ def cmd_fit(cfg: dict, out: str) -> int:
         json.dump(model.to_json(), fh, indent=1)
 
     rows = []
-    for i, rep, err in results:
+    for i, rep, cert, err in results:
         if rep is None:
             rows.append([i, "", "", "", "failed", "", err])
         else:
             rows.append([i, repr(rep.f_N), rep.iterations, rep.sn_total,
-                         rep.reason, "" if rep.residual is None else repr(rep.residual),
-                         ""])
+                         rep.reason, "" if cert is None else repr(cert.residual), ""])
     pwa.write_csv(os.path.join(out, "starts.csv"),
                   ["start", "f_N", "mm_iterations", "sn_total", "reason",
                    "residual", "error"], rows)
@@ -286,10 +286,12 @@ def cmd_fit(cfg: dict, out: str) -> int:
                     int(r.accepted), r.sn_iterations, int(r.sn_converged)]
                    for r in best.trace])
 
-    values = sorted(round(r.f_N, 6) for _, r, e in results if r is not None)
+    values = sorted(round(r.f_N, 6) for _, r, _, _ in results if r is not None)
     pwa.write_csv(os.path.join(out, "histogram.csv"), ["objective", "count"],
                   [[repr(v), values.count(v)] for v in dict.fromkeys(values)])
 
+    cert = (dict.fromkeys(stationarity.Certificate._fields) if best_cert is None
+            else best_cert._asdict())
     report = {
         "command": "fit",
         "config": cfg,
@@ -301,12 +303,12 @@ def cmd_fit(cfg: dict, out: str) -> int:
         "iterations": best.iterations,
         "sn_total": best.sn_total,
         "inner_failures": sum(not r.sn_converged for r in best.trace),
-        "residual": best.residual,
-        "residual_kind": best.residual_kind,
-        "residual_coverage": best.residual_coverage,
-        "residual_unconverged": best.residual_unconverged,
+        "residual": cert["residual"],
+        "residual_kind": cert["kind"],
+        "residual_coverage": cert["coverage"],
+        "residual_unconverged": cert["unconverged"],
         "reason": best.reason,
-        "failed_starts": [i for i, r, e in results if r is None],
+        "failed_starts": [i for i, r, _, _ in results if r is None],
         "wall_time": best.wall_time,
     }
     with open(os.path.join(out, "report.json"), "w") as fh:
@@ -375,7 +377,10 @@ def cmd_synth(cfg: dict, out: str) -> int:
 def cmd_check(cfg: dict, out: str) -> int:
     os.makedirs(out, exist_ok=True)
     report = {"command": "check", "config": cfg}
-    if cfg.get("pwa1d") is not None:
+    if cfg["pwa1d"] is not None and (cfg["model"] is not None
+                                     or cfg["dataset"] is not None):
+        raise ConfigError("check takes either 'pwa1d' or 'model' + 'dataset', not both")
+    if cfg["pwa1d"] is not None:
         pw = cfg["pwa1d"]
         try:
             f = stationarity.PiecewiseAffine1D(
@@ -384,9 +389,9 @@ def cmd_check(cfg: dict, out: str) -> int:
         except ValueError as exc:
             raise ConfigError(f"pwa1d: {exc}") from exc
         pts = []
-        for x in (cfg.get("points") or [0.0]):
+        for x in ([0.0] if cfg["points"] is None else cfg["points"]):
             rep = stationarity.subdifferentials(f, float(x))
-            flags = stationarity.classify_point(f, float(x), rep)
+            flags = stationarity.classify_point(rep)
             pts.append({"x": float(x),
                         "C_stationary": flags.c_stationary,
                         "l_stationary": flags.l_stationary,
@@ -395,6 +400,8 @@ def cmd_check(cfg: dict, out: str) -> int:
                         "b_sub": list(rep.b_sub),
                         "clarke_sub": list(rep.clarke_sub)})
         report["points"] = pts
+    elif cfg["points"] is not None:
+        raise ConfigError("'points' needs a 'pwa1d'")
     elif cfg.get("model") and cfg.get("dataset"):
         try:
             with open(cfg["model"]) as fh:
@@ -407,12 +414,12 @@ def cmd_check(cfg: dict, out: str) -> int:
         cfg2 = {**cfg, "k1": model.k1, "k2": model.k2}
         problem = _problem(cfg2, dataset)
         comp = pwa.assemble(problem)
-        res, cov, unconverged = stationarity.dstat_residual(
-            comp, model.flatten(), stationarity.certificate_c(comp, cfg["c"]),
-            cfg["combo_cap"])
-        report.update({"dstat_residual": res, "coverage": cov,
-                       "unconverged": unconverged,
-                       "objective": comp.f_N(model.flatten())})
+        theta = model.flatten()
+        cert = stationarity.certify(
+            comp, theta, MMConfig(c=cfg["c"], combo_cap=cfg["combo_cap"]))
+        report.update({"dstat_residual": cert.residual, "coverage": cert.coverage,
+                       "unconverged": cert.unconverged,
+                       "objective": comp.f_N(theta)})
     else:
         raise ConfigError("check needs either 'pwa1d' or 'model' + 'dataset'")
     with open(os.path.join(out, "check.json"), "w") as fh:

@@ -11,10 +11,9 @@ method, and accepts the candidate according to the chosen variant:
   random - one uniform draw from the eps-argmax product, accept only on a
            strict surrogate decrease.
 
-`run` returns a `SolveReport` without a stationarity residual; the
-certificate lives in `stationarity.certify`, which builds on this module's
-pair selection and subproblem assembly, so `mm` itself imports no
-`stationarity`.
+`run` returns a `SolveReport` without a stationarity certificate; that is
+`stationarity.certify`'s, which builds on this module's pair selection and
+subproblem assembly, so `mm` itself imports no `stationarity`.
 """
 
 from __future__ import annotations
@@ -83,10 +82,6 @@ class SolveReport:
     sn_total: int
     reason: str
     trace: list[Record]
-    residual: float | None = None
-    residual_kind: str | None = None
-    residual_coverage: float | None = None
-    residual_unconverged: int | None = None
     wall_time: float = 0.0
 
 
@@ -250,7 +245,7 @@ def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
 
     Stops on "tolerance" once a step changes f_N by at most `tol_rel` *
     max(1, |f_N|), so at once when a `random` step rejects its draw and keeps
-    theta.  The residual fields stay unset; `stationarity.certify` fills them.
+    theta.
     """
     t_start = time.perf_counter()
     c = config.resolve_c(problem)

@@ -5,14 +5,15 @@ The four classical subdifferentials (Bouligand, regular/Frechet, limiting,
 Clarke) have closed forms in one dimension from the left/right slopes, so
 they are computed exactly.  The composite checkers certify d-stationarity
 (or weak M-stationarity) by measuring how far a point moves under one
-proximal subproblem solve per admissible atom-pair selection; `certify`
-attaches that residual to an `mm.run` report.
+proximal subproblem solve per admissible atom-pair selection; each returns
+one `Certificate`, and `certify` picks the one a fit's variant calls for.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,20 +59,18 @@ class SubdifferentialReport:
     limiting_sub: tuple[tuple[float, float], ...]  # union of closed intervals
     clarke_sub: tuple[float, float]                # closed interval
 
-    def limiting_contains(self, v: float, tol: float = 1e-12) -> bool:
-        return any(lo - tol <= v <= hi + tol for lo, hi in self.limiting_sub)
+    def limiting_contains(self, v: float) -> bool:
+        return any(lo <= v <= hi for lo, hi in self.limiting_sub)
 
 
 def subdifferentials(f: PiecewiseAffine1D, x: float) -> SubdifferentialReport:
+    """The subdifferentials of f at x from its exact left and right slopes a
+    and b; no two slopes are merged, however close."""
     a, b = f.slopes_at(x)
-    if abs(a - b) < 1e-14:
-        pt = (a, a)
-        return SubdifferentialReport((a,), pt, (pt,), pt)
-    b_sub = tuple(sorted({a, b}))
+    lo, hi = min(a, b), max(a, b)
     regular = (a, b) if a <= b else None
-    limiting = ((a, b),) if a <= b else ((min(a, b), min(a, b)), (max(a, b), max(a, b)))
-    clarke = (min(a, b), max(a, b))
-    return SubdifferentialReport(b_sub, regular, limiting, clarke)
+    limiting = ((a, b),) if a <= b else ((lo, lo), (hi, hi))
+    return SubdifferentialReport(tuple(sorted({a, b})), regular, limiting, (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -82,16 +81,14 @@ class StationarityFlags:
     local_min: bool
 
 
-def classify_point(f: PiecewiseAffine1D, x: float,
-                   rep: SubdifferentialReport | None = None) -> StationarityFlags:
-    """Flags of f at x; `rep` is f's `subdifferentials` at x, if at hand."""
-    rep = subdifferentials(f, x) if rep is None else rep
-    a, b = f.slopes_at(x)
-    # f'(x; -1) = -a >= 0 and f'(x; 1) = b >= 0.  f is affine on each side of
-    # x near it, so in one dimension these make x a local minimum, and only they
-    d_flag = a <= 0.0 <= b
-    return StationarityFlags(rep.clarke_sub[0] <= 0.0 <= rep.clarke_sub[1],
-                             rep.limiting_contains(0.0), d_flag, d_flag)
+def classify_point(rep: SubdifferentialReport) -> StationarityFlags:
+    """Flags of the point whose `subdifferentials` are `rep`: 0 in its Clarke,
+    limiting or regular set, so d => l => C.  f is affine on each side of the
+    point near it, so in one dimension d-stationary and local minimum agree."""
+    lo, hi = rep.clarke_sub
+    d_flag = rep.regular_sub is not None and rep.regular_sub[0] <= 0.0 <= rep.regular_sub[1]
+    return StationarityFlags(lo <= 0.0 <= hi, rep.limiting_contains(0.0),
+                             d_flag, d_flag)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +116,14 @@ def _selection_residual(sub, warm=None):
     return float(np.abs(res.theta - sub.theta_nu).max(initial=0.0)), res
 
 
+class Certificate(NamedTuple):
+    """The stationarity certificate of one point."""
+    residual: float     # largest subproblem displacement over the selections
+    coverage: float     # the solved fraction of the admissible selections
+    unconverged: int    # solves that stopped short of their tolerance
+    kind: str           # "dstat" or "weak_mstat"
+
+
 def _max_residual(problem: CompositeProblem, theta_bar, sels, c: float):
     """(largest `_selection_residual` over `sels`, number of those solves that
     did not converge).  One subproblem is rebuilt in place for each selection,
@@ -135,48 +140,37 @@ def _max_residual(problem: CompositeProblem, theta_bar, sels, c: float):
 
 
 def dstat_residual(problem: CompositeProblem, theta_bar, c: float,
-                   combo_cap: int = mm.MMConfig.combo_cap):
+                   combo_cap: int = mm.MMConfig.combo_cap) -> Certificate:
     """Max subproblem displacement over exact-argmax pair selections.
 
     The selections are `mm.select_pairs`'s "full" ones at tolerance TIE_TOL.
-    Returns (residual, coverage, unconverged); residual near zero certifies
-    d-stationarity exactly when coverage == 1 and no solve is unconverged.
+    A residual near zero certifies d-stationarity exactly when coverage == 1
+    and no solve is unconverged.
     """
     sels, coverage = mm.select_pairs(problem, theta_bar, TIE_TOL, "full",
                                      combo_cap=combo_cap)
     residual, unconverged = _max_residual(problem, theta_bar, sels, c)
-    return residual, coverage, unconverged
+    return Certificate(residual, coverage, unconverged, "dstat")
 
 
 def weak_mstat_residual(problem: CompositeProblem, theta_bar, selection,
-                        c: float):
-    """(displacement under the subproblem of one given pair selection, 1 if
-    its solve did not converge else 0)."""
-    sel = tuple(np.asarray(part, dtype=int) for part in selection)
-    return _max_residual(problem, theta_bar, [sel], c)
+                        c: float) -> Certificate:
+    """Displacement under the subproblem of one given pair selection
+    (sel1, sel2); its coverage is 1."""
+    residual, unconverged = _max_residual(problem, theta_bar, [selection], c)
+    return Certificate(residual, 1.0, unconverged, "weak_mstat")
 
 
-def certify(problem: CompositeProblem, report: mm.SolveReport,
-            config: mm.MMConfig) -> mm.SolveReport:
-    """Fill the report's residual fields at its final theta, with the
+def certify(problem: CompositeProblem, theta, config: mm.MMConfig) -> Certificate:
+    """The certificate of theta that a fit with `config` reports, at the
     proximal weight `certificate_c` gives for `config.c`.
 
     The `one` variant gets the weak M-stationarity residual of its own
     selection; the others get the d-stationarity residual over the first
-    `combo_cap` exact-argmax selections, with their coverage.  Either way the
-    report counts the certificate's unconverged solves.
+    `combo_cap` exact-argmax selections, with their coverage.
     """
-    theta = report.theta
     c = certificate_c(problem, config.c)
     if config.variant == "one":
-        sels, _ = mm.select_pairs(problem, theta, config.eps, "one")
-        report.residual, report.residual_unconverged = weak_mstat_residual(
-            problem, theta, sels[0], c)
-        report.residual_kind = "weak_mstat"
-        report.residual_coverage = 1.0
-    else:
-        (report.residual, report.residual_coverage,
-         report.residual_unconverged) = dstat_residual(problem, theta, c,
-                                                       config.combo_cap)
-        report.residual_kind = "dstat"
-    return report
+        sels, _ = mm.select_pairs(problem, theta, TIE_TOL, "one")
+        return weak_mstat_residual(problem, theta, sels[0], c)
+    return dstat_residual(problem, theta, c, config.combo_cap)

@@ -90,7 +90,7 @@ def test_criterion_1_golden_suite(capsys):
     rep = stationarity.subdifferentials(abs_f, 0.0)
     ok &= (rep.b_sub == (-1.0, 1.0) and rep.regular_sub == (-1.0, 1.0)
            and rep.limiting_sub == ((-1.0, 1.0),) and rep.clarke_sub == (-1.0, 1.0))
-    ok &= stationarity.classify_point(abs_f, 0.0).d_stationary
+    ok &= stationarity.classify_point(stationarity.subdifferentials(abs_f, 0.0)).d_stationary
 
     # -|x| at 0: regular subdifferential empty, limiting = {-1} u {1},
     # Clarke = [-1, 1]; C-stationary but fails to be l-stationary
@@ -98,21 +98,21 @@ def test_criterion_1_golden_suite(capsys):
     ok &= (rep.b_sub == (-1.0, 1.0) and rep.regular_sub is None
            and rep.limiting_sub == ((-1.0, -1.0), (1.0, 1.0))
            and rep.clarke_sub == (-1.0, 1.0))
-    fl = stationarity.classify_point(neg_abs, 0.0)
+    fl = stationarity.classify_point(stationarity.subdifferentials(neg_abs, 0.0))
     ok &= fl.c_stationary and not fl.l_stationary
 
     # max(-|x|, x-1) at 0: C-stationary, fails to be l-stationary
-    fl = stationarity.classify_point(hat, 0.0)
+    fl = stationarity.classify_point(stationarity.subdifferentials(hat, 0.0))
     ok &= fl.c_stationary and not fl.l_stationary and not fl.d_stationary
 
     # max(-x-1, min(-x, 0)): x = 0 l- but not d-stationary; the unique
     # d-stationary point is x = -1
-    fl = stationarity.classify_point(stepped, 0.0)
+    fl = stationarity.classify_point(stationarity.subdifferentials(stepped, 0.0))
     ok &= fl.l_stationary and not fl.d_stationary
-    d_points = [x for x in stepped.breakpoints
-                if stationarity.classify_point(stepped, x).d_stationary]
+    d_points = [x for x in stepped.breakpoints if stationarity.classify_point(
+        stationarity.subdifferentials(stepped, x)).d_stationary]
     ok &= d_points == [-1.0]
-    ok &= stationarity.classify_point(stepped, -1.0).local_min
+    ok &= stationarity.classify_point(stationarity.subdifferentials(stepped, -1.0)).local_min
 
     # max(x, -x-4) = max(2x, 0, -2x-4) - |x|: x = 0 is a critical point of
     # the dc pair but not stationary for the function itself; x = -2 is the
@@ -120,9 +120,9 @@ def test_criterion_1_golden_suite(capsys):
     dc1 = PA.maximum((2, 0), (0, 0), (-2, -4))
     dc2 = abs_f
     ok &= dc_critical_check(dc1, dc2, 0.0)
-    ok &= not stationarity.classify_point(vee, 0.0).c_stationary
+    ok &= not stationarity.classify_point(stationarity.subdifferentials(vee, 0.0)).c_stationary
     ok &= dc_critical_check(dc1, dc2, -2.0)
-    fl = stationarity.classify_point(vee, -2.0)
+    fl = stationarity.classify_point(stationarity.subdifferentials(vee, -2.0))
     ok &= fl.d_stationary and fl.local_min
 
     dt = time.perf_counter() - t0
@@ -239,7 +239,7 @@ def test_criterion_4_stationarity_certification(capsys):
                           sn_tol_floor=1e-10, seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
         for i, c in enumerate(weights(cfg, comp)):
-            res, cov, n = stationarity.dstat_residual(comp, rep.theta, c)
+            res, cov, n, _ = stationarity.dstat_residual(comp, rep.theta, c)
             full_ok[i] += (res <= 1e-5 and cov == 1.0)
             unconverged += n
 
@@ -252,7 +252,7 @@ def test_criterion_4_stationarity_certification(capsys):
                           sn_tol_floor=1e-10, seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
         for i, c in enumerate(weights(cfg, comp)):
-            res, cov, n = stationarity.dstat_residual(comp, rep.theta, c)
+            res, cov, n, _ = stationarity.dstat_residual(comp, rep.theta, c)
             rand_ok[i] += (res <= 1e-5 and cov == 1.0)
             unconverged += n
 
@@ -266,7 +266,7 @@ def test_criterion_4_stationarity_certification(capsys):
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
         sels, _ = mm.select_pairs(comp, rep.theta, 1e-9, "one")
         for i, c in enumerate(weights(cfg, comp)):
-            res, n = stationarity.weak_mstat_residual(comp, rep.theta, sels[0], c)
+            res, _, n, _ = stationarity.weak_mstat_residual(comp, rep.theta, sels[0], c)
             one_ok[i] += res <= 1e-5
             unconverged += n
 

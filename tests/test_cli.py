@@ -25,6 +25,7 @@ def read_csv(path):
 def count_certificates(monkeypatch, dstat=(0.0, 1.0, 0)):
     """Replace both certificate residuals by stubs; returns their call log."""
     from pwafit import stationarity
+    Certificate = stationarity.Certificate
     calls = []
 
     def counting(name, result):
@@ -33,9 +34,10 @@ def count_certificates(monkeypatch, dstat=(0.0, 1.0, 0)):
             return result
         return fake
 
-    monkeypatch.setattr(stationarity, "dstat_residual", counting("dstat", dstat))
+    monkeypatch.setattr(stationarity, "dstat_residual",
+                        counting("dstat", Certificate(*dstat, "dstat")))
     monkeypatch.setattr(stationarity, "weak_mstat_residual",
-                        counting("weak_mstat", (0.0, 0)))
+                        counting("weak_mstat", Certificate(0.0, 1.0, 0, "weak_mstat")))
     return calls
 
 
@@ -512,6 +514,46 @@ class TestCheck:
         assert main(["check", "--config", str(p), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: model:") and message in err
+
+    def test_rounding_level_slopes_classify_consistently(self, tmp_path):
+        # slopes -1e-15 and 1e-15 are kept apart: d-stationary, and so C- and
+        # l-stationary, with the Clarke set they span
+        cfg = {"pwa1d": {"breakpoints": [0.0],
+                         "pieces": [[-1e-15, 0.0], [1e-15, 0.0]]},
+               "points": [0.0]}
+        p = write_json(tmp_path / "c.json", cfg)
+        assert main(["check", "--config", str(p), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "check.json") as fh:
+            (at0,) = json.load(fh)["points"]
+        assert at0["C_stationary"] and at0["l_stationary"]
+        assert at0["d_stationary"] and at0["local_min"]
+        assert at0["clarke_sub"] == [-1e-15, 1e-15]
+
+    @pytest.mark.parametrize("points, xs", [(None, [0.0]), ([], [])], ids=["null", "empty"])
+    def test_points_default_only_when_null(self, tmp_path, points, xs):
+        # an absent or null `points` means x = 0; an empty list means none
+        cfg = {"pwa1d": {"pieces": [[1.0, 0.0]]}, "points": points}
+        p = write_json(tmp_path / "c.json", cfg)
+        assert main(["check", "--config", str(p), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "check.json") as fh:
+            assert [pt["x"] for pt in json.load(fh)["points"]] == xs
+
+    @pytest.mark.parametrize("keys", [("pwa1d", "model"), ("pwa1d", "dataset"),
+                                      ("pwa1d", "model", "dataset"),
+                                      ("points", "model", "dataset")],
+                             ids=["pwa1d+model", "pwa1d+dataset", "pwa1d+both", "points+model"])
+    def test_mixed_branches_rejected(self, tmp_path, capsys, keys):
+        # check runs one branch: a config for both would have one dropped
+        # silently, and `points` without a `pwa1d` would be ignored
+        ds, mdl = pwa.synth_example2(20, seed=6)
+        ds.save_csv(tmp_path / "d.csv")
+        write_json(tmp_path / "m.json", mdl.to_json())
+        given = {"pwa1d": {"pieces": [[1.0, 0.0]]}, "points": [0.0],
+                 "model": str(tmp_path / "m.json"), "dataset": str(tmp_path / "d.csv")}
+        p = write_json(tmp_path / "c.json", {k: given[k] for k in keys})
+        assert main(["check", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not os.path.exists(tmp_path / "o" / "check.json")
 
     def test_neither_branch_rejected(self, tmp_path):
         p = write_json(tmp_path / "c.json", {"points": [0.0]})

@@ -168,7 +168,7 @@ class TestSelectPairsMatchesLoop:
             return build(problem, state, sel1, sel2, c, reuse=reuse)
 
         monkeypatch.setattr(mm, "build_subproblem", record)
-        _, dcov, _ = stationarity.dstat_residual(comp, theta, 1.0, combo_cap=5)
+        _, dcov, _, _ = stationarity.dstat_residual(comp, theta, 1.0, combo_cap=5)
         assert dcov == cov
         _assert_same_selections(seen, sels)
 
@@ -428,11 +428,9 @@ class TestRun:
         prob, comp = random_instance(10, N=4, k1=2, k2=1)
         # mm.run leaves the residual to the certificate
         cfg1 = mm.MMConfig(variant="one", tol_rel=1e-6, max_outer=200)
-        rep1 = mm.run(comp, cfg1, np.zeros(prob.m))
-        assert rep1.residual is None and rep1.residual_kind is None
-        stationarity.certify(comp, rep1, cfg1)
-        assert rep1.residual_kind == "weak_mstat" and rep1.residual is not None
+        cert1 = stationarity.certify(comp, mm.run(comp, cfg1, np.zeros(prob.m)).theta, cfg1)
+        assert cert1.kind == "weak_mstat" and cert1.residual is not None
         cfg2 = mm.MMConfig(variant="full", tol_rel=1e-6, max_outer=200)
-        rep2 = stationarity.certify(comp, mm.run(comp, cfg2, np.zeros(prob.m)), cfg2)
-        assert rep2.residual_kind == "dstat"
-        assert rep2.residual_coverage == 1.0
+        cert2 = stationarity.certify(comp, mm.run(comp, cfg2, np.zeros(prob.m)).theta, cfg2)
+        assert cert2.kind == "dstat"
+        assert cert2.coverage == 1.0

@@ -84,32 +84,48 @@ class TestSubdifferentials:
 
 class TestClassification:
     def test_hat_function(self):
-        at0 = classify_point(HAT, 0.0)
+        at0 = classify_point(subdifferentials(HAT, 0.0))
         assert at0.c_stationary and not at0.l_stationary and not at0.d_stationary
-        athalf = classify_point(HAT, 0.5)
+        athalf = classify_point(subdifferentials(HAT, 0.5))
         assert athalf.l_stationary and athalf.d_stationary
 
     def test_stepped_function(self):
-        at0 = classify_point(STEPPED, 0.0)
+        at0 = classify_point(subdifferentials(STEPPED, 0.0))
         assert at0.l_stationary and not at0.d_stationary
-        atm1 = classify_point(STEPPED, -1.0)
+        atm1 = classify_point(subdifferentials(STEPPED, -1.0))
         assert atm1.d_stationary and atm1.local_min
 
     def test_vee_global_min(self):
-        f = classify_point(VEE, -2.0)
+        f = classify_point(subdifferentials(VEE, -2.0))
         assert f.c_stationary and f.l_stationary and f.d_stationary and f.local_min
 
     def test_implication_chain_random(self):
         for seed in range(200):
             f = random_pa1d(seed + 1000)
             for x in list(f.breakpoints) + [0.0]:
-                fl = classify_point(f, float(x))
+                fl = classify_point(subdifferentials(f, float(x)))
                 if fl.local_min:
                     assert fl.d_stationary
                 if fl.d_stationary:
                     assert fl.l_stationary
                 if fl.l_stationary:
                     assert fl.c_stationary
+
+
+    @pytest.mark.parametrize("a, b", [(-1e-15, 1e-15), (1e-13, 1e-13), (1e-13, 2e-13),
+                                      (-1e-13, -1e-15), (0.0, 0.0), (0.0, 1.0),
+                                      (-1.0, 0.0)])
+    def test_implication_chain_at_rounding_level_slopes(self, a, b):
+        # slopes a hair apart, or a hair off 0, are not merged or rounded to
+        # 0: every flag reads the same exact slopes a (left) and b (right)
+        f = stationarity.PiecewiseAffine1D((0.0,), ((a, 0.0), (b, 0.0)))
+        rep = subdifferentials(f, 0.0)
+        fl = classify_point(rep)
+        assert rep.clarke_sub == (min(a, b), max(a, b))
+        assert fl.local_min == fl.d_stationary == (a <= 0.0 <= b)
+        assert fl.l_stationary or not fl.d_stationary
+        assert fl.c_stationary or not fl.l_stationary
+        assert fl.c_stationary == (min(a, b) <= 0.0 <= max(a, b))
 
 
 class TestDcCritical:
@@ -145,7 +161,7 @@ class TestDstatResidual:
         w, b = ols_fit(prob.dataset)
         # gauge: put the OLS fit in the g atom, zero h atom
         theta = np.concatenate([w, [b], np.zeros(3)])
-        res, cov, _ = dstat_residual(comp, theta, c=1.0)
+        res, cov, _, _ = dstat_residual(comp, theta, c=1.0)
         assert cov == 1.0
         assert res <= 1e-8
 
@@ -155,7 +171,7 @@ class TestDstatResidual:
         w, b = ols_fit(prob.dataset)
         theta = np.concatenate([w, [b], np.zeros(3)])
         theta[0] += 0.1     # not a gauge direction: changes the fitted surface
-        res, _, _ = dstat_residual(comp, theta, c=1.0)
+        res, _, _, _ = dstat_residual(comp, theta, c=1.0)
         assert res > 1e-3
 
     def test_non_finite_point_rejected(self):
@@ -173,7 +189,7 @@ class TestDstatResidual:
         # the lexicographically-first pair certifies weak M-stationarity ...
         assert weak_mstat_residual(comp, theta, ([0], [0]), c=1.0)[0] <= 1e-9
         # ... but the full pair enumeration exposes a descent selection
-        res, cov, _ = dstat_residual(comp, theta, c=1.0)
+        res, cov, _, _ = dstat_residual(comp, theta, c=1.0)
         assert cov == 1.0
         assert res > 1e-3
 
@@ -182,14 +198,14 @@ class TestDstatResidual:
         # certificate, so the certificate counts such solves
         comp = _counterexample_problem()
         theta = np.zeros(1)
-        _, cov, unconverged = dstat_residual(comp, theta, c=1.0)
+        _, cov, unconverged, _ = dstat_residual(comp, theta, c=1.0)
         assert unconverged == 0
-        assert weak_mstat_residual(comp, theta, ([0], [0]), c=1.0)[1] == 0
+        assert weak_mstat_residual(comp, theta, ([0], [0]), c=1.0).unconverged == 0
         monkeypatch.setattr(stationarity, "_TIGHT_SN",
                             SNConfig(tol_grad=1e-12, max_iter=1))
-        _, cov1, unconverged = dstat_residual(comp, theta, c=1.0)
+        _, cov1, unconverged, _ = dstat_residual(comp, theta, c=1.0)
         assert cov1 == cov and 0 < unconverged <= 4
-        assert weak_mstat_residual(comp, theta, ([1], [1]), c=1.0)[1] == 1
+        assert weak_mstat_residual(comp, theta, ([1], [1]), c=1.0).unconverged == 1
 
     def test_weak_residual_zero_at_dstat(self):
         prob, comp = random_instance(3, N=5, k1=2, k2=1)
@@ -206,7 +222,7 @@ class TestDstatResidual:
         rep = mm.run(comp, cfg, np.random.default_rng(4).normal(size=prob.m))
         # at MM's weight and at the one `certify` and `pwafit check` use
         for c in (cfg.resolve_c(comp), stationarity.certificate_c(comp, None)):
-            res, cov, _ = dstat_residual(comp, rep.theta, c=c)
+            res, cov, _, _ = dstat_residual(comp, rep.theta, c=c)
             assert cov == 1.0
             assert res <= 1e-5
 
@@ -216,5 +232,5 @@ class TestDstatResidual:
         from pwafit.pwa import ols_fit
         w, b = ols_fit(prob.dataset)
         theta = np.concatenate([w, [b]])
-        res, _, _ = dstat_residual(comp, theta, c=0.5)
+        res, _, _, _ = dstat_residual(comp, theta, c=0.5)
         assert res <= 1e-6
