@@ -228,10 +228,13 @@ class CompositeProblem:
         return len(self.L) - self.k1
 
     def atom_values(self, theta):
-        """(g atom values (N,k1), h atom values (N,k2))."""
+        """(g atom values (N,k1), h atom values (N,k2)), column-major: numpy
+        reduces a short contiguous axis slowly, and the per-sample maxima
+        reduce over the atoms."""
         theta = np.asarray(theta, dtype=float)
         N = self.n_samples
-        return (self.U @ theta).reshape(N, self.k1), (self.W @ theta).reshape(N, self.k2)
+        return (np.asfortranarray((self.U @ theta).reshape(N, self.k1)),
+                np.asfortranarray((self.W @ theta).reshape(N, self.k2)))
 
     def psi(self, theta):
         """(g (N,), h (N,), psi (N,)) per-sample max values."""

@@ -169,22 +169,20 @@ def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
     sub.l1, sub.lin, sub.reg_const = problem.reg.majorant_data(theta)
 
     # lambda rows U - (chosen h grad) over mu rows W - (chosen g grad), each
-    # with beta = (other max) - (chosen grad) . theta; the per-sample reshapes
+    # with beta = (other max) - (chosen atom's value); the per-sample reshapes
     # of B's and beta's rows are views (splitting an axis never copies).  The
-    # chosen gradients are gathered into the subproblem's row-major (N, m)
-    # work array, whose row sums round as a fresh array's would
+    # chosen gradients are gathered into the subproblem's (N, m) work array
     chosen = sub.work_chosen
-    halves = ((slice(0, n1), k1, problem.U, problem.W, sel2, h),
-              (slice(n1, None), k2, problem.W, problem.U, sel1, g))
-    for rows, k, atoms, other, sel, top in halves:
+    halves = ((slice(0, n1), k1, problem.U, problem.W, sel2, h, hv),
+              (slice(n1, None), k2, problem.W, problem.U, sel1, g, gv))
+    for rows, k, atoms, other, sel, top, values in halves:
         # mode "clip" writes straight into `chosen`, where "raise" would
         # buffer a copy (the range is checked above)
         np.take(other, np.arange(N) * (len(other) // N) + sel, axis=0, out=chosen,
                 mode="clip")
         np.subtract(atoms.reshape(N, k, m), chosen[:, None, :],
                     out=sub.B[rows].reshape(N, k, m))
-        sub.beta[rows].reshape(N, k)[...] = (
-            top - np.multiply(chosen, theta, out=chosen).sum(axis=1))[:, None]
+        sub.beta[rows].reshape(N, k)[...] = (top - values[np.arange(N), sel])[:, None]
 
     # slack anchors: the point (theta, r, s, slack) is feasible for this
     # selection's constraints and carries the current surrogate value exactly;

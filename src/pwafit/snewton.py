@@ -90,7 +90,8 @@ class DualSubproblem:
         self.beta, self.slack_nu = np.empty(n), np.empty(n)
         # 0/1 matrices that sum the other rows of a sample block
         self.others = {k: 1.0 - np.eye(k) for k in {self.k1, self.k2}}
-        # work arrays: value_grad's dual-dimension temporary; the sample
+        # work arrays: the dual-dimension temporary of value_grad,
+        # displacement_sq and the Newton step's correction; the sample
         # blocks of Delta^{-1} (v, m, vn) with two temporaries of
         # `_delta_solve`; the Newton matrix's atom couplings (K, K, N) and the
         # selections one-hot (K, N); and the build's chosen atom gradients
@@ -114,46 +115,38 @@ class DualSubproblem:
     def value_grad(self, x):
         """(xi, grad xi, inner minimizers (theta, r, s, slack), Jacobian data)
         at the stacked multipliers x = (lambda, mu); the last item is what
-        `_newton_direction` reads."""
+        `_newton_direction` reads.  xi is the Lagrangian at the inner
+        minimizers: their subproblem objective plus x times the constraint
+        residual, which is grad xi."""
         c, w, N, n1 = self.c, self.weight, self.n_samples, self.n1
-        agg = self.B.T @ x - self.lin
-        u = self.theta_nu - agg / c
+        u = self.theta_nu - (self.B.T @ x - self.lin) / c
         th = np.sign(u) * np.maximum(np.abs(u) - self.l1 / c, 0.0)
         a, b = _block_sum(x[:n1], self.k1), _block_sum(x[n1:], self.k2)
         r = self.split.prox_up(a, self.r_nu, c, w)
         s = self.split.prox_down(b, self.s_nu, c, w)
-        # the dual-dimension temporaries go through one work array; sl is
-        # returned, so it is a fresh array
+        # x / c goes through a work array; sl is returned, so it is a fresh array
         tmp = np.divide(x, c, out=self.work_x)
         sl = np.maximum(np.subtract(self.slack_nu, tmp, out=tmp), 0.0)
-        slack_pull = x @ np.subtract(sl, self.beta, out=tmp)
-        dsl = np.subtract(sl, self.slack_nu, out=tmp)
-        dth, dr, ds = th - self.theta_nu, r - self.r_nu, s - self.s_nu
-        v = (self.reg_const + slack_pull + agg @ th + self.l1 @ np.abs(th)
-             + w * float(np.sum(self.split.up(r)) + np.sum(self.split.down(s)))
-             - a @ r + b @ s + 0.5 * c * (dth @ dth + dr @ dr + ds @ ds + dsl @ dsl))
         g = self.B @ th
         g[:n1].reshape(N, self.k1)[...] -= r[:, None]
         g[n1:].reshape(N, self.k2)[...] += s[:, None]
         g += sl
         g -= self.beta
+        v = self.primal_value(th, r, s, sl) + x @ g
         return float(v), g, (th, r, s, sl), (u, a, b, sl)
 
-    # -- primal objective of the subproblem (for gap checks / MM acceptance)
+    # -- primal objective of the subproblem
 
     def primal_value(self, th, r, s, slack) -> float:
-        v = float(np.sum(self.weight * (self.split.up(r) + self.split.down(s))))
+        v = self.weight * float(np.sum(self.split.up(r) + self.split.down(s)))
         v += self.l1 @ np.abs(th) - self.lin @ th + self.reg_const
         return v + 0.5 * self.c * self.displacement_sq(th, r, s, slack)
 
     def displacement_sq(self, th, r, s, slack) -> float:
-        """||z - z_nu||^2.  The slack's lambda and mu halves are summed apart:
-        one sum over the stacked slack rounds differently, and this value
-        drives MM acceptance and the step norm."""
-        dsl = slack - self.slack_nu
-        return (np.sum((th - self.theta_nu) ** 2) + np.sum((r - self.r_nu) ** 2)
-                + np.sum((s - self.s_nu) ** 2)
-                + np.sum(dsl[:self.n1] ** 2) + np.sum(dsl[self.n1:] ** 2))
+        """||z - z_nu||^2; the slack's displacement goes through work_x."""
+        dth, dr, ds = th - self.theta_nu, r - self.r_nu, s - self.s_nu
+        dsl = np.subtract(slack, self.slack_nu, out=self.work_x)
+        return float(dth @ dth + dr @ dr + ds @ ds + dsl @ dsl)
 
 
 # backtracking factor, Armijo's sufficient-increase constant, how many

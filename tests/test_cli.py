@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from pwafit import cli, pwa
+from pwafit import cli, pwa, stationarity
 from pwafit.cli import ConfigError, _fold_indices, load_config, main
 
 
@@ -77,6 +77,22 @@ class TestConfig:
         p = write_json(tmp_path / "c.json", cfg)
         assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 2
         assert "no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, raw, message", [
+        ("fit", [], "fit: expected a JSON object"),
+        ("fit", {"k1": 1}, "config needs either 'dataset' or 'synth'"),
+        ("check", {}, "check needs either 'pwa1d' or 'model' + 'dataset'"),
+    ], ids=["not-an-object", "fit-without-data", "check-without-branch"])
+    def test_incomplete_config_exits_2(self, tmp_path, capsys, command, raw, message):
+        p = write_json(tmp_path / "c.json", raw)
+        assert main([command, "--config", p, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_one_column_dataset(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text("y\n1.0\n2.0\n")
+        p = write_json(tmp_path / "c.json", {"dataset": str(tmp_path / "d.csv")})
+        assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 2
+        assert "at least one feature column" in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path):
         p = write_json(tmp_path / "c.json", SMALL_FIT)
@@ -280,6 +296,15 @@ class TestFit:
         assert rows[0][error] == "LinAlgError: Singular matrix"
         assert rows[1][reason] in ("tolerance", "max_outer") and rows[1][error] == ""
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_all_starts_failing_exits_3(self, tmp_path, capsys):
+        # a start at scale 1e300 has a non-finite objective, so every start
+        # fails: a solver error, and no report
+        p = write_json(tmp_path / "c.json", {**SMALL_FIT, "init": {"scale": 1e300}})
+        assert main(["fit", "--config", p, "--out", str(tmp_path / "o")]) == 3
+        assert "all starts failed" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o" / "report.json")
+
     def test_programming_error_in_a_start_propagates(self, tmp_path, monkeypatch):
         # only a solver failure fails a start; any other exception raised in
         # one is a fault of the program, so it is raised, not recorded
@@ -419,6 +444,20 @@ class TestCv:
         assert f"{folds} folds need at least {folds} data rows" in err
         assert not (tmp_path / "cv_report.json").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_failed_cell_has_no_ratio(self, tmp_path):
+        # a cell whose every fold fit fails is reported without a ratio, and
+        # the command still succeeds
+        cfg = {"synth": {"example": 2, "N": 20, "seed": 3}, "grid": [[1, 1]],
+               "folds": 2, "starts": 1, "init": {"scale": 1e300}}
+        p = write_json(tmp_path / "c.json", cfg)
+        assert main(["cv", "--config", p, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "cv_report.json") as fh:
+            cell = json.load(fh)["cells"]["1,1"]
+        assert cell["ratio"] is None and cell["failed"] == "all simulations failed"
+        assert cell["detail"] == [{"simulation": 0, "failed": "all starts failed"}]
+        assert read_csv(tmp_path / "ratio_grid.csv")[1] == [["1", ""]]
+
     def test_affine_cell_ratio_one(self, tmp_path):
         # (k1, k2) = (1, 0) initialized at the OLS fit reproduces OLS: the
         # cross-validated error ratio is 1 up to solver tolerance
@@ -482,6 +521,29 @@ class TestCheck:
         assert check["dstat_residual"] == fit["residual"]
         assert check["coverage"] == fit["residual_coverage"]
         assert check["unconverged"] == fit["residual_unconverged"]
+
+    def test_explicit_c_is_the_certificate_weight(self, tmp_path):
+        # a check with "c" certifies at that proximal weight, not at the
+        # data-scaled default
+        ds, _ = pwa.synth_example2(60, seed=4)
+        ds.save_csv(tmp_path / "d.csv")
+        p = write_json(tmp_path / "fit.json", {"dataset": str(tmp_path / "d.csv"),
+                                               "k1": 2, "k2": 2, "starts": 1,
+                                               "compute_residual": False})
+        assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 0
+        residuals = []
+        for c in (None, 0.5):
+            p = write_json(tmp_path / "chk.json",
+                           {"model": str(tmp_path / "best_model.json"),
+                            "dataset": str(tmp_path / "d.csv"), "c": c})
+            assert main(["check", "--config", p, "--out", str(tmp_path)]) == 0
+            with open(tmp_path / "check.json") as fh:
+                residuals.append(json.load(fh)["dstat_residual"])
+        with open(tmp_path / "best_model.json") as fh:
+            theta = pwa.PWAModel.from_json(json.load(fh)).flatten()
+        comp = pwa.assemble(pwa.PWAProblem(ds, k1=2, k2=2))
+        assert residuals[1] == stationarity.dstat_residual(comp, theta, 0.5).residual
+        assert residuals[1] != residuals[0]
 
     def test_dimension_mismatch_rejected(self, tmp_path, capsys):
         # a model of d = 2 against a one-feature dataset is a config error

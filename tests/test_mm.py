@@ -218,10 +218,38 @@ class TestBuildSubproblem:
         assert sub.B.flags.f_contiguous and np.array_equal(sub.B, np.vstack(
             [comp.U - np.repeat(v, 3, axis=0), comp.W - np.repeat(u, 2, axis=0)]))
         assert np.array_equal(sub.beta, np.concatenate(
-            [np.repeat(h - (v * th).sum(axis=1), 3),
-             np.repeat(g - (u * th).sum(axis=1), 2)]))
+            [np.repeat(h - hv[np.arange(5), sel2], 3),
+             np.repeat(g - gv[np.arange(5), sel1], 2)]))
         assert np.array_equal(sub.slack_nu, np.maximum(np.concatenate(
             [((st.r + h)[:, None] - gv).ravel(), ((g - st.s)[:, None] - hv).ravel()]), 0.0))
+
+    def test_beta_matches_the_gradient_product(self):
+        # the chosen atom's value is its gradient times theta, up to rounding:
+        # an m-term dot product is within about m eps/2 of the sum of its
+        # terms' magnitudes (twice that bounds two of them), and each side
+        # rounds one subtraction from the max
+        prob, comp = random_instance(14, N=40, k1=3, k2=2)
+        rng = np.random.default_rng(14)
+        th = rng.normal(size=prob.m)
+        sel1, sel2 = rng.integers(3, size=40), rng.integers(2, size=40)
+        sub = mm.build_subproblem(comp, mm.init_state(comp, th), sel1, sel2, c=1.0)
+        v, u = comp.W[np.arange(40) * 2 + sel2], comp.U[np.arange(40) * 3 + sel1]
+        g, h, _ = comp.psi(th)
+        for beta, top, chosen, k in ((sub.beta[:120], h, v, 3), (sub.beta[120:], g, u, 2)):
+            terms = np.abs(chosen * th).sum(axis=1)
+            bound = 2 * prob.m * np.finfo(float).eps * terms + np.spacing(abs(top) + terms)
+            product = top - (chosen * th).sum(axis=1)
+            assert np.all(np.abs(beta - np.repeat(product, k)) <= np.repeat(bound, k))
+
+    def test_argmax_choices_give_exact_zero_beta(self):
+        # a chosen atom that attains its sample's max leaves beta exactly 0
+        ds, _ = pwa.synth_example2(1000, 0)
+        prob = pwa.PWAProblem(ds, k1=2, k2=2)
+        comp = pwa.assemble(prob)
+        th = pwa.init_sampler(prob, "gaussian", np.random.default_rng([0, 0]))
+        (sel1, sel2), = mm.select_pairs(comp, th, TIE_TOL, "one")[0]
+        sub = mm.build_subproblem(comp, mm.init_state(comp, th), sel1, sel2, c=1.0)
+        assert not sub.beta.any()
 
 
 class TestReusedSubproblem:

@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from pwafit import pwa
+from pwafit import mm, pwa
+from pwafit.funcs import CompositeProblem, DcRegularizer, MonotoneSplit
 from pwafit.pwa import (
     Dataset,
     EXAMPLE1_MODEL,
@@ -276,3 +278,26 @@ class TestGaugeInvariance:
         shifted = PWAModel(A=mdl.A, alpha=mdl.alpha + 0.9,
                            B=mdl.B, beta=mdl.beta + 0.9)
         assert comp.f_N(th) == pytest.approx(comp.f_N(shifted.flatten()), rel=1e-12)
+
+
+_ONE_ROW = Dataset(np.array([[0.5]]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MonotoneSplit("quantile", y=0.0, tau=1.5), "tau in (0, 1)"),
+    (lambda: DcRegularizer(weights=[-1.0], gamma=1.0), "must be nonnegative"),
+    (lambda: DcRegularizer(weights=[1.0], gamma=1.0, smooth="lasso"),
+     "unsupported smooth part 'lasso'"),
+    (lambda: CompositeProblem(X=np.ones((3, 2)), L=np.ones((2, 3, 4)), k1=1,
+                              split=MonotoneSplit("squared", y=np.zeros(3))),
+     "need lifts"),
+    (lambda: Dataset(np.ones((3, 2)), np.ones(2)), "shape mismatch"),
+    (lambda: PWAProblem(_ONE_ROW, k1=0), "need k1 >= 1"),
+    (lambda: mm.select_pairs(assemble(PWAProblem(_ONE_ROW, k1=1, k2=1)),
+                             np.zeros(4), 1e-4, "bogus"),
+     "unknown variant 'bogus'"),
+], ids=["quantile-tau", "negative-weight", "smooth-kind", "lift-shape",
+        "dataset-shape", "k1", "variant"])
+def test_invalid_arguments_raise_value_error(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
