@@ -111,6 +111,8 @@ _DOMAINS = {
         and all(_numbers(p) and len(p) == 2 for p in v["pieces"])),
         'null or {"breakpoints": [x, ...], "pieces": [[slope, intercept], ...]}'),
     "points": (lambda v: v is None or _numbers(v), "null or a list of numbers"),
+    "dataset": (lambda v: v is None or isinstance(v, str), "null or a string"),
+    "model": (lambda v: v is None or isinstance(v, str), "null or a string"),
 }
 
 

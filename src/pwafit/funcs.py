@@ -184,9 +184,8 @@ class CompositeProblem:
     as a single atom with a zero lift, so every code path sees k2 >= 1.  The
     loss weight is 1/N, and reg=None is the zero regularizer (gamma = 0).
 
-    U (N*k1, m) and W (N*k2, m) stack the atom gradients row-major by sample;
-    `outer` holds each sample's x x^T, flattened to (N, p*p), from which the
-    Newton step forms its matrix.  All three are computed once, here.
+    U (N*k1, m) and W (N*k2, m) stack the atom gradients row-major by
+    sample, computed once, here.
     """
 
     X: np.ndarray
@@ -196,12 +195,11 @@ class CompositeProblem:
     reg: DcRegularizer | None = None
     U: np.ndarray = field(init=False, repr=False)
     W: np.ndarray = field(init=False, repr=False)
-    outer: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
         self.L = np.asarray(self.L, dtype=float)
-        N, p = self.X.shape
+        p = self.X.shape[1]
         if self.L.ndim != 3 or self.L.shape[1] != p or not 1 <= self.k1 < len(self.L):
             raise ValueError("need lifts (k1 + k2, p, m) with k1, k2 >= 1 over "
                              "(N, p) features")
@@ -209,7 +207,6 @@ class CompositeProblem:
             self.reg = DcRegularizer(weights=np.ones(self.m), gamma=0.0)
         self.U, self.W = (np.tensordot(self.X, lifts, axes=(1, 1)).reshape(-1, self.m)
                           for lifts in (self.L[:self.k1], self.L[self.k1:]))
-        self.outer = (self.X[:, :, None] * self.X[:, None, :]).reshape(N, p * p)
 
     @property
     def n_samples(self) -> int:

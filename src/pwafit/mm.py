@@ -12,8 +12,8 @@ method, and accepts the candidate according to the chosen variant:
            strict surrogate decrease.
 
 `run` returns a `SolveReport` without a stationarity certificate; that is
-`stationarity.certify`'s, which builds on this module's pair selection and
-subproblem assembly, so `mm` itself imports no `stationarity`.
+`stationarity.certify`'s, which builds on this module's pair selection, so
+`mm` itself imports no `stationarity`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .funcs import TIE_TOL, CompositeProblem
-from .snewton import DualSubproblem, SNConfig, sn_solve
+from .snewton import DualSubproblem, SNConfig, build_subproblem, sn_solve
 
 # default proximal weight c = _KAPPA * w, in units of the loss weight w = 1/N:
 # a c far above w slows MM's descent to a crawl.  Over kappa = 0.02 to 0.27 on
@@ -142,54 +142,6 @@ def select_pairs(problem: CompositeProblem, theta, eps: float, variant: str,
 def _nth_set(mask, rank):
     """Column of the rank-th True entry of each mask row (rank: (..., N))."""
     return (np.cumsum(mask, axis=1) > rank[..., None]).argmax(axis=-1)
-
-
-def build_subproblem(problem: CompositeProblem, state: AugmentedIterate,
-                     sel1, sel2, c: float, *,
-                     reuse: DualSubproblem | None = None) -> DualSubproblem:
-    """Dual subproblem data for one per-sample atom-pair selection.
-
-    The selection's data (B, beta, the selections, c, the anchors and the
-    regularizer majorant) is written into `reuse`, a subproblem built earlier
-    from the same problem, or into a new `DualSubproblem(problem)`, which is
-    returned; a reused subproblem keeps its work arrays.
-    """
-    theta = state.theta
-    N, k1, k2, m = problem.n_samples, problem.k1, problem.k2, problem.m
-    n1 = N * k1
-    for sel, k in ((sel1, k1), (sel2, k2)):
-        if np.min(sel, initial=0) < 0 or np.max(sel, initial=0) >= k:
-            raise IndexError(f"atom selection outside 0..{k - 1}")
-    gv, hv = problem.atom_values(theta)
-    g, h = gv.max(axis=1), hv.max(axis=1)
-
-    sub = DualSubproblem(problem) if reuse is None else reuse
-    sub.c, sub.theta_nu, sub.r_nu, sub.s_nu = c, theta, state.r, state.s
-    sub.sel1, sub.sel2 = sel1, sel2
-    sub.l1, sub.lin, sub.reg_const = problem.reg.majorant_data(theta)
-
-    # lambda rows U - (chosen h grad) over mu rows W - (chosen g grad), each
-    # with beta = (other max) - (chosen atom's value); the per-sample reshapes
-    # of B's and beta's rows are views (splitting an axis never copies).  The
-    # chosen gradients are gathered into the subproblem's (N, m) work array
-    chosen = sub.work_chosen
-    halves = ((slice(0, n1), k1, problem.U, problem.W, sel2, h, hv),
-              (slice(n1, None), k2, problem.W, problem.U, sel1, g, gv))
-    for rows, k, atoms, other, sel, top, values in halves:
-        # mode "clip" writes straight into `chosen`, where "raise" would
-        # buffer a copy (the range is checked above)
-        np.take(other, np.arange(N) * (len(other) // N) + sel, axis=0, out=chosen,
-                mode="clip")
-        np.subtract(atoms.reshape(N, k, m), chosen[:, None, :],
-                    out=sub.B[rows].reshape(N, k, m))
-        sub.beta[rows].reshape(N, k)[...] = (top - values[np.arange(N), sel])[:, None]
-
-    # slack anchors: the point (theta, r, s, slack) is feasible for this
-    # selection's constraints and carries the current surrogate value exactly;
-    # they do not depend on the selection
-    np.maximum((state.r + h)[:, None] - gv, 0.0, out=sub.slack_nu[:n1].reshape(N, k1))
-    np.maximum((g - state.s)[:, None] - hv, 0.0, out=sub.slack_nu[n1:].reshape(N, k2))
-    return sub
 
 
 def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,

@@ -80,8 +80,15 @@ class PWAModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PWAModel":
-        """The inverse of `to_json`; the declared k1 and k2 must fit the arrays."""
-        model = cls(A=obj["A"], alpha=obj["alpha"], B=obj["B"], beta=obj["beta"])
+        """The inverse of `to_json`; the declared k1 and k2 must fit the arrays.
+        A JSON value other than an object, or an array of other than numbers,
+        is a ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a model is a JSON object, not {type(obj).__name__}")
+        try:
+            model = cls(A=obj["A"], alpha=obj["alpha"], B=obj["B"], beta=obj["beta"])
+        except TypeError as exc:    # numpy's error for an array of objects
+            raise ValueError(f"model arrays must hold numbers: {exc}") from exc
         if (model.k1, model.k2) != (obj["k1"], obj["k2"]):
             raise ValueError(f"declared k1 = {obj['k1']}, k2 = {obj['k2']}, but the "
                              f"arrays hold k1 = {model.k1}, k2 = {model.k2}")

@@ -1,4 +1,5 @@
-"""Semismooth Newton solver for the Lagrangian dual of each MM subproblem.
+"""The MM subproblem of one atom-pair selection, and a semismooth Newton
+solver for its Lagrangian dual.
 
 The subproblem minimizes, over z = (theta, r, s, slack) with a nonnegative
 slack,
@@ -22,9 +23,6 @@ atom gradient is the sample's features x_s times the atom's lift L_a
 (`funcs.CompositeProblem`).  The Newton step's m x m matrix is therefore
 formed from per-sample K x K atom couplings (K = k1 + k2) and the samples'
 x_s x_s^T, not from an array of B's size.
-
-A `DualSubproblem` is allocated from its problem, which fixes its shape,
-loss and weight; `mm.build_subproblem` refills it in place per selection.
 """
 
 from __future__ import annotations
@@ -55,26 +53,15 @@ class DualSubproblem:
     """Dual subproblem of one atom-pair selection of `problem`: stacked
     affine constraint data plus prox oracles and anchors.
 
-    The problem fixes the shape (k1, k2, N), the loss split and its weight.
-    `mm.build_subproblem` writes each selection's B, beta and slack_nu into
-    the arrays allocated here, and sets the data annotated below.  B stacks the N*k1 lambda rows
-    over the N*k2 mu rows; beta and slack_nu follow the same row order.
-    Lambda row j of sample s is g atom j's gradient minus that of h atom
-    sel2[s]; mu row j is h atom j's minus that of g atom sel1[s].  Each
-    subproblem also owns the work arrays `value_grad`, `_newton_direction`
-    and `mm.build_subproblem` overwrite on every call, so none of them
-    allocates an array of B's size.
+    The problem fixes the shape (k1, k2, N), the loss split and its weight;
+    `build_subproblem` writes each selection's data.  B stacks the N*k1
+    lambda rows over the N*k2 mu rows; beta and slack_nu follow the same row
+    order.  Lambda row j of sample s is g atom j's gradient minus that of h
+    atom sel2[s]; mu row j is h atom j's minus that of g atom sel1[s].  The
+    work arrays are overwritten by every call of `value_grad`,
+    `_newton_direction` and `build_subproblem`, so none of them allocates an
+    array of B's size.
     """
-
-    sel1: np.ndarray              # per-sample g atom of the selection
-    sel2: np.ndarray              # per-sample h atom of the selection
-    c: float                      # proximal weight
-    theta_nu: np.ndarray
-    r_nu: np.ndarray
-    s_nu: np.ndarray
-    l1: np.ndarray                # l1 weights t_i of the regularizer majorant
-    lin: np.ndarray               # linear part of the regularizer majorant
-    reg_const: float              # constant part of the regularizer majorant
 
     def __init__(self, problem: CompositeProblem):
         self.problem = problem
@@ -88,18 +75,23 @@ class DualSubproblem:
         # then mu rows
         self.B = np.empty((n, m), order="F")
         self.beta, self.slack_nu = np.empty(n), np.empty(n)
+        # the selection's one-hot (K, N), g atoms over h atoms, and each
+        # sample's x x^T, flattened to (N, p*p): the Newton matrix's data
+        self.onehot = np.empty((K, N))
+        X = problem.X
+        p = X.shape[1]
+        self.outer = (X[:, :, None] * X[:, None, :]).reshape(N, p * p)
         # 0/1 matrices that sum the other rows of a sample block
         self.others = {k: 1.0 - np.eye(k) for k in {self.k1, self.k2}}
         # work arrays: the dual-dimension temporary of value_grad,
         # displacement_sq and the Newton step's correction; the sample
         # blocks of Delta^{-1} (v, m, vn) with two temporaries of
-        # `_delta_solve`; the Newton matrix's atom couplings (K, K, N) and the
-        # selections one-hot (K, N); and the build's chosen atom gradients
+        # `_delta_solve`; the Newton matrix's atom couplings (K, K, N); and
+        # the build's chosen atom gradients
         self.work_x, self.work_v = np.empty(n), np.empty(n)
         self.work_m, self.work_vn = np.empty(n), np.empty(n)
         self.work_vx, self.work_rest = np.empty(n), np.empty(n)
         self.work_C = np.empty((K, K, N))
-        self.work_E = np.empty((K, N))
         self.work_chosen = np.empty((N, m))
 
     @property
@@ -147,6 +139,56 @@ class DualSubproblem:
         dth, dr, ds = th - self.theta_nu, r - self.r_nu, s - self.s_nu
         dsl = np.subtract(slack, self.slack_nu, out=self.work_x)
         return float(dth @ dth + dr @ dr + ds @ ds + dsl @ dsl)
+
+
+def build_subproblem(problem: CompositeProblem, state, sel1, sel2, c: float, *,
+                     reuse: DualSubproblem | None = None) -> DualSubproblem:
+    """Dual subproblem of one per-sample atom-pair selection (sel1, sel2) at
+    the MM iterate `state`, whose theta, r and s it reads.
+
+    Sets B, beta, slack_nu and the selection's one-hot, the proximal weight
+    c, the anchors theta_nu, r_nu and s_nu, and the regularizer majorant
+    l1, lin and reg_const, in `reuse`, a subproblem built earlier from the
+    same problem, or in a new `DualSubproblem(problem)`, which is returned.
+    An atom index outside 0..k1-1 (sel1) or 0..k2-1 (sel2) is an IndexError.
+    """
+    theta = state.theta
+    N, k1, k2, m = problem.n_samples, problem.k1, problem.k2, problem.m
+    n1 = N * k1
+    for sel, k in ((sel1, k1), (sel2, k2)):
+        if np.min(sel, initial=0) < 0 or np.max(sel, initial=0) >= k:
+            raise IndexError(f"atom selection outside 0..{k - 1}")
+    gv, hv = problem.atom_values(theta)
+    g, h = gv.max(axis=1), hv.max(axis=1)
+
+    sub = DualSubproblem(problem) if reuse is None else reuse
+    sub.c, sub.theta_nu, sub.r_nu, sub.s_nu = c, theta, state.r, state.s
+    sub.l1, sub.lin, sub.reg_const = problem.reg.majorant_data(theta)
+    np.equal(np.arange(k1)[:, None], sel1, out=sub.onehot[:k1])
+    np.equal(np.arange(k2)[:, None], sel2, out=sub.onehot[k1:])
+
+    # lambda rows U - (chosen h grad) over mu rows W - (chosen g grad), each
+    # with beta = (other max) - (chosen atom's value); the per-sample reshapes
+    # of B's and beta's rows are views (splitting an axis never copies).  The
+    # chosen gradients are gathered into the subproblem's (N, m) work array
+    chosen = sub.work_chosen
+    halves = ((slice(0, n1), k1, problem.U, problem.W, sel2, h, hv),
+              (slice(n1, None), k2, problem.W, problem.U, sel1, g, gv))
+    for rows, k, atoms, other, sel, top, values in halves:
+        # mode "clip" writes straight into `chosen`, where "raise" would
+        # buffer a copy (the range is checked above)
+        np.take(other, np.arange(N) * (len(other) // N) + sel, axis=0, out=chosen,
+                mode="clip")
+        np.subtract(atoms.reshape(N, k, m), chosen[:, None, :],
+                    out=sub.B[rows].reshape(N, k, m))
+        sub.beta[rows].reshape(N, k)[...] = (top - values[np.arange(N), sel])[:, None]
+
+    # slack anchors: the point (theta, r, s, slack) is feasible for this
+    # selection's constraints and carries the current surrogate value exactly;
+    # they do not depend on the selection
+    np.maximum((state.r + h)[:, None] - gv, 0.0, out=sub.slack_nu[:n1].reshape(N, k1))
+    np.maximum((g - state.s)[:, None] - hv, 0.0, out=sub.slack_nu[n1:].reshape(N, k2))
+    return sub
 
 
 # backtracking factor, Armijo's sufficient-increase constant, how many
@@ -248,9 +290,7 @@ def _newton_matrix(sub: DualSubproblem, diag, rho, sig, act):
         diagonal[first:first + k] = m[rows].reshape(N, k).T
     # then the selection terms, each in the samples that chose the atom
     # (E1, E2 one-hot)
-    E1, E2 = sub.work_E[:k1], sub.work_E[k1:]
-    E1[...] = np.arange(k1)[:, None] == sub.sel1
-    E2[...] = np.arange(k2)[:, None] == sub.sel2
+    E1, E2 = sub.onehot[:k1], sub.onehot[k1:]
     diagonal[:k1] += E1 * vsum_D[1]
     diagonal[k1:] += E2 * vsum_D[0]
     q1, q2 = q[:n1].reshape(N, k1).T, q[n1:].reshape(N, k2).T
@@ -262,7 +302,7 @@ def _newton_matrix(sub: DualSubproblem, diag, rho, sig, act):
     C[k1:, :k1] = gh.transpose(1, 0, 2)
     L = sub.problem.L
     p = L.shape[1]
-    G = (C.reshape(K * K, N) @ sub.problem.outer).reshape(K, K, p, p)
+    G = (C.reshape(K * K, N) @ sub.outer).reshape(K, K, p, p)
     La = L[:, :, act].reshape(K * p, act.size)
     S = La.T @ G.transpose(0, 2, 1, 3).reshape(K * p, K * p) @ La
     S.flat[::act.size + 1] += sub.c

@@ -343,7 +343,6 @@ def dual_subproblem(*, B1, beta1, B2, beta2, rhat_nu, shat_nu, n_samples,
     sub.B[...] = np.vstack([B1, B2])
     sub.beta[...] = np.concatenate([beta1, beta2])
     sub.slack_nu[...] = np.concatenate([rhat_nu, shat_nu])
-    sub.sel1 = sub.sel2 = np.zeros(N, dtype=int)
     sub.c, sub.theta_nu, sub.r_nu, sub.s_nu = c, theta_nu, r_nu, s_nu
     sub.l1 = np.zeros(m) if l1 is None else l1
     sub.lin = np.zeros(m) if lin is None else lin

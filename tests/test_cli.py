@@ -88,6 +88,20 @@ class TestConfig:
         assert main([command, "--config", p, "--out", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, bad", [
+        ("fit", {"dataset": True}), ("fit", {"dataset": 3.5}), ("check", {"model": 1}),
+    ], ids=["dataset=true", "dataset=3.5", "model=1"])
+    def test_non_string_path_exits_2(self, tmp_path, capsys, command, bad):
+        # a path is a string: open(True) or open(1) would read, then close,
+        # file descriptor 1, and open(3.5) raises a TypeError
+        ds, _ = pwa.synth_example2(20, seed=6)
+        ds.save_csv(tmp_path / "d.csv")
+        p = write_json(tmp_path / "c.json",
+                       {"dataset": str(tmp_path / "d.csv"), **bad})
+        assert main([command, "--config", p, "--out", str(tmp_path)]) == 2
+        assert f"{list(bad)[0]} must be null or a string" in capsys.readouterr().err
+        os.fstat(1)     # still open
+
     def test_one_column_dataset(self, tmp_path, capsys):
         (tmp_path / "d.csv").write_text("y\n1.0\n2.0\n")
         p = write_json(tmp_path / "c.json", {"dataset": str(tmp_path / "d.csv")})
@@ -576,6 +590,21 @@ class TestCheck:
         assert main(["check", "--config", str(p), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: model:") and message in err
+
+    @pytest.mark.parametrize("content", [[1, 2], "abc", {"A": {"x": 1}}],
+                             ids=["list", "string", "object-array"])
+    def test_model_file_not_a_model_rejected(self, tmp_path, capsys, content):
+        # a model file holding JSON other than an object of number arrays is
+        # a config error, not a TypeError traceback
+        ds, mdl = pwa.synth_example2(20, seed=6)
+        ds.save_csv(tmp_path / "d.csv")
+        if isinstance(content, dict):
+            content = {**mdl.to_json(), **content}
+        write_json(tmp_path / "m.json", content)
+        p = write_json(tmp_path / "c.json", {"model": str(tmp_path / "m.json"),
+                                             "dataset": str(tmp_path / "d.csv")})
+        assert main(["check", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: model:")
 
     def test_rounding_level_slopes_classify_consistently(self, tmp_path):
         # slopes -1e-15 and 1e-15 are kept apart: d-stationary, and so C- and

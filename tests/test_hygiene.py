@@ -1,11 +1,12 @@
 """Source hygiene checks that need no linter: every imported name is used,
 the package's modules import one another without a cycle, every definition
 is used by the package itself (code that only tests call belongs in the
-tests), every package function the benchmark's tracer wraps or its other
-scripts read exists, a tiny fit and check run clean under that tracer,
-every CLI config key has its value domain checked, every checked domain
-belongs to a config key, every key README's exit-2 list names has a domain,
-and the CLI's MM and model defaults are the library's."""
+tests), `snewton` alone holds the dual subproblem's internals, every
+package function the benchmark's tracer wraps or its other scripts read
+exists, a tiny fit and check run clean under that tracer, every CLI
+config key has its value domain checked, every checked domain belongs to a
+config key, every key README's exit-2 list names has a domain, and the
+CLI's MM and model defaults are the library's."""
 
 import ast
 import dataclasses
@@ -167,6 +168,29 @@ def test_no_import_cycles():
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
 
 
+def subproblem_internals(source: str) -> list:
+    """Attributes a module stores, and the dual subproblem arrays it reads."""
+    arrays = {"B", "beta", "slack_nu", "onehot", "outer"}
+    return sorted({n.attr for n in ast.walk(ast.parse(source))
+                   if isinstance(n, ast.Attribute)
+                   and (isinstance(n.ctx, ast.Store) or n.attr in arrays
+                        or n.attr.startswith("work_"))})
+
+
+def test_snewton_owns_the_dual_subproblem():
+    # snewton builds the subproblem and lays out its arrays: mm reaches it
+    # through build_subproblem, sn_solve and displacement_sq only, and funcs
+    # keeps the problem data, not the Newton matrix's x x^T
+    from pwafit import mm, snewton
+    assert mm.build_subproblem is snewton.build_subproblem
+    found = subproblem_internals((SRC / "mm.py").read_text())
+    assert not found, "mm.py stores or reads subproblem internals: " + ", ".join(found)
+    funcs = ast.parse((SRC / "funcs.py").read_text())
+    assert not any((isinstance(n, ast.Name) and n.id == "outer")
+                   or (isinstance(n, ast.Attribute) and n.attr == "outer")
+                   for n in ast.walk(funcs)), "funcs.py holds `outer`"
+
+
 def _bench_tracer(monkeypatch):
     """perfbench/tracer.py, loaded with perfbench on the import path."""
     monkeypatch.syspath_prepend(str(BENCH))
@@ -247,10 +271,8 @@ def test_benchmark_package_reads_resolve(path):
     assert not missing, f"{path.name} uses names pwafit lacks: " + ", ".join(missing)
 
 
-# config keys with no `cli._DOMAINS` entry: paths and free-form objects
+# config keys with no `cli._DOMAINS` entry: free-form objects
 DOMAIN_EXEMPT = {
-    "dataset": "a path; reading the CSV checks it",
-    "model": "a path; reading the model JSON checks it",
     "synth": "an object; load_config checks it against the synth schema",
     "init": "an object; load_config checks it against cli._INIT_KEYS",
 }
@@ -365,6 +387,13 @@ class TestImportGraph:
 
     def test_acyclic(self):
         assert import_cycle({"a": {"b"}, "b": {"c"}, "c": set(), "d": {"a", "c"}}) is None
+
+
+class TestSubproblemInternals:
+    def test_stores_and_array_reads_flagged(self):
+        src = ("sub.c = 1.0\nx = sub.B @ t + sub.work_x\nsub.beta[0] = 0\n"
+               "y = res.theta + sub.displacement_sq(a, b, c, d)\n")
+        assert subproblem_internals(src) == ["B", "beta", "c", "work_x"]
 
 
 class TestReadmeExit2:
