@@ -94,9 +94,11 @@ _DOMAINS = {
     "combo_cap": (_integer(1), "an integer >= 1"),
     "k1": (_integer(1), "an integer >= 1"),
     "k2": (_integer(0), "an integer >= 0"),
-    "grid": (lambda v: isinstance(v, list) and all(
+    "grid": (lambda v: isinstance(v, list) and len(v) > 0 and all(
         isinstance(cell, list) and len(cell) == 2 and _integer(1)(cell[0])
-        and _integer(0)(cell[1]) for cell in v), "a list of [k1, k2] cells"),
+        and _integer(0)(cell[1]) for cell in v)
+        and len({tuple(cell) for cell in v}) == len(v),
+        "a non-empty list of distinct [k1, k2] cells"),
     "example": (lambda v: _integer(1)(v) and v <= 2, "1 or 2"),
     "N": (_integer(1), "an integer >= 1"),
     "starts": (_integer(1), "an integer >= 1"),

@@ -115,9 +115,11 @@ def select_pairs(problem: CompositeProblem, theta, eps: float, variant: str,
     if not counts.all():
         raise ValueError("a sample has no argmax atom: non-finite atom values")
 
-    def decode(rank):
-        # rank k is the (k // n2)-th tied g atom and the (k % n2)-th tied h atom
-        return _nth_set(m1, rank // n2), _nth_set(m2, rank % n2)
+    def decode(rank, rows=slice(None)):
+        # rank k is the (k // n2)-th tied g atom and the (k % n2)-th tied h
+        # atom of each of the samples `rows`
+        return (_nth_set(m1[rows], rank // n2[rows]),
+                _nth_set(m2[rows], rank % n2[rows]))
 
     if variant == "one":
         return [decode(np.zeros_like(counts))], 1.0
@@ -126,13 +128,15 @@ def select_pairs(problem: CompositeProblem, theta, eps: float, variant: str,
     if variant != "full":
         raise ValueError(f"unknown variant {variant!r}")
     # samples with a single pair keep rank 0, so the product runs over the
-    # others only; its lexicographic order is the one over all samples
+    # others only; its lexicographic order is the one over all samples, and
+    # only the tied samples' ranks are decoded per combination
     tied = np.flatnonzero(counts != 1)
     combos = list(itertools.islice(
         itertools.product(*map(range, counts[tied].tolist())), combo_cap))
-    ranks = np.zeros((len(combos), problem.n_samples), dtype=int)
-    ranks[:, tied] = np.reshape(combos, (len(combos), tied.size))
-    sel1, sel2 = decode(ranks)
+    ranks = np.array(combos, dtype=int).reshape(len(combos), tied.size)
+    sel1, sel2 = (np.repeat(sel[None], len(combos), axis=0)
+                  for sel in decode(np.zeros_like(counts)))
+    sel1[:, tied], sel2[:, tied] = decode(ranks, tied)
     # exact integer product: a float one overflows to inf on many ties
     total = math.prod(counts[tied].tolist())
     coverage = min(len(combos) / total, 1.0)

@@ -78,20 +78,32 @@ class DualSubproblem:
         # the selection's one-hot (K, N), g atoms over h atoms, and each
         # sample's x x^T, flattened to (N, p*p): the Newton matrix's data
         self.onehot = np.empty((K, N))
+        # the anchors theta_nu, r_nu and s_nu, copies of the state's, and
+        # their atom values (N, k1) and (N, k2), column-major, with their
+        # per-sample maxima, which a rebuild at the same anchor keeps; c is
+        # None until the first build
+        self.theta_nu, self.r_nu, self.s_nu = np.empty(m), np.empty(N), np.empty(N)
+        self.gv = np.empty((N, self.k1), order="F")
+        self.hv = np.empty((N, self.k2), order="F")
+        self.g, self.h = np.empty(N), np.empty(N)
+        self.c = None
         X = problem.X
         p = X.shape[1]
         self.outer = (X[:, :, None] * X[:, None, :]).reshape(N, p * p)
         # 0/1 matrices that sum the other rows of a sample block
         self.others = {k: 1.0 - np.eye(k) for k in {self.k1, self.k2}}
         # work arrays: the dual-dimension temporary of value_grad,
-        # displacement_sq and the Newton step's correction; the sample
-        # blocks of Delta^{-1} (v, m, vn) with two temporaries of
-        # `_delta_solve`; the Newton matrix's atom couplings (K, K, N); and
-        # the build's chosen atom gradients
+        # displacement_sq, the Newton step's correction and the build's atom
+        # values; the sample blocks of Delta^{-1} (v, m, vn) with two
+        # temporaries of `_delta_solve`; the Newton matrix's couplings of the
+        # atoms that carry a lift, an N-vector per pair (the g atoms alone
+        # when the h atom is the zero-lift placeholder of an empty second
+        # max); and the build's chosen atom gradients
         self.work_x, self.work_v = np.empty(n), np.empty(n)
         self.work_m, self.work_vn = np.empty(n), np.empty(n)
         self.work_vx, self.work_rest = np.empty(n), np.empty(n)
-        self.work_C = np.empty((K, K, N))
+        lifted = K if problem.L[self.k1:].any() else self.k1
+        self.work_C = np.empty((lifted, lifted, N))
         self.work_chosen = np.empty((N, m))
 
     @property
@@ -147,38 +159,48 @@ def build_subproblem(problem: CompositeProblem, state, sel1, sel2, c: float, *,
     the MM iterate `state`, whose theta, r and s it reads.
 
     Sets B, beta, slack_nu and the selection's one-hot, the proximal weight
-    c, the anchors theta_nu, r_nu and s_nu, and the regularizer majorant
-    l1, lin and reg_const, in `reuse`, a subproblem built earlier from the
-    same problem, or in a new `DualSubproblem(problem)`, which is returned.
-    An atom index outside 0..k1-1 (sel1) or 0..k2-1 (sel2) is an IndexError.
+    c, the anchors theta_nu, r_nu and s_nu (copies of the state's), and the
+    regularizer majorant l1, lin and reg_const, in `reuse`, a subproblem
+    built earlier from the same problem, or in a new
+    `DualSubproblem(problem)`, which is returned.  When `reuse` was last
+    built at this anchor (theta, r and s equal to its copies bit for bit,
+    and the same c), everything but the selection is kept, and only the
+    rows and one-hot columns of the samples whose chosen atom changed are
+    rewritten.  An atom index outside 0..k1-1 (sel1) or 0..k2-1 (sel2) is an
+    IndexError.
     """
-    theta = state.theta
     N, k1, k2, m = problem.n_samples, problem.k1, problem.k2, problem.m
     n1 = N * k1
     for sel, k in ((sel1, k1), (sel2, k2)):
         if np.min(sel, initial=0) < 0 or np.max(sel, initial=0) >= k:
             raise IndexError(f"atom selection outside 0..{k - 1}")
-    gv, hv = problem.atom_values(theta)
-    g, h = gv.max(axis=1), hv.max(axis=1)
-
+    if reuse is not None and _at_anchor(reuse, problem, state, c):
+        _rewrite_changed(reuse, sel1, sel2)
+        return reuse
+    theta = np.asarray(state.theta, dtype=float)
     sub = DualSubproblem(problem) if reuse is None else reuse
-    sub.c, sub.theta_nu, sub.r_nu, sub.s_nu = c, theta, state.r, state.s
+    sub.c = None    # no anchor until the build is complete
+    # the atom values go through work_x into column-major arrays, whose
+    # per-sample maxima reduce over the atoms (`CompositeProblem.atom_values`)
+    gv, hv, g, h = sub.gv, sub.hv, sub.g, sub.h
+    vals = sub.work_x
+    np.matmul(problem.U, theta, out=vals[:n1])
+    np.matmul(problem.W, theta, out=vals[n1:])
+    gv[...], hv[...] = vals[:n1].reshape(N, k1), vals[n1:].reshape(N, k2)
+    np.max(gv, axis=1, out=g)
+    np.max(hv, axis=1, out=h)
     sub.l1, sub.lin, sub.reg_const = problem.reg.majorant_data(theta)
-    np.equal(np.arange(k1)[:, None], sel1, out=sub.onehot[:k1])
-    np.equal(np.arange(k2)[:, None], sel2, out=sub.onehot[k1:])
 
     # lambda rows U - (chosen h grad) over mu rows W - (chosen g grad), each
     # with beta = (other max) - (chosen atom's value); the per-sample reshapes
     # of B's and beta's rows are views (splitting an axis never copies).  The
     # chosen gradients are gathered into the subproblem's (N, m) work array
     chosen = sub.work_chosen
-    halves = ((slice(0, n1), k1, problem.U, problem.W, sel2, h, hv),
-              (slice(n1, None), k2, problem.W, problem.U, sel1, g, gv))
-    for rows, k, atoms, other, sel, top, values in halves:
+    for rows, k, atoms, other, sel, hot, top, values in _halves(sub, sel1, sel2):
+        np.equal(np.arange(len(hot))[:, None], sel, out=hot)
         # mode "clip" writes straight into `chosen`, where "raise" would
         # buffer a copy (the range is checked above)
-        np.take(other, np.arange(N) * (len(other) // N) + sel, axis=0, out=chosen,
-                mode="clip")
+        np.take(other, np.arange(N) * len(hot) + sel, axis=0, out=chosen, mode="clip")
         np.subtract(atoms.reshape(N, k, m), chosen[:, None, :],
                     out=sub.B[rows].reshape(N, k, m))
         sub.beta[rows].reshape(N, k)[...] = (top - values[np.arange(N), sel])[:, None]
@@ -188,7 +210,47 @@ def build_subproblem(problem: CompositeProblem, state, sel1, sel2, c: float, *,
     # they do not depend on the selection
     np.maximum((state.r + h)[:, None] - gv, 0.0, out=sub.slack_nu[:n1].reshape(N, k1))
     np.maximum((g - state.s)[:, None] - hv, 0.0, out=sub.slack_nu[n1:].reshape(N, k2))
+    sub.theta_nu[...], sub.r_nu[...], sub.s_nu[...] = theta, state.r, state.s
+    sub.c = c
     return sub
+
+
+def _halves(sub: DualSubproblem, sel1, sel2):
+    """Per half of the stacked rows, lambda then mu: its rows, the atoms per
+    sample and their gradients, the other max's gradients, the selection
+    into the other max and its one-hot rows, and that max and its atom
+    values."""
+    p, n1, k1 = sub.problem, sub.n1, sub.k1
+    return ((slice(0, n1), k1, p.U, p.W, sel2, sub.onehot[k1:], sub.h, sub.hv),
+            (slice(n1, None), sub.k2, p.W, p.U, sel1, sub.onehot[:k1], sub.g, sub.gv))
+
+
+def _at_anchor(sub: DualSubproblem, problem, state, c) -> bool:
+    """Whether `sub` was last built from `problem` at c and at the state's
+    theta, r and s, bit for bit."""
+    if sub.c is None or sub.c != c or sub.problem is not problem:
+        return False
+    return all(a.dtype == kept.dtype and a.shape == kept.shape
+               and a.tobytes() == kept.tobytes()
+               for a, kept in ((state.theta, sub.theta_nu), (state.r, sub.r_nu),
+                               (state.s, sub.s_nu)))
+
+
+def _rewrite_changed(sub: DualSubproblem, sel1, sel2):
+    """The B rows, beta rows and one-hot columns of the samples whose chosen
+    atom is not the one the one-hot holds: lambda rows follow sel2, mu rows
+    sel1.  Each entry gets the full build's arithmetic."""
+    samples = np.arange(sub.n_samples)
+    for rows, k, atoms, other, sel, hot, top, values in _halves(sub, sel1, sel2):
+        idx = np.flatnonzero(hot[sel, samples] == 0.0)
+        if not idx.size:
+            continue
+        picked = np.asarray(sel)[idx]
+        hot[:, idx] = np.arange(len(hot))[:, None] == picked
+        own = idx[:, None] * k + np.arange(k)
+        sub.B[rows][own.ravel()] = (atoms[own] - other[idx * len(hot) + picked][:, None, :]
+                                    ).reshape(-1, sub.m)
+        sub.beta[rows][own] = (top[idx] - values[idx, picked])[:, None]
 
 
 # backtracking factor, Armijo's sufficient-increase constant, how many
@@ -251,13 +313,16 @@ def _newton_matrix(sub: DualSubproblem, diag, rho, sig, act):
         h-h: Delta_mu^{-1} + (sum v / D) e_sel2 e_sel2^T,
 
     held as K x K N-vectors in `sub.work_C`; one GEMM against the samples'
-    x_s x_s^T gives every G_ab.
+    x_s x_s^T gives every G_ab.  An atom with a zero lift adds nothing to
+    the sum, so when the h atom is the placeholder of an empty second max,
+    only the g-g couplings are formed.
     """
     N, k1, k2, n1 = sub.n_samples, sub.k1, sub.k2, sub.n1
     K = k1 + k2
     v, m, vn = np.divide(1.0, diag, out=sub.work_v), sub.work_m, sub.work_vn
     # each row's t and D, those of its sample, in two work arrays that
-    # `_delta_solve` overwrites later; the second then holds q = v / D
+    # `_delta_solve` overwrites later; the second then holds q = v / D when
+    # the g-h couplings are formed
     t_row, q = sub.work_vx, sub.work_rest
     halves = ((slice(0, n1), k1, rho, 0), (slice(n1, None), k2, sig, k1))
     vsum_D = []
@@ -278,12 +343,14 @@ def _newton_matrix(sub: DualSubproblem, diag, rho, sig, act):
     np.multiply(v, t_row, out=vn)
     vn /= q
     np.negative(vn, out=vn)
-    q = np.divide(v, q, out=q)
-    # the atom couplings, an N-vector over the samples for each atom pair;
-    # first Delta_s^{-1}'s blocks: -(t/D) v_i v_j, with m on the diagonal
+    # the couplings of the atoms that carry a lift, an N-vector over the
+    # samples for each pair: all K atoms, or the k1 g atoms alone when the h
+    # atom is a zero-lift placeholder, whose rows of L_a^T G_ab L_b vanish.
+    # First Delta_s^{-1}'s blocks: -(t/D) v_i v_j, with m on the diagonal
     C = sub.work_C
-    diagonal = C.reshape(K * K, N)[::K + 1]
-    for rows, k, _, first in halves:
+    Kc = len(C)
+    diagonal = C.reshape(Kc * Kc, N)[::Kc + 1]
+    for rows, k, _, first in halves if Kc == K else halves[:1]:
         for i in range(k):
             np.multiply(v[rows].reshape(N, k).T, vn[rows][i::k],
                         out=C[first + i, first:first + k])
@@ -292,19 +359,21 @@ def _newton_matrix(sub: DualSubproblem, diag, rho, sig, act):
     # (E1, E2 one-hot)
     E1, E2 = sub.onehot[:k1], sub.onehot[k1:]
     diagonal[:k1] += E1 * vsum_D[1]
-    diagonal[k1:] += E2 * vsum_D[0]
-    q1, q2 = q[:n1].reshape(N, k1).T, q[n1:].reshape(N, k2).T
-    gh = C[:k1, k1:]
-    for a in range(k1):
-        np.multiply(E2, q1[a], out=gh[a])
-        gh[a] += q2 * E1[a]
-    np.negative(gh, out=gh)
-    C[k1:, :k1] = gh.transpose(1, 0, 2)
-    L = sub.problem.L
+    if Kc == K:
+        diagonal[k1:] += E2 * vsum_D[0]
+        q = np.divide(v, q, out=q)
+        q1, q2 = q[:n1].reshape(N, k1).T, q[n1:].reshape(N, k2).T
+        gh = C[:k1, k1:]
+        for a in range(k1):
+            np.multiply(E2, q1[a], out=gh[a])
+            gh[a] += q2 * E1[a]
+        np.negative(gh, out=gh)
+        C[k1:, :k1] = gh.transpose(1, 0, 2)
+    L = sub.problem.L[:Kc]
     p = L.shape[1]
-    G = (C.reshape(K * K, N) @ sub.outer).reshape(K, K, p, p)
-    La = L[:, :, act].reshape(K * p, act.size)
-    S = La.T @ G.transpose(0, 2, 1, 3).reshape(K * p, K * p) @ La
+    G = (C.reshape(Kc * Kc, N) @ sub.outer).reshape(Kc, Kc, p, p)
+    La = L[:, :, act].reshape(Kc * p, act.size)
+    S = La.T @ G.transpose(0, 2, 1, 3).reshape(Kc * p, Kc * p) @ La
     S.flat[::act.size + 1] += sub.c
     return S
 

@@ -127,8 +127,9 @@ class Certificate(NamedTuple):
 def _max_residual(problem: CompositeProblem, theta_bar, sels, c: float):
     """(largest `_selection_residual` over `sels`, number of those solves that
     did not converge).  One subproblem is rebuilt in place for each selection,
-    and each solve is warm-started from the previous one's multipliers; a NaN
-    residual is kept, not dropped."""
+    at the one anchor theta_bar, so a rebuild rewrites only the samples whose
+    selection changed; each solve is warm-started from the previous one's
+    multipliers, and a NaN residual is kept, not dropped."""
     state = mm.init_state(problem, np.asarray(theta_bar, dtype=float))
     residual, warm, sub, unconverged = 0.0, None, None, 0
     for sel1, sel2 in sels:

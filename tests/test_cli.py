@@ -138,6 +138,9 @@ class TestConfig:
     @pytest.mark.parametrize("command, bad", [
         ("cv", {"simulations": 0}), ("cv", {"folds": 2.5}), ("cv", {"grid": [[0, 1]]}),
         ("cv", {"grid": [[1.5, 1]]}), ("cv", {"gamma": "cv"}),
+        # an empty grid has nothing to report, and a repeated cell would be
+        # cross-validated twice and reported once
+        ("cv", {"grid": []}), ("cv", {"grid": [[1, 1], [1, 1]]}),
         ("synth", {"example": 3}), ("synth", {"N": 0}), ("synth", {"seed": -1}),
         ("synth", {"N": 60.0}), ("check", {"k1": 2}), ("check", {"gamma": "cv"}),
         # pwa1d and points are config input too: a malformed one is exit 2

@@ -23,6 +23,12 @@ def init_slack(comp, st):
     return sl[:n1].reshape(N, -1), sl[n1:].reshape(N, -1), sel1, sel2
 
 
+def _same_bits(a, b):
+    """Equal shapes and equal bytes: -0.0 and 0.0 differ, as do NaN payloads."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestInitState:
     def test_zero_model(self):
         prob, comp = random_instance(0, N=5, k1=2, k2=2)
@@ -143,6 +149,19 @@ class TestSelectPairsMatchesLoop:
         assert cov == ref_cov == 1.0
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("cap", [16, 64])
+    def test_thousand_samples_two_hundred_tied(self, cap):
+        # the property cases stop at N = 12; here 209 of 1000 samples tie
+        # between their two h atoms, spread among the others
+        comp, theta = _grid_instance(20, 1000, 2, 2, tied_first=False)
+        m1, m2 = comp.argmax_masks(theta, TIE_TOL)
+        assert (m1.sum(1) * m2.sum(1) != 1).sum() == 209
+        got, cov = mm.select_pairs(comp, theta, TIE_TOL, "full", combo_cap=cap)
+        ref, ref_cov = loop_select_pairs(comp, theta, TIE_TOL, "full", combo_cap=cap)
+        assert len(got) == cap
+        _assert_same_selections(got, ref)
+        assert cov == pytest.approx(ref_cov, rel=1e-12)
+
     def test_coverage_does_not_overflow(self):
         # 1030 samples with two tied pairs each: 2**1030 combinations, whose
         # floating-point product is inf
@@ -171,6 +190,38 @@ class TestSelectPairsMatchesLoop:
         _, dcov, _, _ = stationarity.dstat_residual(comp, theta, 1.0, combo_cap=5)
         assert dcov == cov
         _assert_same_selections(seen, sels)
+
+
+class TestCertificateIsTheFreshBuildLoop:
+    """The certificate rebuilds one subproblem at its point for every
+    selection; it must give what building each selection fresh gives."""
+
+    @staticmethod
+    def _fresh_build_loop(comp, theta, c, cap):
+        sels, _ = mm.select_pairs(comp, theta, TIE_TOL, "full", combo_cap=cap)
+        state = mm.init_state(comp, theta)
+        residual, warm, unconverged = 0.0, None, 0
+        for sel1, sel2 in sels:
+            sub = mm.build_subproblem(comp, state, sel1, sel2, c)
+            res = sn_solve(sub, warm=warm, cfg=stationarity._TIGHT_SN)
+            residual = np.maximum(residual, np.abs(res.theta - theta).max(initial=0.0))
+            warm = res.x
+            unconverged += not res.converged
+        return float(residual), unconverged, len(sels)
+
+    # seeds whose point has 8 to 13 tied samples
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4])
+    @pytest.mark.parametrize("k2", [0, 1])
+    def test_residual_and_unconverged_count_bit_for_bit(self, k2, seed):
+        comp, theta = _grid_instance(seed, 40, 3, k2, tied_first=False)
+        # the grid's zero responses leave nothing to fit: y = 0.3 x1 - x2
+        comp.split.y = 0.3 * comp.X[:, 0] - comp.X[:, 1]
+        c = stationarity.certificate_c(comp, None)
+        residual, unconverged, n_sels = self._fresh_build_loop(comp, theta, c, 16)
+        assert n_sels > 1
+        cert = stationarity.dstat_residual(comp, theta, c, combo_cap=16)
+        assert _same_bits(cert.residual, residual)
+        assert cert.unconverged == unconverged
 
 
 def _one_pair_subproblem(problem, theta):
@@ -253,50 +304,108 @@ class TestBuildSubproblem:
 
 
 class TestReusedSubproblem:
-    """`build_subproblem(..., reuse=prev)` rewrites only the B rows of samples
-    whose selection changed; the result must be the fresh build's."""
+    """`build_subproblem(..., reuse=prev)` at the anchor `prev` was last built
+    at (theta, r and s equal to its copies bit for bit, and the same c) keeps
+    the atom values, the majorant data and the slack anchors, and rewrites
+    only the B rows, beta rows and one-hot columns of the samples whose
+    chosen atom changed; at any other anchor it is a full build.  Either way
+    the result must be the fresh build's, bit for bit."""
+
+    FIELDS = ("B", "beta", "slack_nu", "onehot", "l1", "lin",
+              "theta_nu", "r_nu", "s_nu")
+    SN = SNConfig(tol_grad=1e-10, max_iter=200)
+
+    @staticmethod
+    def _instance(k2, dead_zone):
+        prob, comp = random_instance(40 + k2, N=50, k1=3, k2=k2)
+        rng = np.random.default_rng(40 + k2)
+        if dead_zone:
+            # l1 weights of 0.9 to 4.5 (gamma times 0.3 to 1.5), against
+            # c = 0.7: the soft threshold sets some of theta's coordinates to
+            # exactly 0
+            comp.reg = DcRegularizer(weights=rng.uniform(0.3, 1.5, size=prob.m),
+                                     gamma=3.0, smooth="scad")
+        return prob, comp, rng
 
     @staticmethod
     def _next_selection(comp, sel1, sel2, case, rng):
         sel1, sel2 = sel1.copy(), sel2.copy()
-        if case == "one":
-            # a mu row (sel1) changes, or a lambda row (sel2) when k2 > 1
-            i = int(rng.integers(comp.n_samples))
-            if comp.k2 > 1:
-                sel2[i] = (sel2[i] + 1) % comp.k2
-            else:
-                sel1[i] = (sel1[i] + 1) % comp.k1
+        i = int(rng.integers(comp.n_samples))
+        if case == "lambda":
+            # a lambda row follows sel2: with k2 <= 1 there is one h atom only
+            sel2[i] = (sel2[i] + 1) % comp.k2
+        elif case == "mu":
+            sel1[i] = (sel1[i] + 1) % comp.k1
         elif case == "every":
             sel1 = (sel1 + 1) % comp.k1
             sel2 = (sel2 + 1) % comp.k2
         return sel1, sel2
 
+    def _assert_fresh(self, comp, st, sel1, sel2, c, sub, warm, label):
+        """Rebuild `sub` for the selection at st, compare it and one SN solve
+        with a fresh build's; returns the solve."""
+        fresh = mm.build_subproblem(comp, st, sel1, sel2, c)
+        reused = mm.build_subproblem(comp, st, sel1, sel2, c, reuse=sub)
+        assert reused is sub and reused.B.flags.f_contiguous
+        for name in self.FIELDS:
+            assert _same_bits(getattr(reused, name), getattr(fresh, name)), (label, name)
+        assert _same_bits(reused.reg_const, fresh.reg_const), label
+        a = sn_solve(reused, warm=warm, cfg=self.SN)
+        b = sn_solve(fresh, warm=warm, cfg=self.SN)
+        assert _same_bits(a.x, b.x) and _same_bits(a.theta, b.theta), label
+        assert a.value == b.value and a.iterations == b.iterations, label
+        return a
+
     @pytest.mark.parametrize("k2", [0, 1, 2])
-    def test_reused_build_equals_fresh_build(self, k2):
-        prob, comp = random_instance(40 + k2, N=50, k1=2, k2=k2)
-        rng = np.random.default_rng(40 + k2)
+    @pytest.mark.parametrize("dead_zone", [False, True], ids=["no-l1", "l1-dead-zone"])
+    def test_same_anchor_rebuild_equals_fresh_build(self, monkeypatch, dead_zone, k2):
+        prob, comp, rng = self._instance(k2, dead_zone)
         c = 0.7
         st = mm.init_state(comp, rng.normal(size=prob.m))
         sel1 = rng.integers(comp.k1, size=50)
         sel2 = rng.integers(comp.k2, size=50)
-        sn_cfg = SNConfig(tol_grad=1e-10, max_iter=200)
         sub = mm.build_subproblem(comp, st, sel1, sel2, c)
-        warm = sn_solve(sub, cfg=sn_cfg).x
-        for case in ("none", "one", "every", "one", "none", "every"):
-            st = mm.init_state(comp, st.theta + 0.1 * rng.normal(size=prob.m))
-            st.warm = warm
+        warm = sn_solve(sub, cfg=self.SN).x
+        # at the same anchor the majorant is kept, not worked out again
+        calls = []
+        majorant = DcRegularizer.majorant_data
+        monkeypatch.setattr(DcRegularizer, "majorant_data",
+                            lambda reg, th: calls.append(1) or majorant(reg, th))
+        for case in ("none", "lambda", "mu", "every", "mu", "none"):
             sel1, sel2 = self._next_selection(comp, sel1, sel2, case, rng)
-            fresh = mm.build_subproblem(comp, st, sel1, sel2, c)
-            reused = mm.build_subproblem(comp, st, sel1, sel2, c, reuse=sub)
-            assert reused is sub and reused.B.flags.f_contiguous
-            for name in ("B", "beta", "slack_nu"):
-                assert np.array_equal(getattr(reused, name), getattr(fresh, name)), \
-                    (case, name)
-            a = sn_solve(reused, warm=st.warm, cfg=sn_cfg)
-            b = sn_solve(fresh, warm=st.warm, cfg=sn_cfg)
-            assert np.array_equal(a.x, b.x) and np.array_equal(a.theta, b.theta)
-            assert a.value == b.value and a.iterations == b.iterations
-            warm = a.x
+            calls.clear()
+            mm.build_subproblem(comp, st, sel1, sel2, c, reuse=sub)
+            assert not calls, case
+            res = self._assert_fresh(comp, st, sel1, sel2, c, sub, warm, case)
+            warm = res.x
+            if dead_zone:
+                assert not res.theta.all(), case
+
+    @pytest.mark.parametrize("k2", [0, 1, 2])
+    def test_reused_build_equals_fresh_build(self, k2):
+        # a new anchor for each selection: a full build
+        for dead_zone in (False, True):
+            self._new_anchors(k2, dead_zone)
+
+    def _new_anchors(self, k2, dead_zone):
+        prob, comp, rng = self._instance(k2, dead_zone)
+        c = 0.7
+        st = mm.init_state(comp, rng.normal(size=prob.m))
+        sel1 = rng.integers(comp.k1, size=50)
+        sel2 = rng.integers(comp.k2, size=50)
+        sub = mm.build_subproblem(comp, st, sel1, sel2, c)
+        warm = sn_solve(sub, cfg=self.SN).x
+        for case in ("none", "mu", "every", "lambda", "none"):
+            st = mm.init_state(comp, st.theta + 0.1 * rng.normal(size=prob.m))
+            sel1, sel2 = self._next_selection(comp, sel1, sel2, case, rng)
+            warm = self._assert_fresh(comp, st, sel1, sel2, c, sub, warm, case).x
+        # a state whose arrays change in place is a new anchor too, as is
+        # another proximal weight
+        st.theta += 0.1 * rng.normal(size=prob.m)
+        warm = self._assert_fresh(comp, st, sel1, sel2, c, sub, warm, "theta in place").x
+        st.r -= 0.5
+        warm = self._assert_fresh(comp, st, sel1, sel2, c, sub, warm, "r in place").x
+        self._assert_fresh(comp, st, sel1, sel2, 2 * c, sub, warm, "c")
 
 
 class TestMmIterate:
