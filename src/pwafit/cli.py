@@ -285,9 +285,10 @@ def cmd_fit(cfg: dict, out: str) -> int:
 
     pwa.write_csv(os.path.join(out, "trace.csv"),
                   ["iteration", "f_N", "surrogate", "step_norm", "accepted",
-                   "sn_iterations", "sn_converged"],
+                   "extrapolated", "sn_iterations", "sn_converged"],
                   [[r.iteration, repr(r.f_N), repr(r.surrogate), repr(r.step_norm),
-                    int(r.accepted), r.sn_iterations, int(r.sn_converged)]
+                    int(r.accepted), int(r.extrapolated), r.sn_iterations,
+                    int(r.sn_converged)]
                    for r in best.trace])
 
     values = sorted(round(r.f_N, 6) for _, r, _, _ in results if r is not None)

@@ -11,6 +11,12 @@ method, and accepts the candidate according to the chosen variant:
   random - one uniform draw from the eps-argmax product, accept only on a
            strict surrogate decrease.
 
+Each step anchors at an extrapolated point when that lowers f_N, else at
+theta_k with the extrapolation restarted (Wen, Chen and Pong, Comput. Optim.
+Appl. 69 (2018); the function-value restart of O'Donoghue and Candes, Found.
+Comput. Math. 15 (2015)).  A rejected `random` draw keeps its anchor, so it
+ends a fit only when that anchor was theta_k.
+
 `run` returns a `SolveReport` without a stationarity certificate; that is
 `stationarity.certify`'s, which builds on this module's pair selection, so
 `mm` itself imports no `stationarity`.
@@ -61,6 +67,9 @@ class AugmentedIterate:
     r: np.ndarray
     s: np.ndarray
     warm: np.ndarray | None = None  # stacked dual warm start carried between solves
+    f: float | None = None          # f_N(theta), as init_state and mm_iterate set it
+    prev: np.ndarray | None = None  # theta_{k-1}, the other end of the extrapolation
+    t: int = 1                      # MM steps since the last restart, this one included
 
 
 @dataclass
@@ -70,6 +79,7 @@ class Record:
     surrogate: float
     step_norm: float
     accepted: bool
+    extrapolated: bool            # the step was anchored at theta_e, not theta_k
     sn_iterations: int
     sn_converged: bool            # the chosen candidate's SN solve converged
 
@@ -93,7 +103,7 @@ def init_state(problem: CompositeProblem, theta0) -> AugmentedIterate:
     """
     theta0 = np.asarray(theta0, dtype=float)
     psi = problem.psi(theta0)[2]
-    return AugmentedIterate(theta=theta0, r=psi, s=psi.copy())
+    return AugmentedIterate(theta=theta0, r=psi, s=psi.copy(), f=problem.f_N(theta0))
 
 
 def select_pairs(problem: CompositeProblem, theta, eps: float, variant: str,
@@ -148,22 +158,41 @@ def _nth_set(mask, rank):
     return (np.cumsum(mask, axis=1) > rank[..., None]).argmax(axis=-1)
 
 
+def _extrapolate(problem: CompositeProblem, state: AugmentedIterate):
+    """theta_e = theta_k + (t - 1)/(t + 2) (theta_k - theta_{k-1}), with r = s =
+    psi(theta_e), the same warm start and t = 1, if f_N(theta_e) < f_N(theta_k)."""
+    if state.t == 1:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = state.theta + (state.t - 1) / (state.t + 2) * (state.theta - state.prev)
+        f = problem.f_N(theta)
+    if not f < state.f:
+        return None
+    psi = problem.psi(theta)[2]
+    return AugmentedIterate(theta=theta, r=psi, s=psi.copy(), warm=state.warm, f=f)
+
+
 def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
                config: MMConfig, c: float, sn_cfg: SNConfig,
                rng: np.random.Generator, iteration: int = 0,
                sub: DualSubproblem | None = None):
     """One outer step.  Returns (next_state, Record, subproblem); the
     subproblem, or the one passed as `sub`, is rebuilt in place for each
-    candidate selection, so pass it back to the next step."""
-    sels, _ = select_pairs(problem, state.theta, config.eps, config.variant,
+    candidate selection, so pass it back to the next step.  The step anchors
+    at `_extrapolate`'s point, else at `state` with t restarted; selection,
+    the build, `random`'s test and the step norm read that anchor, and a
+    rejected draw keeps it."""
+    anchor = _extrapolate(problem, state) or state
+    extrapolated = anchor is not state
+    sels, _ = select_pairs(problem, anchor.theta, config.eps, config.variant,
                            rng=rng, combo_cap=config.combo_cap)
-    old_surrogate = problem.surrogate_value(state.theta, state.r, state.s)
+    old_surrogate = problem.surrogate_value(anchor.theta, anchor.r, anchor.s)
 
     best = None
     sn_iters = 0
     for sel1, sel2 in sels:
-        sub = build_subproblem(problem, state, sel1, sel2, c, reuse=sub)
-        res = sn_solve(sub, warm=state.warm, cfg=sn_cfg)
+        sub = build_subproblem(problem, anchor, sel1, sel2, c, reuse=sub)
+        res = sn_solve(sub, warm=anchor.warm, cfg=sn_cfg)
         sn_iters += res.iterations
         # strict improvement keeps the lexicographically-first minimizer
         if best is None or res.value < best.value:
@@ -182,14 +211,16 @@ def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
     # candidate's subproblem measures the best one's
     step = float(np.sqrt(sub.displacement_sq(best.theta, best.r, best.s, best.slack)))
     if accepted:
-        nxt = AugmentedIterate(theta=best.theta, r=r, s=s, warm=best.x)
+        nxt = AugmentedIterate(theta=best.theta, r=r, s=s, warm=best.x,
+                               f=problem.f_N(best.theta), prev=state.theta,
+                               t=state.t + 1 if extrapolated else 2)
         surrogate = lifted
     else:
-        nxt = state
+        nxt = anchor
         surrogate = old_surrogate
 
-    rec = Record(iteration=iteration, f_N=problem.f_N(nxt.theta),
-                 surrogate=surrogate, step_norm=step, accepted=accepted,
+    rec = Record(iteration=iteration, f_N=nxt.f, surrogate=surrogate,
+                 step_norm=step, accepted=accepted, extrapolated=extrapolated,
                  sn_iterations=sn_iters, sn_converged=best.converged)
     return nxt, rec, sub
 
@@ -198,14 +229,14 @@ def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
     """Full solve from one starting point.
 
     Stops on "tolerance" once a step changes f_N by at most `tol_rel` *
-    max(1, |f_N|), so at once when a `random` step rejects its draw and keeps
-    theta.
+    max(1, |f_N|), so at once when a `random` draw rejected at theta_k keeps
+    theta_k; one rejected at an extrapolated anchor keeps that lower point.
     """
     t_start = time.perf_counter()
     c = config.resolve_c(problem)
     rng = np.random.default_rng(config.seed)
     state = init_state(problem, theta0)
-    f_prev = problem.f_N(state.theta)
+    f_prev = state.f
     if not np.isfinite(f_prev):
         raise ValueError("non-finite objective at the starting point")
 

@@ -222,6 +222,12 @@ class TestFit:
         for a, b in zip(surr, surr[1:]):
             assert b <= a + 1e-6
 
+    def test_trace_columns(self, fit_dir):
+        header, rows = read_csv(fit_dir / "trace.csv")
+        assert header == ["iteration", "f_N", "surrogate", "step_norm", "accepted",
+                          "extrapolated", "sn_iterations", "sn_converged"]
+        assert {r[5] for r in rows} <= {"0", "1"}
+
     def test_model_loads_and_scores(self, fit_dir):
         with open(fit_dir / "best_model.json") as fh:
             mdl = pwa.PWAModel.from_json(json.load(fh))
@@ -392,6 +398,31 @@ class TestDefaultFit:
         _, _, rep = self.fit(tmp_path, 4000, 1, compute_residual=False)
         assert rep["inner_failures"] == 0
         assert rep["reason"] == "tolerance"
+
+    def test_n1000_extrapolated_fits(self, tmp_path):
+        # the CLI's starts 0-3: each trace keeps the benchmark's two
+        # properties (f_N <= surrogate, accepted surrogates never rise, both
+        # at 1e-10 relative) and extrapolates at least once; start 0 takes
+        # 18 steps to f = 0.04071 without extrapolation
+        ds, _ = pwa.synth_example2(1000, seed=0)
+        ds.save_csv(tmp_path / "d.csv")
+        p = write_json(tmp_path / "c.json", {"dataset": str(tmp_path / "d.csv"),
+                                             "k1": 2, "k2": 2, "starts": 4,
+                                             "compute_residual": False})
+        cfg = load_config(p, "fit")
+        problem = cli._problem(cfg, ds)
+        results = cli.multi_start(problem, pwa.assemble(problem), cfg, cfg["starts"])
+        for _, rep, _, err in results:
+            assert err is None
+            prev = None
+            for r in rep.trace:
+                assert r.f_N - r.surrogate <= 1e-10 * max(1.0, abs(r.surrogate))
+                if prev is not None and r.accepted:
+                    assert r.surrogate - prev <= 1e-10 * max(1.0, abs(prev))
+                prev = r.surrogate
+            assert any(r.extrapolated for r in rep.trace)
+        rep0 = results[0][1]
+        assert rep0.iterations <= 12 and rep0.f_N <= 0.04071
 
     def test_quantile_fit_takes_more_than_one_step(self, tmp_path):
         # the cold first solve of these starts ends at sn_max_iter; if it

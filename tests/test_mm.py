@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -458,6 +461,104 @@ class TestMmIterate:
         assert rec.step_norm < 1e-5
 
 
+class TestExtrapolation:
+    """Steps anchored at theta_e = theta_k + beta (theta_k - theta_{k-1}),
+    kept only when they lower f_N.  On paper example 2 at N = 100 from this
+    start, step 1's extrapolation raises f_N and step 2's lowers it."""
+
+    @staticmethod
+    def _path():
+        ds, _ = pwa.synth_example2(100, 0)
+        prob = pwa.PWAProblem(ds, k1=2, k2=2)
+        comp = pwa.assemble(prob)
+        cfg = mm.MMConfig()
+        c, sn_cfg = cfg.resolve_c(comp), SNConfig(tol_grad=1e-10, max_iter=200)
+        states = [mm.init_state(comp, pwa.init_sampler(
+            prob, "gaussian", np.random.default_rng([0, 0])))]
+        rng = np.random.default_rng(0)
+        for it in range(2):
+            states.append(mm.mm_iterate(comp, states[-1], cfg, c, sn_cfg, rng, it)[0])
+        return comp, cfg, c, sn_cfg, states
+
+    @staticmethod
+    def _step(comp, cfg, c, sn_cfg, state):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return mm.mm_iterate(comp, state, cfg, c, sn_cfg, np.random.default_rng(5))
+
+    def test_kept_extrapolation_anchors_the_step(self, monkeypatch):
+        comp, cfg, c, sn_cfg, states = self._path()
+        st = states[2]
+        assert st.t == 2 and st.prev is states[1].theta
+        theta_e = st.theta + (st.t - 1) / (st.t + 2) * (st.theta - st.prev)
+        assert comp.f_N(theta_e) < st.f
+        seen = []
+        select, build = mm.select_pairs, mm.build_subproblem
+
+        def spy_select(problem, theta, *args, **kwargs):
+            seen.append(theta)
+            return select(problem, theta, *args, **kwargs)
+
+        def spy_build(problem, state, *args, **kwargs):
+            seen.append(state.theta)
+            return build(problem, state, *args, **kwargs)
+
+        monkeypatch.setattr(mm, "select_pairs", spy_select)
+        monkeypatch.setattr(mm, "build_subproblem", spy_build)
+        nxt, rec, _ = self._step(comp, cfg, c, sn_cfg, st)
+        assert rec.extrapolated and rec.accepted
+        assert len(seen) == 2 and all(_same_bits(th, theta_e) for th in seen)
+        assert rec.surrogate <= comp.f_N(theta_e) < st.f
+        assert nxt.t == 3 and nxt.prev is st.theta
+
+    @pytest.mark.parametrize("prev",
+                             ["path", "theta_k", -np.finfo(float).max, np.inf])
+    def test_failed_extrapolation_is_the_plain_step(self, prev):
+        # the step equals the one from the same iterate with no theta_{k-1},
+        # bit for bit, and runs at t = 1, so the next iterate has t = 2.
+        # "path" is the path's own extrapolation, which raises f_N.  From the
+        # kept one's iterate: theta_{k-1} = theta_k gives theta_e = theta_k,
+        # whose f_N is not lower; one of -max gives a finite theta_e whose
+        # objective overflows to NaN, and one of inf a theta_e of -inf
+        comp, cfg, c, sn_cfg, states = self._path()
+        if prev == "path":
+            st = states[1]
+            assert st.t == 2
+        elif prev == "theta_k":
+            st = dataclasses.replace(states[2], prev=states[2].theta.copy())
+        else:
+            st = dataclasses.replace(states[2], prev=np.full(comp.m, prev))
+        nxt, rec, _ = self._step(comp, cfg, c, sn_cfg, st)
+        plain, plain_rec, _ = self._step(
+            comp, cfg, c, sn_cfg, dataclasses.replace(st, prev=None, t=1))
+        assert not rec.extrapolated and rec == plain_rec
+        assert _same_bits(nxt.theta, plain.theta)
+        assert nxt.t == plain.t == 2
+
+    def test_random_rejection_at_theta_e_keeps_it(self, monkeypatch):
+        # the third solve, at the path's first kept theta_e, is made to fail
+        # the acceptance test; the rejection keeps theta_e, whose f_N is
+        # below theta_k's, so the run goes on from there with t restarted
+        comp, cfg, *_, states = self._path()
+        calls = []
+
+        def solve(*args, **kwargs):
+            res = sn_solve(*args, **kwargs)
+            calls.append(res)
+            if len(calls) == 3:
+                res.value = np.inf
+            return res
+
+        monkeypatch.setattr(mm, "sn_solve", solve)
+        rep = mm.run(comp, dataclasses.replace(cfg, tol_rel=0.0, max_outer=6),
+                     states[0].theta)
+        rejected = rep.trace[2]
+        assert not rejected.accepted and rejected.extrapolated
+        assert rejected.f_N < rep.trace[1].f_N
+        assert rejected.surrogate == pytest.approx(rejected.f_N, rel=1e-12)
+        assert rep.iterations == 6 and not rep.trace[3].extrapolated
+
+
 class TestRun:
     def test_convex_case_matches_ols(self):
         # k1 = k2 = 1 without regularization is smooth least squares
@@ -477,10 +578,10 @@ class TestRun:
         assert rep.iterations == 1 and rep.reason == "tolerance"
 
     def test_random_rejection_stops_the_run(self, monkeypatch):
-        # a rejected draw keeps theta, so f_N does not change and the run
-        # stops on tolerance there, even at tol_rel = 0.  The third solve's
-        # value is raised to +inf so that its draw cannot decrease the
-        # surrogate
+        # a draw rejected at theta_k keeps theta_k, so f_N does not change
+        # and the run stops on tolerance there, even at tol_rel = 0.  The
+        # third solve's value is raised to +inf so that its draw cannot
+        # decrease the surrogate; its step is not extrapolated
         calls = []
 
         def solve(*args, **kwargs):
@@ -496,6 +597,7 @@ class TestRun:
         rep = mm.run(comp, cfg, np.random.default_rng(6).normal(size=prob.m))
         assert rep.reason == "tolerance" and rep.iterations == 3
         assert [r.accepted for r in rep.trace] == [True, True, False]
+        assert not rep.trace[2].extrapolated
         assert rep.trace[2].f_N == rep.trace[1].f_N
         assert np.array_equal(rep.theta, calls[1])
 
