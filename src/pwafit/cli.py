@@ -285,9 +285,10 @@ def cmd_fit(cfg: dict, out: str) -> int:
 
     pwa.write_csv(os.path.join(out, "trace.csv"),
                   ["iteration", "f_N", "surrogate", "step_norm", "accepted",
-                   "extrapolated", "sn_iterations", "sn_converged"],
+                   "extrapolated", "sn_gap", "sn_iterations", "sn_converged"],
                   [[r.iteration, repr(r.f_N), repr(r.surrogate), repr(r.step_norm),
-                    int(r.accepted), int(r.extrapolated), r.sn_iterations,
+                    int(r.accepted), int(r.extrapolated),
+                    "" if r.sn_gap is None else repr(r.sn_gap), r.sn_iterations,
                     int(r.sn_converged)]
                    for r in best.trace])
 

@@ -39,6 +39,9 @@ from .snewton import DualSubproblem, SNConfig, build_subproblem, sn_solve
 # paper examples 1 and 2 at N = 400 and 4 000, 0.05 gave the fastest fits that
 # reach the noise floor with every SN solve converged
 _KAPPA = 0.05
+# every MM solve's gap exit (`sn_solve`): 1e-2 saved a few more Newton steps
+# but sent some cross-validated fits of paper example 2 to worse basins
+_GAP_REL = 3e-3
 
 
 @dataclass
@@ -80,6 +83,7 @@ class Record:
     step_norm: float
     accepted: bool
     extrapolated: bool            # the step was anchored at theta_e, not theta_k
+    sn_gap: float | None          # the chosen candidate's SN duality gap, if computed
     sn_iterations: int
     sn_converged: bool            # the chosen candidate's SN solve converged
 
@@ -221,7 +225,8 @@ def mm_iterate(problem: CompositeProblem, state: AugmentedIterate,
 
     rec = Record(iteration=iteration, f_N=nxt.f, surrogate=surrogate,
                  step_norm=step, accepted=accepted, extrapolated=extrapolated,
-                 sn_iterations=sn_iters, sn_converged=best.converged)
+                 sn_gap=best.gap, sn_iterations=sn_iters,
+                 sn_converged=best.converged)
     return nxt, rec, sub
 
 
@@ -231,6 +236,8 @@ def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
     Stops on "tolerance" once a step changes f_N by at most `tol_rel` *
     max(1, |f_N|), so at once when a `random` draw rejected at theta_k keeps
     theta_k; one rejected at an extrapolated anchor keeps that lower point.
+    Each SN solve stops on ||grad|| <= max(`sn_tol_floor`, 1e-2 |df|), df the
+    last step's change of f_N, or on its duality gap (`_GAP_REL`).
     """
     t_start = time.perf_counter()
     c = config.resolve_c(problem)
@@ -245,7 +252,8 @@ def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
     sn_tol = config.sn_tol_floor
     sub = None
     for it in range(config.max_outer):
-        sn_cfg = SNConfig(tol_grad=sn_tol, max_iter=config.sn_max_iter)
+        sn_cfg = SNConfig(tol_grad=sn_tol, max_iter=config.sn_max_iter,
+                          gap_rel=_GAP_REL)
         state, rec, sub = mm_iterate(problem, state, config, c, sn_cfg, rng, it, sub)
         trace.append(rec)
         df = abs(rec.f_N - f_prev)

@@ -98,7 +98,8 @@ class DualSubproblem:
         # temporaries of `_delta_solve`; the Newton matrix's couplings of the
         # atoms that carry a lift, an N-vector per pair (the g atoms alone
         # when the h atom is the zero-lift placeholder of an empty second
-        # max); and the build's chosen atom gradients
+        # max); and the build's chosen atom gradients.  work_v also takes
+        # `feasible_point`'s slack
         self.work_x, self.work_v = np.empty(n), np.empty(n)
         self.work_m, self.work_vn = np.empty(n), np.empty(n)
         self.work_vx, self.work_rest = np.empty(n), np.empty(n)
@@ -119,9 +120,10 @@ class DualSubproblem:
     def value_grad(self, x):
         """(xi, grad xi, inner minimizers (theta, r, s, slack), Jacobian data)
         at the stacked multipliers x = (lambda, mu); the last item is what
-        `_newton_direction` reads.  xi is the Lagrangian at the inner
-        minimizers: their subproblem objective plus x times the constraint
-        residual, which is grad xi."""
+        `_newton_direction` reads, followed by ||z - z_nu||^2 at the inner
+        minimizers.  xi is the Lagrangian at the inner minimizers: their
+        subproblem objective plus x times the constraint residual, which is
+        grad xi."""
         c, w, N, n1 = self.c, self.weight, self.n_samples, self.n1
         u = self.theta_nu - (self.B.T @ x - self.lin) / c
         th = np.sign(u) * np.maximum(np.abs(u) - self.l1 / c, 0.0)
@@ -136,21 +138,47 @@ class DualSubproblem:
         g[n1:].reshape(N, self.k2)[...] += s[:, None]
         g += sl
         g -= self.beta
-        v = self.primal_value(th, r, s, sl) + x @ g
-        return float(v), g, (th, r, s, sl), (u, a, b, sl)
+        disp = self.displacement_sq(th, r, s, sl)
+        v = self.primal_value(th, r, s, sl, disp) + x @ g
+        return float(v), g, (th, r, s, sl), (u, a, b, sl, disp)
 
     # -- primal objective of the subproblem
 
-    def primal_value(self, th, r, s, slack) -> float:
+    def primal_value(self, th, r, s, slack, disp=None) -> float:
+        """The subproblem objective; `disp` is ||z - z_nu||^2 when known."""
+        disp = self.displacement_sq(th, r, s, slack) if disp is None else disp
         v = self.weight * float(np.sum(self.split.up(r) + self.split.down(s)))
         v += self.l1 @ np.abs(th) - self.lin @ th + self.reg_const
-        return v + 0.5 * self.c * self.displacement_sq(th, r, s, slack)
+        return v + 0.5 * self.c * disp
 
     def displacement_sq(self, th, r, s, slack) -> float:
         """||z - z_nu||^2; the slack's displacement goes through work_x."""
         dth, dr, ds = th - self.theta_nu, r - self.r_nu, s - self.s_nu
         dsl = np.subtract(slack, self.slack_nu, out=self.work_x)
         return float(dth @ dth + dr @ dr + ds @ ds + dsl @ dsl)
+
+    # -- duality gap
+
+    def feasible_point(self, grad, inner):
+        """(theta, r', s', slack') feasible for the constraints: each sample's
+        r rises (s falls) by t = max(0, max_j e_j) over the excesses e = grad
+        - slack of its lambda (mu) rows, and each row's slack' = t - e >= 0.
+        slack' is work_v, written row by row (a broadcast ufunc would buffer)."""
+        th, r, s, sl = inner
+        e = np.subtract(grad, sl, out=self.work_v)
+        t = []
+        for half, k in ((e[:self.n1], self.k1), (e[self.n1:], self.k2)):
+            t.append(np.maximum(half[0::k], 0.0))
+            for j in range(1, k):
+                np.maximum(t[-1], half[j::k], out=t[-1])
+            for j in range(k):
+                np.subtract(t[-1], half[j::k], out=half[j::k])
+        return th, np.add(r, t[0], out=t[0]), np.subtract(s, t[1], out=t[1]), e
+
+    def duality_gap(self, val, grad, inner) -> float:
+        """primal(z') - xi(x) >= 0 at `feasible_point`'s z', with xi(x) = val
+        and grad and inner `value_grad`'s at x."""
+        return float(self.primal_value(*self.feasible_point(grad, inner)) - val)
 
 
 def build_subproblem(problem: CompositeProblem, state, sel1, sel2, c: float, *,
@@ -266,12 +294,19 @@ def _rewrite_changed(sub: DualSubproblem, sel1, sel2):
 # the Newton direction ascends, and a `LinAlgError` (rounding, NaN) propagates
 _RHO, _SIGMA, _NM_MEMORY, _TRIALS = 0.5, 1e-4, 5, 20
 _EPS_FLOOR, _EPS_GRAD, _EPS_CAP = 1e-9, 0.1, 1e-3
+# the Newton decrement (grad . d)/2 estimates the dual's distance to its
+# maximum, so an iterate's gap is computed once its decrement is under the
+# gap target, or, to spare the last direction, before its direction when the
+# step that reached it started within 100 targets (testing every iterate
+# stopped no solve of `ex2-fit-default` sooner and cost a gap per step)
+_GAP_AHEAD = 100.0
 
 
 @dataclass
 class SNConfig:
     tol_grad: float = 1e-10
     max_iter: int = 100
+    gap_rel: float | None = None  # None: no gap exit (see `sn_solve`)
 
 
 @dataclass
@@ -285,6 +320,7 @@ class SNResult:
     kkt_residual: float
     iterations: int
     converged: bool
+    gap: float | None             # duality gap at x, when the solve computed it
 
 
 def _newton_matrix(sub: DualSubproblem, diag, rho, sig, act):
@@ -406,7 +442,7 @@ def _newton_direction(sub: DualSubproblem, jac, grad, eps):
     subproblem's work arrays; only vectors of the dual dimension are
     allocated.
     """
-    u, a, b, sl = jac
+    u, a, b, sl, _ = jac
     c, w = sub.c, sub.weight
     d_th = np.where(sub.l1 > 0.0, np.abs(u) > sub.l1 / c, 1.0)
     rho = sub.split.prox_up_sens(a, sub.r_nu, c, w)
@@ -434,7 +470,12 @@ def _newton_direction(sub: DualSubproblem, jac, grad, eps):
 def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNResult:
     """Maximize the dual by semismooth Newton with nonmonotone Armijo
     backtracking, from the stacked multipliers `warm` (a previous
-    `SNResult.x`) or zero.  A solve that stops unconverged (at `max_iter`, or
+    `SNResult.x`) or zero.  It converges once ||grad|| <= `tol_grad` or
+    (with `gap_rel`) once the duality gap is at most gap_rel (c/2)
+    ||z - z_nu||^2 at the inner minimizers z, which by c-strong convexity puts
+    the feasible point within sqrt(gap_rel) ||z - z_nu|| of the solution (Li,
+    Sun and Toh's inner stopping rule); the gap is computed at most once per
+    step (`_GAP_AHEAD`).  A solve that stops unconverged (at `max_iter`, or
     when no step length passes its line search) returns the iterate with the
     highest dual value it reached, which under the nonmonotone test need not
     be the last one.  A `LinAlgError` of the Newton system propagates."""
@@ -443,15 +484,26 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
     val, grad, inner, jac = sub.value_grad(x)
     recent = deque([val], maxlen=_NM_MEMORY)
     best = (x, val, grad, inner)
-    it = 0
+    it, gap, near = 0, None, False
     for it in range(1, cfg.max_iter + 1):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= cfg.tol_grad:
             it -= 1
             break
+        if cfg.gap_rel is not None:
+            target = cfg.gap_rel * 0.5 * sub.c * jac[-1]
+            if near and (gap := sub.duality_gap(val, grad, inner)) <= target:
+                it -= 1
+                break
         eps = min(_EPS_FLOOR + _EPS_GRAD * gnorm, _EPS_CAP) / sub.c
         d = _newton_direction(sub, jac, grad, eps)
         slope = float(grad @ d)
+        if cfg.gap_rel is not None:
+            if (gap is None and 0.5 * slope <= target
+                    and (gap := sub.duality_gap(val, grad, inner)) <= target):
+                it -= 1
+                break
+            near = 0.5 * slope <= _GAP_AHEAD * target
         # one backtracking loop: nonmonotone Armijo on the dual value or, once
         # the slope is at rounding level (or not positive), a decrease of
         # ||grad||; if no trial passes, the solve stops
@@ -467,17 +519,17 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
             alpha *= _RHO
         else:
             break
-        x, val, grad, inner, jac = xn, vn, gn, innern, jacn
+        x, val, grad, inner, jac, gap = xn, vn, gn, innern, jacn, None
         recent.append(val)
         if val > best[1]:
             best = (x, val, grad, inner)
     kkt = float(np.linalg.norm(grad))
-    converged = kkt <= cfg.tol_grad
+    converged = kkt <= cfg.tol_grad or (gap is not None and gap <= target)
     if not converged and best[1] > val:
         x, _, grad, inner = best
-        kkt = float(np.linalg.norm(grad))
+        kkt, gap = float(np.linalg.norm(grad)), None
 
     th, r, s, sl = inner
     return SNResult(x=x, theta=th, r=r, s=s, slack=sl,
                     value=sub.primal_value(th, r, s, sl),
-                    kkt_residual=kkt, iterations=it, converged=converged)
+                    kkt_residual=kkt, iterations=it, converged=converged, gap=gap)

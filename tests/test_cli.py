@@ -225,8 +225,10 @@ class TestFit:
     def test_trace_columns(self, fit_dir):
         header, rows = read_csv(fit_dir / "trace.csv")
         assert header == ["iteration", "f_N", "surrogate", "step_norm", "accepted",
-                          "extrapolated", "sn_iterations", "sn_converged"]
+                          "extrapolated", "sn_gap", "sn_iterations", "sn_converged"]
         assert {r[5] for r in rows} <= {"0", "1"}
+        # a gap is written where the chosen solve computed one
+        assert all(r[6] == "" or float(r[6]) >= 0.0 for r in rows)
 
     def test_model_loads_and_scores(self, fit_dir):
         with open(fit_dir / "best_model.json") as fh:

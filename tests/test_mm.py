@@ -656,6 +656,32 @@ class TestRun:
             n = min(len(f_full), len(f_v))
             assert np.allclose(f_full[:n], f_v[:n], atol=1e-7)
 
+    def test_every_solve_has_the_gap_exit(self, monkeypatch):
+        # all three variants hold every MM solve to the same gap exit, and
+        # each step's record carries the gap of its chosen solve
+        solves = []
+
+        def solve(sub, warm=None, cfg=None):
+            res = sn_solve(sub, warm=warm, cfg=cfg)
+            solves.append((cfg, res))
+            return res
+
+        monkeypatch.setattr(mm, "sn_solve", solve)
+        ds, _ = pwa.synth_example2(200, 0)
+        prob = pwa.PWAProblem(ds, k1=2, k2=2)
+        comp = pwa.assemble(prob)
+        th0 = pwa.init_sampler(prob, "gaussian", np.random.default_rng([0, 0]))
+        for variant in ("full", "one", "random"):
+            solves.clear()
+            rep = mm.run(comp, mm.MMConfig(variant=variant, max_outer=20), th0)
+            assert solves and all(cfg.gap_rel == mm._GAP_REL for cfg, _ in solves)
+            # a solve that stopped on the gap reports it
+            on_gap = [res for cfg, res in solves if res.kkt_residual > cfg.tol_grad
+                      and res.converged]
+            assert on_gap and all(res.gap is not None for res in on_gap), variant
+            if variant != "full":
+                assert [r.sn_gap for r in rep.trace] == [res.gap for _, res in solves]
+
     def test_nonfinite_start_rejected(self):
         prob, comp = random_instance(9, N=4, k1=2, k2=1)
         th0 = np.zeros(prob.m)

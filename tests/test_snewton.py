@@ -175,6 +175,22 @@ class TestWorkArrays:
         assert self._excess_bytes(lambda: mm.build_subproblem(
             comp, nxt, sel1, sel2, c, reuse=sub), bufsize=1024) < limit
 
+    def test_gap_check_allocates_no_array_of_the_dual_dimension(self):
+        # k1 = k2 = 8, so that the per-sample vectors the check allocates (r',
+        # s' and the loss terms of the primal value) stay well under one
+        # array of the dual dimension, 16 N floats
+        ds, _ = pwa.synth_example2(1000, 0)
+        comp = pwa.assemble(pwa.PWAProblem(ds, k1=8, k2=8))
+        rng = np.random.default_rng(1)
+        st = mm.init_state(comp, rng.normal(size=comp.m))
+        (sel1, sel2), = mm.select_pairs(comp, st.theta, 1e-4, "random", rng=rng)[0]
+        sub = mm.build_subproblem(comp, st, sel1, sel2, mm.MMConfig().resolve_c(comp))
+        res = sn_solve(sub, cfg=SNConfig(tol_grad=1e-6, max_iter=3))
+        val, grad, inner, _ = sub.value_grad(res.x)
+        sub.duality_gap(val, grad, inner)
+        excess = self._excess_bytes(lambda: sub.duality_gap(val, grad, inner))
+        assert excess < sub.dual_dim * 8
+
 
 class TestDualValueGrad:
     def test_matches_four_matvec_reference(self):
@@ -474,3 +490,103 @@ class TestSnSolve:
         vals = [sub.value_grad(sn_solve(sub, cfg=SNConfig(max_iter=k)).x)[0]
                 for k in range(1, 16)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+def example2_subproblem(N=400, start=0, y_scale=1.0, theta_scale=1.0):
+    """A default-c subproblem of paper example 2 at a Gaussian start, its
+    selection drawn at the unscaled start; y and the start scale apart."""
+    ds, _ = pwa.synth_example2(N, 0)
+    prob = pwa.PWAProblem(ds, k1=2, k2=2)
+    th0 = pwa.init_sampler(prob, "gaussian", np.random.default_rng([0, start]))
+    cfg = mm.MMConfig()
+    comp = pwa.assemble(prob)
+    (sel1, sel2), = mm.select_pairs(comp, th0, cfg.eps, cfg.variant,
+                                    rng=np.random.default_rng(start))[0]
+    if y_scale != 1.0:
+        comp = pwa.assemble(pwa.PWAProblem(pwa.Dataset(ds.X, y_scale * ds.y),
+                                           k1=2, k2=2))
+    state = mm.init_state(comp, theta_scale * th0)
+    return mm.build_subproblem(comp, state, sel1, sel2, cfg.resolve_c(comp))
+
+
+class TestDualityGap:
+    """The feasible point behind the duality gap, and the solve's gap exit."""
+
+    def test_feasible_point_and_nonnegative_gap(self):
+        rng = np.random.default_rng(12)
+        for label, sub in varied_subproblems():
+            for scale in (0.5, 5.0):
+                x = rand_duals(sub, rng, scale)
+                val, grad, inner, _ = sub.value_grad(x)
+                th, r, s, sl = sub.feasible_point(grad, inner)
+                size = max(1.0, np.abs(sub.B @ th).max(), np.abs(sub.beta).max(),
+                           np.abs(r).max(), np.abs(s).max(), np.abs(sl).max())
+                assert feasibility(sub, th, r, s, sl) <= 1e-12 * size, label
+                # the feasible point keeps the inner minimizers' theta
+                assert th is inner[0]
+                gap = sub.duality_gap(val, grad, inner)
+                assert gap >= -1e-12 * max(1.0, abs(val)), label
+
+    def test_tight_solve_closes_the_gap(self):
+        for label, sub in varied_subproblems():
+            res = sn_solve(sub, cfg=TIGHT)
+            assert res.converged and res.gap is None, label
+            val, grad, inner, _ = sub.value_grad(res.x)
+            assert sub.duality_gap(val, grad, inner) <= 1e-10 * max(1.0, abs(val)), label
+
+    @pytest.mark.parametrize("start", [0, 1, 2])
+    def test_gap_exit(self, start):
+        # a cold default-c solve of paper example 2: the gap exit stops it
+        # before ||grad|| reaches tol_grad, converged, and the feasible point
+        # is within sqrt(gap_rel) of its step from the solution
+        sub = example2_subproblem(start=start)
+        gap_rel = 3e-3
+        plain = sn_solve(sub)
+        res = sn_solve(sub, cfg=SNConfig(gap_rel=gap_rel))
+        assert plain.converged and res.converged
+        assert res.kkt_residual > SNConfig.tol_grad and res.gap is not None
+        assert res.iterations < plain.iterations
+        val, grad, inner, jac = sub.value_grad(res.x)
+        assert res.gap == sub.duality_gap(val, grad, inner)
+        step_sq = sub.displacement_sq(res.theta, res.r, res.s, res.slack)
+        assert step_sq == jac[-1]
+        assert 0.0 <= res.gap <= gap_rel * 0.5 * sub.c * step_sq
+        # strong convexity: the feasible point lies within sqrt(2 gap / c) of
+        # the solution, which a tight solve gives
+        z = np.concatenate(sub.feasible_point(grad, inner))
+        tight = sn_solve(sub, cfg=TIGHT)
+        z_star = np.concatenate([tight.theta, tight.r, tight.s, tight.slack])
+        dist = np.linalg.norm(z - z_star)
+        assert dist <= np.sqrt(2.0 * res.gap / sub.c) * (1 + 1e-6) + 1e-12
+        assert dist <= np.sqrt(gap_rel * step_sq)
+
+    def test_gap_exit_never_takes_more_iterations(self):
+        # and a reported gap is the one at the returned multipliers, also when
+        # the solve went on after a gap test failed and stopped on ||grad||
+        for label, sub in [*varied_subproblems(), ("ex2", example2_subproblem())]:
+            plain = sn_solve(sub)
+            for gap_rel in (1e-12, 1e-6, 3e-3, 1.0):
+                res = sn_solve(sub, cfg=SNConfig(gap_rel=gap_rel))
+                assert res.converged, label
+                assert res.iterations <= plain.iterations, label
+                if res.gap is not None:
+                    val, grad, inner, _ = sub.value_grad(res.x)
+                    assert res.gap == sub.duality_gap(val, grad, inner), label
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    def test_gap_scales_with_the_square_of_the_units(self, scale):
+        # the subproblem of (s y, s theta) has multipliers, inner minimizers
+        # and gradient s times those of (y, theta), so its gap is s^2 times
+        # as large, and the gap exit's test reads the same
+        sub = example2_subproblem()
+        scaled = example2_subproblem(y_scale=scale, theta_scale=scale)
+        rng = np.random.default_rng(14)
+        for _ in range(3):
+            x = rand_duals(sub, rng, 0.01)
+            gaps = []
+            for k, s in ((1.0, sub), (scale, scaled)):
+                val, grad, inner, jac = s.value_grad(k * x)
+                gaps.append((s.duality_gap(val, grad, inner), jac[-1]))
+            (g1, d1), (gs, ds) = gaps
+            assert gs == pytest.approx(scale ** 2 * g1, rel=1e-9)
+            assert ds == pytest.approx(scale ** 2 * d1, rel=1e-9)

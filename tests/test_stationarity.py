@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pwafit import mm, stationarity
-from pwafit.snewton import SNConfig
+from pwafit.snewton import SNConfig, sn_solve
 from pwafit.stationarity import (
     classify_point,
     dstat_residual,
@@ -206,6 +206,22 @@ class TestDstatResidual:
         _, cov1, unconverged, _ = dstat_residual(comp, theta, c=1.0)
         assert cov1 == cov and 0 < unconverged <= 4
         assert weak_mstat_residual(comp, theta, ([1], [1]), c=1.0).unconverged == 1
+
+    def test_certificate_solves_have_no_gap_exit(self, monkeypatch):
+        # the certificate's solves stop on ||grad|| alone, so its residuals
+        # do not depend on MM's gap exit
+        assert stationarity._TIGHT_SN.gap_rel is None
+        results = []
+
+        def solve(*args, **kwargs):
+            results.append(sn_solve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(stationarity, "sn_solve", solve)
+        prob, comp = random_instance(3, N=12, k1=2, k2=2)
+        theta = np.random.default_rng(3).normal(size=prob.m)
+        stationarity.certify(comp, theta, mm.MMConfig(variant="full"))
+        assert results and all(r.gap is None for r in results)
 
     def test_weak_residual_zero_at_dstat(self):
         prob, comp = random_instance(3, N=5, k1=2, k2=1)
