@@ -287,9 +287,8 @@ def cmd_fit(cfg: dict, out: str) -> int:
                   ["iteration", "f_N", "surrogate", "step_norm", "accepted",
                    "extrapolated", "sn_gap", "sn_iterations", "sn_converged"],
                   [[r.iteration, repr(r.f_N), repr(r.surrogate), repr(r.step_norm),
-                    int(r.accepted), int(r.extrapolated),
-                    "" if r.sn_gap is None else repr(r.sn_gap), r.sn_iterations,
-                    int(r.sn_converged)]
+                    int(r.accepted), int(r.extrapolated), repr(r.sn_gap),
+                    r.sn_iterations, int(r.sn_converged)]
                    for r in best.trace])
 
     values = sorted(round(r.f_N, 6) for _, r, _, _ in results if r is not None)
@@ -313,6 +312,7 @@ def cmd_fit(cfg: dict, out: str) -> int:
         "residual_kind": cert["kind"],
         "residual_coverage": cert["coverage"],
         "residual_unconverged": cert["unconverged"],
+        "residual_bound": cert["bound"],
         "reason": best.reason,
         "failed_starts": [i for i, r, _, _ in results if r is None],
         "wall_time": best.wall_time,
@@ -425,6 +425,7 @@ def cmd_check(cfg: dict, out: str) -> int:
             comp, theta, MMConfig(c=cfg["c"], combo_cap=cfg["combo_cap"]))
         report.update({"dstat_residual": cert.residual, "coverage": cert.coverage,
                        "unconverged": cert.unconverged,
+                       "residual_bound": cert.bound,
                        "objective": comp.f_N(theta)})
     else:
         raise ConfigError("check needs either 'pwa1d' or 'model' + 'dataset'")

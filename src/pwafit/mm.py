@@ -53,7 +53,7 @@ class MMConfig:
     tol_rel: float = 1e-4           # relative objective-change stopping rule
     max_outer: int = 500
     combo_cap: int = 64
-    sn_tol_floor: float = 1e-6      # floor of the inner tolerance schedule
+    sn_tol_floor: float = 1e-6      # SN's ||grad xi|| tolerance, beside its gap exit
     sn_max_iter: int = 100
     variant: str = "random"         # full | one | random
     seed: int = 0
@@ -83,7 +83,8 @@ class Record:
     step_norm: float
     accepted: bool
     extrapolated: bool            # the step was anchored at theta_e, not theta_k
-    sn_gap: float | None          # the chosen candidate's SN duality gap, if computed
+    sn_gap: float | None          # the chosen candidate's SN duality gap (None
+                                  # when its solve had no gap exit)
     sn_iterations: int
     sn_converged: bool            # the chosen candidate's SN solve converged
 
@@ -236,8 +237,8 @@ def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
     Stops on "tolerance" once a step changes f_N by at most `tol_rel` *
     max(1, |f_N|), so at once when a `random` draw rejected at theta_k keeps
     theta_k; one rejected at an extrapolated anchor keeps that lower point.
-    Each SN solve stops on ||grad|| <= max(`sn_tol_floor`, 1e-2 |df|), df the
-    last step's change of f_N, or on its duality gap (`_GAP_REL`).
+    Each SN solve stops on its duality gap (`_GAP_REL`), or on ||grad|| <=
+    `sn_tol_floor`.
     """
     t_start = time.perf_counter()
     c = config.resolve_c(problem)
@@ -249,16 +250,13 @@ def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
 
     trace: list[Record] = []
     reason = "max_outer"
-    sn_tol = config.sn_tol_floor
+    sn_cfg = SNConfig(tol_grad=config.sn_tol_floor, max_iter=config.sn_max_iter,
+                      gap_rel=_GAP_REL)
     sub = None
     for it in range(config.max_outer):
-        sn_cfg = SNConfig(tol_grad=sn_tol, max_iter=config.sn_max_iter,
-                          gap_rel=_GAP_REL)
         state, rec, sub = mm_iterate(problem, state, config, c, sn_cfg, rng, it, sub)
         trace.append(rec)
-        df = abs(rec.f_N - f_prev)
-        sn_tol = max(config.sn_tol_floor, 1e-2 * df)
-        rel = df / max(1.0, abs(f_prev))
+        rel = abs(rec.f_N - f_prev) / max(1.0, abs(f_prev))
         f_prev = rec.f_N
         if rel <= config.tol_rel:
             reason = "tolerance"

@@ -123,16 +123,24 @@ class Dataset:
 
     @classmethod
     def load_csv(cls, path) -> "Dataset":
+        """Comma-separated rows of features then the response; blank lines
+        are skipped, and a first line that is not all numbers is a header."""
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-        if rows:
+            skip, first = 0, ""
+            for first in fh:
+                if first.strip():
+                    break
+                skip += 1
             try:
-                [float(v) for v in rows[0]]
+                [float(v) for v in first.split(",")]
+                has_data = True
             except ValueError:
-                del rows[0]
-        if not rows:
+                skip += 1
+                has_data = any(line.strip() for line in fh)
+        # np.loadtxt only warns on a file without data
+        if not has_data:
             raise ValueError(f"no data rows in dataset file {path}")
-        data = np.array([[float(v) for v in row] for row in rows])
+        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, comments=None)
         if data.shape[1] < 2:
             raise ValueError("dataset needs at least one feature column and a response")
         return cls(X=data[:, :-1], y=data[:, -1])

@@ -320,7 +320,7 @@ class SNResult:
     kkt_residual: float
     iterations: int
     converged: bool
-    gap: float | None             # duality gap at x, when the solve computed it
+    gap: float | None             # duality gap at x; None only without gap_rel
 
 
 def _newton_matrix(sub: DualSubproblem, diag, rho, sig, act):
@@ -478,7 +478,10 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
     step (`_GAP_AHEAD`).  A solve that stops unconverged (at `max_iter`, or
     when no step length passes its line search) returns the iterate with the
     highest dual value it reached, which under the nonmonotone test need not
-    be the last one.  A `LinAlgError` of the Newton system propagates."""
+    be the last one.  With `gap_rel`, the result carries the duality gap at
+    the multipliers it returns, whatever the exit, from the value, gradient
+    and inner minimizers the solve already holds.  A `LinAlgError` of the
+    Newton system propagates."""
     cfg = cfg or SNConfig()
     x = np.zeros(sub.dual_dim) if warm is None else warm
     val, grad, inner, jac = sub.value_grad(x)
@@ -526,8 +529,10 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
     kkt = float(np.linalg.norm(grad))
     converged = kkt <= cfg.tol_grad or (gap is not None and gap <= target)
     if not converged and best[1] > val:
-        x, _, grad, inner = best
+        x, val, grad, inner = best
         kkt, gap = float(np.linalg.norm(grad)), None
+    if cfg.gap_rel is not None and gap is None:
+        gap = sub.duality_gap(val, grad, inner)
 
     th, r, s, sl = inner
     return SNResult(x=x, theta=th, r=r, s=s, slack=sl,

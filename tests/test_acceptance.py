@@ -176,7 +176,7 @@ def test_criterion_2_majorization_sandwich(capsys):
 
 def _run_fixed_sn_tol(comp, cfg, theta0, sn_cfg):
     """`mm.run`'s loop and stopping rule, with every inner solve held to
-    `sn_cfg` rather than to run's |df|-driven tolerance schedule.
+    `sn_cfg` rather than to run's gap exit and `sn_tol_floor`.
     Returns (trace, stop reason)."""
     c = cfg.resolve_c(comp)
     rng = np.random.default_rng(cfg.seed)
@@ -194,9 +194,9 @@ def _run_fixed_sn_tol(comp, cfg, theta0, sn_cfg):
 
 
 def test_criterion_3_surrogate_monotone_vanishing_steps(capsys):
-    # every subproblem is solved to 1e-12, not to `mm.run`'s tolerance
-    # max(sn_tol_floor, 1e-2 |df|): the surrogate descends monotonically to
-    # 1e-10 only under near-exact solves
+    # every subproblem is solved to ||grad|| 1e-12, not to `mm.run`'s gap
+    # exit: the surrogate descends monotonically to 1e-10 only under
+    # near-exact solves
     t0 = time.perf_counter()
     fails = 0
     viol = 0.0
@@ -239,9 +239,9 @@ def test_criterion_4_stationarity_certification(capsys):
                           sn_tol_floor=1e-10, seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
         for i, c in enumerate(weights(cfg, comp)):
-            res, cov, n, _ = stationarity.dstat_residual(comp, rep.theta, c)
-            full_ok[i] += (res <= 1e-5 and cov == 1.0)
-            unconverged += n
+            cert = stationarity.dstat_residual(comp, rep.theta, c)
+            full_ok[i] += (cert.residual <= 1e-5 and cert.coverage == 1.0)
+            unconverged += cert.unconverged
 
     # (b) randomized single-draw variant, 100 seeded runs
     rand_ok = [0, 0]
@@ -252,9 +252,9 @@ def test_criterion_4_stationarity_certification(capsys):
                           sn_tol_floor=1e-10, seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
         for i, c in enumerate(weights(cfg, comp)):
-            res, cov, n, _ = stationarity.dstat_residual(comp, rep.theta, c)
-            rand_ok[i] += (res <= 1e-5 and cov == 1.0)
-            unconverged += n
+            cert = stationarity.dstat_residual(comp, rep.theta, c)
+            rand_ok[i] += (cert.residual <= 1e-5 and cert.coverage == 1.0)
+            unconverged += cert.unconverged
 
     # (c) single-pair variant reaches weak M-stationarity
     one_ok = [0, 0]
@@ -266,9 +266,9 @@ def test_criterion_4_stationarity_certification(capsys):
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
         sels, _ = mm.select_pairs(comp, rep.theta, 1e-9, "one")
         for i, c in enumerate(weights(cfg, comp)):
-            res, _, n, _ = stationarity.weak_mstat_residual(comp, rep.theta, sels[0], c)
-            one_ok[i] += res <= 1e-5
-            unconverged += n
+            cert = stationarity.weak_mstat_residual(comp, rep.theta, sels[0], c)
+            one_ok[i] += cert.residual <= 1e-5
+            unconverged += cert.unconverged
 
     ok = full_ok == [10, 10] and min(rand_ok) >= 95 and one_ok == [10, 10]
     verdict(capsys, 4, ok,
@@ -402,8 +402,8 @@ def test_criterion_9_landscape_clustering(capsys, landscape_runs):
 
 
 def test_criterion_10_iteration_economy(capsys):
-    # stock stopping rules: 1e-4 relative objective change with the
-    # max(1e-6, 1e-2 |df|) inner tolerance schedule
+    # stock stopping rules: 1e-4 relative objective change, and each inner
+    # solve's gap exit or ||grad|| <= 1e-6
     prob, truth, reps = _multi_start(pwa.synth_example1, 500, 4, 0, 10,
                                      0.001, 1e-4)
     mm_max = max(r.iterations for r in reps)

@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
-def count_certificates(monkeypatch, dstat=(0.0, 1.0, 0)):
-    """Replace both certificate residuals by stubs; returns their call log."""
+def count_certificates(monkeypatch, dstat=(0.0, 1.0, 0), bound=0.0):
+    """Replace both certificate residuals by stubs, whose certificates carry
+    `bound`; returns their call log."""
     from pwafit import stationarity
     Certificate = stationarity.Certificate
     calls = []
@@ -35,9 +37,10 @@ def count_certificates(monkeypatch, dstat=(0.0, 1.0, 0)):
         return fake
 
     monkeypatch.setattr(stationarity, "dstat_residual",
-                        counting("dstat", Certificate(*dstat, "dstat")))
+                        counting("dstat", Certificate(*dstat, "dstat", bound)))
     monkeypatch.setattr(stationarity, "weak_mstat_residual",
-                        counting("weak_mstat", Certificate(0.0, 1.0, 0, "weak_mstat")))
+                        counting("weak_mstat",
+                                 Certificate(0.0, 1.0, 0, "weak_mstat", bound)))
     return calls
 
 
@@ -75,7 +78,9 @@ class TestConfig:
         cfg = {**SMALL_FIT, "dataset": str(tmp_path / "d.csv")}
         del cfg["synth"]
         p = write_json(tmp_path / "c.json", cfg)
-        assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 2
         assert "no data rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, raw, message", [
@@ -101,6 +106,24 @@ class TestConfig:
         assert main([command, "--config", p, "--out", str(tmp_path)]) == 2
         assert f"{list(bad)[0]} must be null or a string" in capsys.readouterr().err
         os.fstat(1)     # still open
+
+    def test_blank_lines_and_header_skipped(self, tmp_path):
+        (tmp_path / "d.csv").write_text("\nx1,y\n\n1.5,2.0\n\n-3.0,4.25\n\n")
+        ds = pwa.Dataset.load_csv(tmp_path / "d.csv")
+        assert ds.X.tolist() == [[1.5], [-3.0]] and ds.y.tolist() == [2.0, 4.25]
+        (tmp_path / "e.csv").write_text("\n1.5,2.0\n")
+        ds = pwa.Dataset.load_csv(tmp_path / "e.csv")
+        assert ds.X.tolist() == [[1.5]] and ds.y.tolist() == [2.0]
+
+    @pytest.mark.parametrize("content", [
+        "x1,y\n1.0,2.0\n3.0\n", "x1,y\n1.0,abc\n", "x1,y\n1.0,2.0\n  \n",
+        "x1,y\n1.0,2.0 # note\n"],
+        ids=["short-row", "not-a-number", "whitespace-row", "comment"])
+    def test_malformed_dataset_exits_2(self, tmp_path, capsys, content):
+        (tmp_path / "d.csv").write_text(content)
+        p = write_json(tmp_path / "c.json", {"dataset": str(tmp_path / "d.csv")})
+        assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 2
+        assert "config error: dataset:" in capsys.readouterr().err
 
     def test_one_column_dataset(self, tmp_path, capsys):
         (tmp_path / "d.csv").write_text("y\n1.0\n2.0\n")
@@ -227,8 +250,8 @@ class TestFit:
         assert header == ["iteration", "f_N", "surrogate", "step_norm", "accepted",
                           "extrapolated", "sn_gap", "sn_iterations", "sn_converged"]
         assert {r[5] for r in rows} <= {"0", "1"}
-        # a gap is written where the chosen solve computed one
-        assert all(r[6] == "" or float(r[6]) >= 0.0 for r in rows)
+        # every MM solve has the gap exit, so every row carries its gap
+        assert rows and all(float(r[6]) >= 0.0 for r in rows)
 
     def test_model_loads_and_scores(self, fit_dir):
         with open(fit_dir / "best_model.json") as fh:
@@ -270,8 +293,9 @@ class TestFit:
     def test_report_carries_certificate_coverage(self, tmp_path, monkeypatch):
         # a dstat residual only certifies d-stationarity at coverage 1, so the
         # report says how much of the selection product it covered
-        # and how many of its solves did not converge
-        count_certificates(monkeypatch, dstat=(0.5, 0.25, 3))
+        # and how many of its solves did not converge, with the residual's
+        # error bound
+        count_certificates(monkeypatch, dstat=(0.5, 0.25, 3), bound=0.125)
         cfg = {**SMALL_FIT, "starts": 1, "compute_residual": True}
         p = write_json(tmp_path / "c.json", cfg)
         assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 0
@@ -280,6 +304,7 @@ class TestFit:
         assert rep["residual_kind"] == "dstat"
         assert rep["residual"] == 0.5 and rep["residual_coverage"] == 0.25
         assert rep["residual_unconverged"] == 3
+        assert rep["residual_bound"] == 0.125
 
     def test_gamma_cv_certifies_only_the_final_fit(self, tmp_path, monkeypatch):
         # select_gamma's fold fits are never reported, so they skip the
@@ -550,6 +575,7 @@ class TestCheck:
         assert rep["dstat_residual"] >= 0.0
         assert 0.0 < rep["coverage"] <= 1.0
         assert rep["unconverged"] == 0
+        assert 0.0 <= rep["residual_bound"] < float("inf")
         assert rep["objective"] > 0.0
 
     def test_check_reproduces_fit_residual(self, tmp_path):
@@ -571,6 +597,8 @@ class TestCheck:
         assert check["dstat_residual"] == fit["residual"]
         assert check["coverage"] == fit["residual_coverage"]
         assert check["unconverged"] == fit["residual_unconverged"]
+        assert check["residual_bound"] == fit["residual_bound"]
+        assert 0.0 <= fit["residual_bound"] < float("inf")
 
     def test_explicit_c_is_the_certificate_weight(self, tmp_path):
         # a check with "c" certifies at that proximal weight, not at the

@@ -190,8 +190,8 @@ class TestSelectPairsMatchesLoop:
             return build(problem, state, sel1, sel2, c, reuse=reuse)
 
         monkeypatch.setattr(mm, "build_subproblem", record)
-        _, dcov, _, _ = stationarity.dstat_residual(comp, theta, 1.0, combo_cap=5)
-        assert dcov == cov
+        cert = stationarity.dstat_residual(comp, theta, 1.0, combo_cap=5)
+        assert cert.coverage == cov
         _assert_same_selections(seen, sels)
 
 
@@ -203,14 +203,15 @@ class TestCertificateIsTheFreshBuildLoop:
     def _fresh_build_loop(comp, theta, c, cap):
         sels, _ = mm.select_pairs(comp, theta, TIE_TOL, "full", combo_cap=cap)
         state = mm.init_state(comp, theta)
-        residual, warm, unconverged = 0.0, None, 0
+        residual, warm, unconverged, bound = 0.0, None, 0, 0.0
         for sel1, sel2 in sels:
             sub = mm.build_subproblem(comp, state, sel1, sel2, c)
             res = sn_solve(sub, warm=warm, cfg=stationarity._TIGHT_SN)
             residual = np.maximum(residual, np.abs(res.theta - theta).max(initial=0.0))
             warm = res.x
             unconverged += not res.converged
-        return float(residual), unconverged, len(sels)
+            bound = max(bound, np.sqrt(2.0 * max(res.gap, 0.0) / c))
+        return float(residual), unconverged, float(bound), len(sels)
 
     # seeds whose point has 8 to 13 tied samples
     @pytest.mark.parametrize("seed", [0, 1, 3, 4])
@@ -220,11 +221,12 @@ class TestCertificateIsTheFreshBuildLoop:
         # the grid's zero responses leave nothing to fit: y = 0.3 x1 - x2
         comp.split.y = 0.3 * comp.X[:, 0] - comp.X[:, 1]
         c = stationarity.certificate_c(comp, None)
-        residual, unconverged, n_sels = self._fresh_build_loop(comp, theta, c, 16)
+        residual, unconverged, bound, n_sels = self._fresh_build_loop(comp, theta, c, 16)
         assert n_sels > 1
         cert = stationarity.dstat_residual(comp, theta, c, combo_cap=16)
         assert _same_bits(cert.residual, residual)
         assert cert.unconverged == unconverged
+        assert _same_bits(cert.bound, bound)
 
 
 def _one_pair_subproblem(problem, theta):
@@ -611,7 +613,7 @@ class TestRun:
             for a, b in zip(surr, surr[1:]):
                 assert b <= a + 1e-8
             # domination holds up to the inexactness of the inner solves,
-            # whose tolerance tracks 1e-2 * |df| along the run
+            # which stop on their gap exit
             for r in rep.trace:
                 assert r.surrogate >= r.f_N - 1e-5
 

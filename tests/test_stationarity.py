@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pwafit import mm, stationarity
+from pwafit import mm, pwa, stationarity
 from pwafit.snewton import SNConfig, sn_solve
 from pwafit.stationarity import (
     classify_point,
@@ -146,6 +148,15 @@ class TestDcCritical:
             dc_critical_check(NEG_ABS, ABS, 0.0)
 
 
+def _lattice_instance(seed, N=40):
+    """Features and model in {-1, 0, 1}: exact atom ties on many samples,
+    with the responses 0.3 x1 - x2 left to fit."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-1, 2, size=(N, 2)).astype(float)
+    prob = pwa.PWAProblem(pwa.Dataset(X, 0.3 * X[:, 0] - X[:, 1]), k1=3, k2=1)
+    return pwa.assemble(prob), rng.integers(-1, 2, size=prob.m).astype(float)
+
+
 def _counterexample_problem():
     """phi(t) = t (split 2t + (-t)), psi = max(2t, 1.5t) - max(t, 0.5t)."""
     return one_sample_problem(np.array([[2.0], [1.5]]), np.array([[1.0], [0.5]]),
@@ -161,9 +172,9 @@ class TestDstatResidual:
         w, b = ols_fit(prob.dataset)
         # gauge: put the OLS fit in the g atom, zero h atom
         theta = np.concatenate([w, [b], np.zeros(3)])
-        res, cov, _, _ = dstat_residual(comp, theta, c=1.0)
-        assert cov == 1.0
-        assert res <= 1e-8
+        cert = dstat_residual(comp, theta, c=1.0)
+        assert cert.coverage == 1.0
+        assert cert.residual <= 1e-8
 
     def test_perturbed_point_moves(self):
         prob, comp = random_instance(0, N=8, k1=1, k2=1)
@@ -171,8 +182,7 @@ class TestDstatResidual:
         w, b = ols_fit(prob.dataset)
         theta = np.concatenate([w, [b], np.zeros(3)])
         theta[0] += 0.1     # not a gauge direction: changes the fitted surface
-        res, _, _, _ = dstat_residual(comp, theta, c=1.0)
-        assert res > 1e-3
+        assert dstat_residual(comp, theta, c=1.0).residual > 1e-3
 
     def test_non_finite_point_rejected(self):
         # a NaN atom value is in no argmax set, so no selection exists: a
@@ -187,41 +197,66 @@ class TestDstatResidual:
         comp = _counterexample_problem()
         theta = np.zeros(1)
         # the lexicographically-first pair certifies weak M-stationarity ...
-        assert weak_mstat_residual(comp, theta, ([0], [0]), c=1.0)[0] <= 1e-9
+        assert weak_mstat_residual(comp, theta, ([0], [0]), c=1.0).residual <= 1e-9
         # ... but the full pair enumeration exposes a descent selection
-        res, cov, _, _ = dstat_residual(comp, theta, c=1.0)
-        assert cov == 1.0
-        assert res > 1e-3
+        cert = dstat_residual(comp, theta, c=1.0)
+        assert cert.coverage == 1.0
+        assert cert.residual > 1e-3
 
     def test_unconverged_solves_are_counted(self, monkeypatch):
         # a residual from a solve that stopped short of its tolerance is no
         # certificate, so the certificate counts such solves
         comp = _counterexample_problem()
         theta = np.zeros(1)
-        _, cov, unconverged, _ = dstat_residual(comp, theta, c=1.0)
-        assert unconverged == 0
+        cert = dstat_residual(comp, theta, c=1.0)
+        assert cert.unconverged == 0
         assert weak_mstat_residual(comp, theta, ([0], [0]), c=1.0).unconverged == 0
         monkeypatch.setattr(stationarity, "_TIGHT_SN",
                             SNConfig(tol_grad=1e-12, max_iter=1))
-        _, cov1, unconverged, _ = dstat_residual(comp, theta, c=1.0)
-        assert cov1 == cov and 0 < unconverged <= 4
+        cert1 = dstat_residual(comp, theta, c=1.0)
+        assert cert1.coverage == cert.coverage and 0 < cert1.unconverged <= 4
         assert weak_mstat_residual(comp, theta, ([1], [1]), c=1.0).unconverged == 1
 
-    def test_certificate_solves_have_no_gap_exit(self, monkeypatch):
-        # the certificate's solves stop on ||grad|| alone, so its residuals
-        # do not depend on MM's gap exit
-        assert stationarity._TIGHT_SN.gap_rel is None
-        results = []
+    def test_certificate_solves_stop_on_the_gap(self, monkeypatch):
+        # every certificate solve has the gap exit and returns its gap, and
+        # the certificate's bound is the largest sqrt(2 max(gap, 0) / c)
+        assert stationarity._TIGHT_SN.gap_rel is not None
+        assert stationarity._TIGHT_SN.tol_grad > 0.0
+        solves = []
 
-        def solve(*args, **kwargs):
-            results.append(sn_solve(*args, **kwargs))
-            return results[-1]
+        def solve(sub, warm=None, cfg=None):
+            solves.append((sub.c, cfg, sn_solve(sub, warm=warm, cfg=cfg)))
+            return solves[-1][-1]
 
         monkeypatch.setattr(stationarity, "sn_solve", solve)
-        prob, comp = random_instance(3, N=12, k1=2, k2=2)
-        theta = np.random.default_rng(3).normal(size=prob.m)
-        stationarity.certify(comp, theta, mm.MMConfig(variant="full"))
-        assert results and all(r.gap is None for r in results)
+        comp, theta = _lattice_instance(0)
+        cert = stationarity.certify(comp, theta, mm.MMConfig(combo_cap=16))
+        assert len(solves) == 16
+        assert all(cfg is stationarity._TIGHT_SN and res.gap is not None
+                   for _, cfg, res in solves)
+        assert cert.bound == max(np.sqrt(2.0 * max(res.gap, 0.0) / c)
+                                 for c, _, res in solves)
+
+    @pytest.mark.parametrize("instance", [
+        *[("random", seed) for seed in range(6)], ("lattice", 0)])
+    def test_bound_covers_the_exact_residual(self, monkeypatch, instance):
+        # the certificate's residual is within its bound of the residual of
+        # the same selections solved without the gap exit, to ||grad|| 1e-12
+        kind, seed = instance
+        if kind == "random":
+            prob, comp = random_instance(seed, N=10, k1=2, k2=1 + seed % 2)
+            theta = np.random.default_rng(seed).normal(size=prob.m)
+            c = 0.1
+        else:
+            comp, theta = _lattice_instance(seed)
+            c = stationarity.certificate_c(comp, None)
+        cert = dstat_residual(comp, theta, c, combo_cap=16)
+        monkeypatch.setattr(stationarity, "_TIGHT_SN",
+                            replace(stationarity._TIGHT_SN, gap_rel=None))
+        exact = dstat_residual(comp, theta, c, combo_cap=16)
+        assert cert.unconverged == exact.unconverged == 0
+        assert 0.0 <= cert.bound < np.inf
+        assert abs(cert.residual - exact.residual) <= cert.bound
 
     def test_weak_residual_zero_at_dstat(self):
         prob, comp = random_instance(3, N=5, k1=2, k2=1)
@@ -229,7 +264,7 @@ class TestDstatResidual:
                           max_outer=1000)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         sels, _ = mm.select_pairs(comp, rep.theta, 1e-9, "one")
-        assert weak_mstat_residual(comp, rep.theta, sels[0], c=0.1)[0] <= 1e-5
+        assert weak_mstat_residual(comp, rep.theta, sels[0], c=0.1).residual <= 1e-5
 
     def test_mm_terminal_point_certified(self):
         prob, comp = random_instance(4, N=5, k1=2, k2=1)
@@ -238,9 +273,9 @@ class TestDstatResidual:
         rep = mm.run(comp, cfg, np.random.default_rng(4).normal(size=prob.m))
         # at MM's weight and at the one `certify` and `pwafit check` use
         for c in (cfg.resolve_c(comp), stationarity.certificate_c(comp, None)):
-            res, cov, _, _ = dstat_residual(comp, rep.theta, c=c)
-            assert cov == 1.0
-            assert res <= 1e-5
+            cert = dstat_residual(comp, rep.theta, c=c)
+            assert cert.coverage == 1.0
+            assert cert.residual <= 1e-5
 
     def test_convex_instance_matches_oracle_minimizer(self):
         # h trivial (one zero atom), k1 = 1: plain convex least squares
@@ -248,5 +283,4 @@ class TestDstatResidual:
         from pwafit.pwa import ols_fit
         w, b = ols_fit(prob.dataset)
         theta = np.concatenate([w, [b]])
-        res, _, _, _ = dstat_residual(comp, theta, c=0.5)
-        assert res <= 1e-6
+        assert dstat_residual(comp, theta, c=0.5).residual <= 1e-6
