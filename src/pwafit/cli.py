@@ -86,7 +86,6 @@ _DOMAINS = {
     "strategy": (lambda v: v in ("gaussian", "ols-perturb"), "gaussian or ols-perturb"),
     "eps": (_number(0), "a number >= 0"),
     "tol_rel": (_number(0), "a number >= 0"),
-    "sn_tol_floor": (_number(0), "a number >= 0"),
     "scale": (_number(0), "a number >= 0"),
     "gamma": (lambda v: v == "cv" or _number(0)(v), 'a number >= 0, or "cv" in fit'),
     "c": (lambda v: v is None or (_finite(v) and v > 0), "null or a number > 0"),

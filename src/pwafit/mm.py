@@ -53,7 +53,6 @@ class MMConfig:
     tol_rel: float = 1e-4           # relative objective-change stopping rule
     max_outer: int = 500
     combo_cap: int = 64
-    sn_tol_floor: float = 1e-6      # SN's ||grad xi|| tolerance, beside its gap exit
     sn_max_iter: int = 100
     variant: str = "random"         # full | one | random
     seed: int = 0
@@ -83,8 +82,7 @@ class Record:
     step_norm: float
     accepted: bool
     extrapolated: bool            # the step was anchored at theta_e, not theta_k
-    sn_gap: float | None          # the chosen candidate's SN duality gap (None
-                                  # when its solve had no gap exit)
+    sn_gap: float                 # the chosen candidate's SN duality gap
     sn_iterations: int
     sn_converged: bool            # the chosen candidate's SN solve converged
 
@@ -237,8 +235,8 @@ def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
     Stops on "tolerance" once a step changes f_N by at most `tol_rel` *
     max(1, |f_N|), so at once when a `random` draw rejected at theta_k keeps
     theta_k; one rejected at an extrapolated anchor keeps that lower point.
-    Each SN solve stops on its duality gap (`_GAP_REL`), or on ||grad|| <=
-    `sn_tol_floor`.
+    Each SN solve stops on its duality gap (`_GAP_REL`), with `SNConfig`'s
+    one ||grad|| fallback.
     """
     t_start = time.perf_counter()
     c = config.resolve_c(problem)
@@ -250,8 +248,7 @@ def run(problem: CompositeProblem, config: MMConfig, theta0) -> SolveReport:
 
     trace: list[Record] = []
     reason = "max_outer"
-    sn_cfg = SNConfig(tol_grad=config.sn_tol_floor, max_iter=config.sn_max_iter,
-                      gap_rel=_GAP_REL)
+    sn_cfg = SNConfig(max_iter=config.sn_max_iter, gap_rel=_GAP_REL)
     sub = None
     for it in range(config.max_outer):
         state, rec, sub = mm_iterate(problem, state, config, c, sn_cfg, rng, it, sub)

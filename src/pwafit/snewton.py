@@ -304,9 +304,9 @@ _GAP_AHEAD = 100.0
 
 @dataclass
 class SNConfig:
-    tol_grad: float = 1e-10
+    tol_grad: float = 1e-12       # ||grad xi|| exit, for a step of exactly 0
     max_iter: int = 100
-    gap_rel: float | None = None  # None: no gap exit (see `sn_solve`)
+    gap_rel: float = 0.0          # gap exit (see `sn_solve`); 0 is the exact solve
 
 
 @dataclass
@@ -320,7 +320,7 @@ class SNResult:
     kkt_residual: float
     iterations: int
     converged: bool
-    gap: float | None             # duality gap at x; None only without gap_rel
+    gap: float                    # duality gap at x
 
 
 def _newton_matrix(sub: DualSubproblem, diag, rho, sig, act):
@@ -470,18 +470,19 @@ def _newton_direction(sub: DualSubproblem, jac, grad, eps):
 def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNResult:
     """Maximize the dual by semismooth Newton with nonmonotone Armijo
     backtracking, from the stacked multipliers `warm` (a previous
-    `SNResult.x`) or zero.  It converges once ||grad|| <= `tol_grad` or
-    (with `gap_rel`) once the duality gap is at most gap_rel (c/2)
-    ||z - z_nu||^2 at the inner minimizers z, which by c-strong convexity puts
-    the feasible point within sqrt(gap_rel) ||z - z_nu|| of the solution (Li,
-    Sun and Toh's inner stopping rule); the gap is computed at most once per
-    step (`_GAP_AHEAD`).  A solve that stops unconverged (at `max_iter`, or
-    when no step length passes its line search) returns the iterate with the
+    `SNResult.x`) or zero.  It converges once the duality gap is at most
+    gap_rel (c/2) ||z - z_nu||^2 at the inner minimizers z, which by
+    c-strong convexity puts the feasible point within sqrt(gap_rel)
+    ||z - z_nu|| of the solution (Li, Sun and Toh's inner stopping rule), or
+    once ||grad|| <= `tol_grad`, the exit of a point whose step, and so its
+    gap target, is exactly 0; the gap is computed at most once per step
+    (`_GAP_AHEAD`).  A solve that stops unconverged (at `max_iter`, or when
+    no step length passes its line search) returns the iterate with the
     highest dual value it reached, which under the nonmonotone test need not
-    be the last one.  With `gap_rel`, the result carries the duality gap at
-    the multipliers it returns, whatever the exit, from the value, gradient
-    and inner minimizers the solve already holds.  A `LinAlgError` of the
-    Newton system propagates."""
+    be the last one.  The result carries the duality gap at the multipliers
+    it returns, whatever the exit, from the value, gradient and inner
+    minimizers the solve already holds.  A `LinAlgError` of the Newton
+    system propagates."""
     cfg = cfg or SNConfig()
     x = np.zeros(sub.dual_dim) if warm is None else warm
     val, grad, inner, jac = sub.value_grad(x)
@@ -490,23 +491,19 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
     it, gap, near = 0, None, False
     for it in range(1, cfg.max_iter + 1):
         gnorm = float(np.linalg.norm(grad))
-        if gnorm <= cfg.tol_grad:
+        target = cfg.gap_rel * 0.5 * sub.c * jac[-1]
+        if gnorm <= cfg.tol_grad or (
+                near and (gap := sub.duality_gap(val, grad, inner)) <= target):
             it -= 1
             break
-        if cfg.gap_rel is not None:
-            target = cfg.gap_rel * 0.5 * sub.c * jac[-1]
-            if near and (gap := sub.duality_gap(val, grad, inner)) <= target:
-                it -= 1
-                break
         eps = min(_EPS_FLOOR + _EPS_GRAD * gnorm, _EPS_CAP) / sub.c
         d = _newton_direction(sub, jac, grad, eps)
         slope = float(grad @ d)
-        if cfg.gap_rel is not None:
-            if (gap is None and 0.5 * slope <= target
-                    and (gap := sub.duality_gap(val, grad, inner)) <= target):
-                it -= 1
-                break
-            near = 0.5 * slope <= _GAP_AHEAD * target
+        if (gap is None and 0.5 * slope <= target
+                and (gap := sub.duality_gap(val, grad, inner)) <= target):
+            it -= 1
+            break
+        near = 0.5 * slope <= _GAP_AHEAD * target
         # one backtracking loop: nonmonotone Armijo on the dual value or, once
         # the slope is at rounding level (or not positive), a decrease of
         # ||grad||; if no trial passes, the solve stops
@@ -531,7 +528,7 @@ def sn_solve(sub: DualSubproblem, warm=None, cfg: SNConfig | None = None) -> SNR
     if not converged and best[1] > val:
         x, val, grad, inner = best
         kkt, gap = float(np.linalg.norm(grad)), None
-    if cfg.gap_rel is not None and gap is None:
+    if gap is None:
         gap = sub.duality_gap(val, grad, inner)
 
     th, r, s, sl = inner

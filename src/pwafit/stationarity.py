@@ -8,13 +8,14 @@ they are computed exactly.  The composite checkers certify d-stationarity
 proximal subproblem solve per admissible atom-pair selection; each returns
 one `Certificate`, and `certify` picks the one a fit's variant calls for.
 
-Each solve stops on its duality gap: once the gap is at most `_TIGHT_SN`'s
-gap_rel times (c/2) ||z - z_nu||^2, a measure free of the units of y; the
-1e-12 ||grad xi|| exit is the fallback at an exactly stationary point, where
-the step and the gap target are 0.  By c-strong convexity of the subproblem a
-solve's theta lies within sqrt(2 gap / c) of the exact solution's, so the
-certificate reports the largest of these over its selections as `bound`: the
-reported residual is within `bound` of the exact one.
+Each solve stops on SN's one rule: once its duality gap is at most
+`_TIGHT_SN`'s gap_rel times (c/2) ||z - z_nu||^2, a measure free of the units
+of y, with `SNConfig`'s 1e-12 ||grad xi|| exit as the fallback at an exactly
+stationary point, where the step and the gap target are 0.  By c-strong
+convexity of the subproblem a solve's theta lies within sqrt(2 gap / c) of
+the exact solution's, so the certificate reports the largest of these over
+its selections as `bound`: the reported residual is within `bound` of the
+exact one.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def classify_point(rep: SubdifferentialReport) -> StationarityFlags:
 # data (seed 1), 1e-4 took 14 % fewer Newton steps than 1e-5, but its bound
 # was 23 % of the residual at the median, against 6 %; MM's 3e-3 gave a bound
 # 1.4 times the residual it bounds
-_TIGHT_SN = SNConfig(tol_grad=1e-12, max_iter=200, gap_rel=1e-5)
+_TIGHT_SN = SNConfig(max_iter=200, gap_rel=1e-5)
 
 
 def certificate_c(problem: CompositeProblem, c: float | None) -> float:
@@ -139,12 +140,11 @@ class Certificate(NamedTuple):
 
 def _max_residual(problem: CompositeProblem, theta_bar, sels, c: float):
     """(largest `_selection_residual` over `sels`, number of those solves that
-    did not converge, largest sqrt(2 max(gap, 0) / c) of those solves, inf for
-    a solve without a gap).  One subproblem is rebuilt in place for each
-    selection, at the one anchor theta_bar, so a rebuild rewrites only the
-    samples whose selection changed; each solve is warm-started from the
-    previous one's multipliers, and a NaN residual or gap is kept, not
-    dropped."""
+    did not converge, largest sqrt(2 max(gap, 0) / c) of those solves).  One
+    subproblem is rebuilt in place for each selection, at the one anchor
+    theta_bar, so a rebuild rewrites only the samples whose selection
+    changed; each solve is warm-started from the previous one's multipliers,
+    and a NaN residual or gap is kept, not dropped."""
     state = mm.init_state(problem, np.asarray(theta_bar, dtype=float))
     residual, bound, warm, sub, unconverged = 0.0, 0.0, None, None, 0
     for sel1, sel2 in sels:
@@ -152,8 +152,7 @@ def _max_residual(problem: CompositeProblem, theta_bar, sels, c: float):
         r, res = _selection_residual(sub, warm)
         residual, warm = np.maximum(residual, r), res.x
         unconverged += not res.converged
-        gap = np.inf if res.gap is None else np.maximum(res.gap, 0.0)
-        bound = np.maximum(bound, np.sqrt(2.0 * gap / c))
+        bound = np.maximum(bound, np.sqrt(2.0 * np.maximum(res.gap, 0.0) / c))
     return float(residual), unconverged, float(bound)
 
 

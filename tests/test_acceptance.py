@@ -176,7 +176,7 @@ def test_criterion_2_majorization_sandwich(capsys):
 
 def _run_fixed_sn_tol(comp, cfg, theta0, sn_cfg):
     """`mm.run`'s loop and stopping rule, with every inner solve held to
-    `sn_cfg` rather than to run's gap exit and `sn_tol_floor`.
+    `sn_cfg` rather than to run's gap exit (`mm._GAP_REL`).
     Returns (trace, stop reason)."""
     c = cfg.resolve_c(comp)
     rng = np.random.default_rng(cfg.seed)
@@ -194,9 +194,9 @@ def _run_fixed_sn_tol(comp, cfg, theta0, sn_cfg):
 
 
 def test_criterion_3_surrogate_monotone_vanishing_steps(capsys):
-    # every subproblem is solved to ||grad|| 1e-12, not to `mm.run`'s gap
-    # exit: the surrogate descends monotonically to 1e-10 only under
-    # near-exact solves
+    # every subproblem is solved exactly, with gap_rel 0 (the default) and
+    # to ||grad|| 1e-12, not to `mm.run`'s gap exit: the surrogate descends
+    # monotonically to 1e-10 only under near-exact solves
     t0 = time.perf_counter()
     fails = 0
     viol = 0.0
@@ -236,7 +236,7 @@ def test_criterion_4_stationarity_certification(capsys):
         rng = np.random.default_rng(seed + 700)
         prob, comp = _random_problem(rng, N_hi=7, k2_lo=1)
         cfg = mm.MMConfig(variant="full", tol_rel=1e-15, max_outer=2000,
-                          sn_tol_floor=1e-10, seed=seed)
+                          seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
         for i, c in enumerate(weights(cfg, comp)):
             cert = stationarity.dstat_residual(comp, rep.theta, c)
@@ -249,7 +249,7 @@ def test_criterion_4_stationarity_certification(capsys):
         rng = np.random.default_rng(seed)
         prob, comp = _random_problem(rng, N_hi=7, k2_lo=1)
         cfg = mm.MMConfig(variant="random", tol_rel=1e-15, max_outer=2000,
-                          sn_tol_floor=1e-10, seed=seed)
+                          seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
         for i, c in enumerate(weights(cfg, comp)):
             cert = stationarity.dstat_residual(comp, rep.theta, c)
@@ -262,7 +262,7 @@ def test_criterion_4_stationarity_certification(capsys):
         rng = np.random.default_rng(seed + 900)
         prob, comp = _random_problem(rng, N_hi=7, k2_lo=1)
         cfg = mm.MMConfig(variant="one", tol_rel=1e-15, max_outer=2000,
-                          sn_tol_floor=1e-10, seed=seed)
+                          seed=seed)
         rep = mm.run(comp, cfg, rng.normal(size=prob.m))
         sels, _ = mm.select_pairs(comp, rep.theta, 1e-9, "one")
         for i, c in enumerate(weights(cfg, comp)):
@@ -337,8 +337,7 @@ def test_criterion_6_convex_reduction(capsys):
     prob, comp = random_instance(SEED, N=40, d=2, k1=1, k2=1)
     w, b = pwa.ols_fit(prob.dataset)
     f_ols = 0.5 * float(np.mean((prob.dataset.y - prob.dataset.X @ w - b) ** 2))
-    cfg = mm.MMConfig(variant="full", tol_rel=1e-15, max_outer=3000,
-                      sn_tol_floor=1e-12)
+    cfg = mm.MMConfig(variant="full", tol_rel=1e-15, max_outer=3000)
     rep = mm.run(comp, cfg, np.zeros(prob.m))
     rel = abs(rep.f_N - f_ols) / max(1.0, abs(f_ols))
 
@@ -354,7 +353,7 @@ def test_criterion_6_convex_reduction(capsys):
         w, b = pwa.ols_fit(dtr)
         th0 = np.concatenate([w, [b], np.zeros(3)])
         r = mm.run(c, mm.MMConfig(variant="full", tol_rel=1e-15,
-                                  max_outer=3000, sn_tol_floor=1e-12), th0)
+                                  max_outer=3000), th0)
         mdl = p.model(r.theta)
         e_pa += float(np.sum((ds.y[te] - mdl.eval(ds.X[te])) ** 2))
         e_ls += float(np.sum((ds.y[te] - (ds.X[te] @ w + b)) ** 2))

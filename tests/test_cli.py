@@ -53,9 +53,13 @@ SMALL_FIT = {
 
 
 class TestConfig:
-    def test_unknown_key_rejected(self, tmp_path):
-        p = write_json(tmp_path / "c.json", {**SMALL_FIT, "bogus": 1})
-        assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 2
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # sn_tol_floor is gone: every SN solve shares one ||grad xi||
+        # fallback, so MM has no tolerance of its own to set
+        for key in ("bogus", "sn_tol_floor"):
+            p = write_json(tmp_path / "c.json", {**SMALL_FIT, key: 1e-6})
+            assert main(["fit", "--config", p, "--out", str(tmp_path)]) == 2
+            assert f"unknown keys ['{key}']" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["fit", "--config", str(tmp_path / "nope.json"),
@@ -144,7 +148,7 @@ class TestConfig:
         {"variant": "bogus"}, {"eps": -1}, {"variant": "full", "combo_cap": 0},
         {"c": -1.0}, {"c": 0}, {"loss": "huber"}, {"loss": "quantile"},
         {"loss": "quantile", "tau": 1.0}, {"k1": 0}, {"k2": -1}, {"k1": 1.5},
-        {"tau": 1.5}, {"gamma": -1}, {"reg_smooth": "bogus"}, {"sn_tol_floor": -1},
+        {"tau": 1.5}, {"gamma": -1}, {"reg_smooth": "bogus"},
         {"tol_rel": -1}, {"tol_step": -1}, {"max_outer": 2.5}, {"sn_max_iter": 0},
         {"starts": 0}, {"seed": -1}, {"compute_residual": "yes"},
         {"init": {"strategy": "bogus"}}, {"init": {"scale": -1}},
@@ -383,7 +387,7 @@ class TestFit:
                "k1": 1, "k2": 1, "starts": 1, "seed": 0,
                "init": {"strategy": "ols-perturb", "scale": 0.0},
                "variant": "full", "tol_rel": 1e-15, "max_outer": 2000,
-               "sn_tol_floor": 1e-12, "compute_residual": False}
+               "compute_residual": False}
         p = write_json(tmp_path / "c.json", cfg)
         assert main(["fit", "--config", str(p), "--out", str(tmp_path)]) == 0
         ds, _ = pwa.synth_example1(50, seed=2)
@@ -540,7 +544,7 @@ class TestCv:
                "grid": [[1, 0]], "folds": 5, "starts": 1, "seed": 0,
                "init": {"strategy": "ols-perturb", "scale": 0.0},
                "variant": "full", "tol_rel": 1e-15, "max_outer": 1500,
-               "sn_tol_floor": 1e-12, "compute_residual": False}
+               "compute_residual": False}
         p = write_json(tmp_path / "c.json", cfg)
         assert main(["cv", "--config", str(p), "--out", str(tmp_path)]) == 0
         with open(tmp_path / "cv_report.json") as fh:

@@ -422,7 +422,7 @@ class TestMmIterate:
     def test_fixed_point_stays(self):
         # run to near-stationarity, then one more iterate moves by ~nothing
         prob, comp = random_instance(3, N=5, k1=2, k2=1)
-        cfg = self._cfg(tol_rel=1e-15, sn_tol_floor=1e-12, max_outer=2000)
+        cfg = self._cfg(tol_rel=1e-15, max_outer=2000)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         assert rep.reason == "tolerance"
         st = mm.init_state(comp, rep.theta)
@@ -450,7 +450,7 @@ class TestMmIterate:
     def test_random_variant_rejection_keeps_state(self):
         # at a stationary point the drawn candidate cannot strictly improve
         prob, comp = random_instance(3, N=5, k1=2, k2=1)
-        cfg = self._cfg(tol_rel=1e-15, sn_tol_floor=1e-12, max_outer=3000)
+        cfg = self._cfg(tol_rel=1e-15, max_outer=3000)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         st = mm.init_state(comp, rep.theta)
         rcfg = self._cfg(variant="random")
@@ -568,8 +568,7 @@ class TestRun:
         w, b = pwa.ols_fit(prob.dataset)
         res = prob.dataset.y - (prob.dataset.X @ w + b)
         f_ols = 0.5 * float(np.mean(res ** 2))
-        cfg = mm.MMConfig(variant="full", tol_rel=1e-15, max_outer=2000,
-                          sn_tol_floor=1e-12)
+        cfg = mm.MMConfig(variant="full", tol_rel=1e-15, max_outer=2000)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         assert rep.f_N == pytest.approx(f_ols, rel=1e-6)
 
@@ -606,8 +605,7 @@ class TestRun:
     def test_trace_invariants(self):
         for variant in ("full", "one", "random"):
             prob, comp = random_instance(6, N=8, k1=2, k2=2)
-            cfg = mm.MMConfig(variant=variant, tol_rel=1e-6, max_outer=100,
-                              seed=3, sn_tol_floor=1e-10)
+            cfg = mm.MMConfig(variant=variant, tol_rel=1e-6, max_outer=100, seed=3)
             rep = mm.run(comp, cfg, np.random.default_rng(6).normal(size=prob.m))
             surr = [r.surrogate for r in rep.trace]
             for a, b in zip(surr, surr[1:]):
@@ -618,7 +616,7 @@ class TestRun:
                 assert r.surrogate >= r.f_N - 1e-5
 
     def test_inexact_solves_keep_a_majorant(self):
-        # at a loose inner tolerance a solve's r and s miss psi; lifted to
+        # a solve stopped on its gap exit leaves r and s off psi; lifted to
         # r >= psi >= s, every trace row's surrogate majorizes f_N exactly
         # and no accepted step raises it
         ds, _ = pwa.synth_example2(400, 0)
@@ -626,7 +624,7 @@ class TestRun:
         comp = pwa.assemble(prob)
         for start in range(10):
             th0 = pwa.init_sampler(prob, "gaussian", np.random.default_rng([0, start]))
-            cfg = mm.MMConfig(sn_tol_floor=1e-4, tol_rel=1e-6, seed=start)
+            cfg = mm.MMConfig(tol_rel=1e-6, seed=start)
             rep = mm.run(comp, cfg, th0)
             prev = comp.f_N(th0)
             for r in rep.trace:
@@ -659,13 +657,15 @@ class TestRun:
             assert np.allclose(f_full[:n], f_v[:n], atol=1e-7)
 
     def test_every_solve_has_the_gap_exit(self, monkeypatch):
-        # all three variants hold every MM solve to the same gap exit, and
-        # each step's record carries the gap of its chosen solve
+        # all three variants hold every MM solve to the same gap exit and
+        # SN's one ||grad|| fallback, and each step's record carries the gap
+        # of its chosen solve
         solves = []
 
         def solve(sub, warm=None, cfg=None):
             res = sn_solve(sub, warm=warm, cfg=cfg)
-            solves.append((cfg, res))
+            step_sq = sub.displacement_sq(res.theta, res.r, res.s, res.slack)
+            solves.append((cfg, res, cfg.gap_rel * 0.5 * sub.c * step_sq))
             return res
 
         monkeypatch.setattr(mm, "sn_solve", solve)
@@ -676,13 +676,16 @@ class TestRun:
         for variant in ("full", "one", "random"):
             solves.clear()
             rep = mm.run(comp, mm.MMConfig(variant=variant, max_outer=20), th0)
-            assert solves and all(cfg.gap_rel == mm._GAP_REL for cfg, _ in solves)
-            # a solve that stopped on the gap reports it
-            on_gap = [res for cfg, res in solves if res.kkt_residual > cfg.tol_grad
-                      and res.converged]
-            assert on_gap and all(res.gap is not None for res in on_gap), variant
+            assert solves and all(cfg.gap_rel == mm._GAP_REL
+                                  and cfg.tol_grad == SNConfig.tol_grad
+                                  for cfg, _, _ in solves)
+            # a converged solve above the ||grad|| fallback stopped on the
+            # gap, and reports it
+            on_gap = [(res, target) for cfg, res, target in solves
+                      if res.kkt_residual > cfg.tol_grad and res.converged]
+            assert on_gap and all(res.gap <= target for res, target in on_gap), variant
             if variant != "full":
-                assert [r.sn_gap for r in rep.trace] == [res.gap for _, res in solves]
+                assert [r.sn_gap for r in rep.trace] == [res.gap for _, res, _ in solves]
 
     def test_nonfinite_start_rejected(self):
         prob, comp = random_instance(9, N=4, k1=2, k2=1)

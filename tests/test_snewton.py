@@ -530,9 +530,10 @@ class TestDualityGap:
     def test_tight_solve_closes_the_gap(self):
         for label, sub in varied_subproblems():
             res = sn_solve(sub, cfg=TIGHT)
-            assert res.converged and res.gap is None, label
+            assert res.converged, label
             val, grad, inner, _ = sub.value_grad(res.x)
-            assert sub.duality_gap(val, grad, inner) <= 1e-10 * max(1.0, abs(val)), label
+            assert res.gap == sub.duality_gap(val, grad, inner), label
+            assert res.gap <= 1e-10 * max(1.0, abs(val)), label
 
     @pytest.mark.parametrize("start", [0, 1, 2])
     def test_gap_exit(self, start):
@@ -541,10 +542,10 @@ class TestDualityGap:
         # is within sqrt(gap_rel) of its step from the solution
         sub = example2_subproblem(start=start)
         gap_rel = 3e-3
-        plain = sn_solve(sub)
-        res = sn_solve(sub, cfg=SNConfig(gap_rel=gap_rel))
+        plain = sn_solve(sub, cfg=SNConfig(tol_grad=1e-10))
+        res = sn_solve(sub, cfg=SNConfig(tol_grad=1e-10, gap_rel=gap_rel))
         assert plain.converged and res.converged
-        assert res.kkt_residual > SNConfig.tol_grad and res.gap is not None
+        assert res.kkt_residual > 1e-10
         assert res.iterations < plain.iterations
         val, grad, inner, jac = sub.value_grad(res.x)
         assert res.gap == sub.duality_gap(val, grad, inner)
@@ -569,9 +570,31 @@ class TestDualityGap:
                 res = sn_solve(sub, cfg=SNConfig(gap_rel=gap_rel))
                 assert res.converged, label
                 assert res.iterations <= plain.iterations, label
-                if res.gap is not None:
-                    val, grad, inner, _ = sub.value_grad(res.x)
-                    assert res.gap == sub.duality_gap(val, grad, inner), label
+                val, grad, inner, _ = sub.value_grad(res.x)
+                assert res.gap == sub.duality_gap(val, grad, inner), label
+
+    def test_every_exit_returns_its_gap(self):
+        # the result carries the finite gap at the multipliers it returns
+        # whatever the exit: the gap test, ||grad|| <= tol_grad, max_iter, and
+        # a failed line search (with tol_grad 0 no step length lowers ||grad||
+        # once the steps reach rounding level)
+        _, sub = make_sub(42)
+        ex2 = example2_subproblem()
+        exits = [("gap", ex2, SNConfig(gap_rel=3e-3)),
+                 ("grad", sub, SNConfig(tol_grad=1e-8)),
+                 ("max_iter", sub, SNConfig(tol_grad=1e-16, max_iter=2)),
+                 ("line search", sub, SNConfig(tol_grad=0.0, max_iter=50))]
+        for label, s, cfg in exits:
+            res = sn_solve(s, cfg=cfg)
+            # the exit taken is the one named
+            assert res.converged == (label in ("gap", "grad")), label
+            assert (res.kkt_residual <= cfg.tol_grad) == (label == "grad"), label
+            assert (res.iterations == cfg.max_iter) == (label == "max_iter"), label
+            val, grad, inner, jac = s.value_grad(res.x)
+            assert np.isfinite(res.gap), label
+            assert res.gap == s.duality_gap(val, grad, inner), label
+            if label == "gap":
+                assert res.gap <= cfg.gap_rel * 0.5 * s.c * jac[-1]
 
     @pytest.mark.parametrize("scale", [1e-3, 1e3])
     def test_gap_scales_with_the_square_of_the_units(self, scale):

@@ -220,8 +220,8 @@ class TestDstatResidual:
     def test_certificate_solves_stop_on_the_gap(self, monkeypatch):
         # every certificate solve has the gap exit and returns its gap, and
         # the certificate's bound is the largest sqrt(2 max(gap, 0) / c)
-        assert stationarity._TIGHT_SN.gap_rel is not None
-        assert stationarity._TIGHT_SN.tol_grad > 0.0
+        assert stationarity._TIGHT_SN.gap_rel > 0.0
+        assert stationarity._TIGHT_SN.tol_grad == SNConfig.tol_grad
         solves = []
 
         def solve(sub, warm=None, cfg=None):
@@ -232,7 +232,7 @@ class TestDstatResidual:
         comp, theta = _lattice_instance(0)
         cert = stationarity.certify(comp, theta, mm.MMConfig(combo_cap=16))
         assert len(solves) == 16
-        assert all(cfg is stationarity._TIGHT_SN and res.gap is not None
+        assert all(cfg is stationarity._TIGHT_SN and np.isfinite(res.gap)
                    for _, cfg, res in solves)
         assert cert.bound == max(np.sqrt(2.0 * max(res.gap, 0.0) / c)
                                  for c, _, res in solves)
@@ -241,7 +241,7 @@ class TestDstatResidual:
         *[("random", seed) for seed in range(6)], ("lattice", 0)])
     def test_bound_covers_the_exact_residual(self, monkeypatch, instance):
         # the certificate's residual is within its bound of the residual of
-        # the same selections solved without the gap exit, to ||grad|| 1e-12
+        # the same selections solved exactly (gap_rel 0), to ||grad|| 1e-12
         kind, seed = instance
         if kind == "random":
             prob, comp = random_instance(seed, N=10, k1=2, k2=1 + seed % 2)
@@ -252,7 +252,7 @@ class TestDstatResidual:
             c = stationarity.certificate_c(comp, None)
         cert = dstat_residual(comp, theta, c, combo_cap=16)
         monkeypatch.setattr(stationarity, "_TIGHT_SN",
-                            replace(stationarity._TIGHT_SN, gap_rel=None))
+                            replace(stationarity._TIGHT_SN, gap_rel=0.0))
         exact = dstat_residual(comp, theta, c, combo_cap=16)
         assert cert.unconverged == exact.unconverged == 0
         assert 0.0 <= cert.bound < np.inf
@@ -260,16 +260,14 @@ class TestDstatResidual:
 
     def test_weak_residual_zero_at_dstat(self):
         prob, comp = random_instance(3, N=5, k1=2, k2=1)
-        cfg = mm.MMConfig(variant="full", tol_rel=1e-15, sn_tol_floor=1e-12,
-                          max_outer=1000)
+        cfg = mm.MMConfig(variant="full", tol_rel=1e-15, max_outer=1000)
         rep = mm.run(comp, cfg, np.zeros(prob.m))
         sels, _ = mm.select_pairs(comp, rep.theta, 1e-9, "one")
         assert weak_mstat_residual(comp, rep.theta, sels[0], c=0.1).residual <= 1e-5
 
     def test_mm_terminal_point_certified(self):
         prob, comp = random_instance(4, N=5, k1=2, k2=1)
-        cfg = mm.MMConfig(variant="full", tol_rel=1e-15, sn_tol_floor=1e-11,
-                          max_outer=1000)
+        cfg = mm.MMConfig(variant="full", tol_rel=1e-15, max_outer=1000)
         rep = mm.run(comp, cfg, np.random.default_rng(4).normal(size=prob.m))
         # at MM's weight and at the one `certify` and `pwafit check` use
         for c in (cfg.resolve_c(comp), stationarity.certificate_c(comp, None)):
